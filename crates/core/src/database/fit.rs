@@ -102,74 +102,135 @@ pub struct FitResult {
 /// ```
 // greenhetero-lint: allow(GH002) least-squares input is raw (power, throughput) samples
 pub fn fit_quadratic(points: &[(f64, f64)]) -> Result<FitResult, CoreError> {
-    if points.len() < 2 {
+    fit_samples(points, |&point| point)
+}
+
+/// [`fit_quadratic`] over any sample type, read in place: `xy` maps a
+/// sample to its `(x, y)` point. Allocation-free and O(n): the points are
+/// never copied, standardized `x` values are recomputed where a sum needs
+/// them, and every sum is accumulated over the samples in slice order.
+pub(crate) fn fit_samples<T>(
+    samples: &[T],
+    xy: impl Fn(&T) -> (f64, f64) + Copy,
+) -> Result<FitResult, CoreError> {
+    if samples.len() < 2 {
         return Err(CoreError::InsufficientSamples {
-            got: points.len(),
+            got: samples.len(),
             need: 2,
         });
     }
 
-    let distinct = count_distinct_x(points);
-    let curve = match distinct {
-        // greenhetero-lint: allow(GH001) distinct == 0 only for empty input, rejected above
-        0 => unreachable!("points is non-empty"),
+    let curve = match distinct_x_upto_3(samples, move |s| xy(s).0) {
         1 => {
             // All samples at one power level: the best projection is their
             // mean, constant in power.
-            let mean_y = points.iter().map(|p| p.1).sum::<f64>() / points.len() as f64;
+            let mean_y = samples.iter().map(|s| xy(s).1).sum::<f64>() / samples.len() as f64;
             Quadratic {
                 l: mean_y,
                 m: 0.0,
                 n: 0.0,
             }
         }
-        2 => fit_linear(points)?,
-        _ => fit_quadratic_full(points)?,
+        2 => fit_linear(samples, xy)?,
+        _ => fit_quadratic_full(samples, xy)?,
     };
 
     let rmse = {
-        let sse: f64 = points
+        let sse: f64 = samples
             .iter()
-            .map(|&(x, y)| {
+            .map(|s| {
+                let (x, y) = xy(s);
                 let r = curve.eval(x) - y;
                 r * r
             })
             .sum();
-        (sse / points.len() as f64).sqrt()
+        (sse / samples.len() as f64).sqrt()
     };
 
     Ok(FitResult {
         curve,
         rmse,
-        samples: points.len(),
+        samples: samples.len(),
     })
 }
 
-fn count_distinct_x(points: &[(f64, f64)]) -> usize {
-    let mut xs: Vec<f64> = points.iter().map(|p| p.0).collect();
-    xs.sort_by(f64::total_cmp);
-    xs.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
-    xs.len()
-}
-
-fn standardize(points: &[(f64, f64)]) -> (Vec<(f64, f64)>, f64, f64) {
-    let mean = points.iter().map(|p| p.0).sum::<f64>() / points.len() as f64;
-    let var = points.iter().map(|p| (p.0 - mean).powi(2)).sum::<f64>() / points.len() as f64;
-    let scale = var.sqrt().max(1e-12);
-    let standardized = points
+/// The number of distinct `x` values, capped at 3, where two values count
+/// as one when they lie within `1e-9` — exactly the count a copy sorted
+/// with `f64::total_cmp` and then `dedup_by(|a, b| (a - b).abs() < 1e-9)`
+/// leaves, without the copy or the sort.
+///
+/// That chain keeps the minimum `x0`, drops what follows it while it is
+/// within `1e-9` of `x0`, keeps the next value `x1`, and so on. In sorted
+/// order the values near `x0` form a prefix (`x − x0` only grows; NaN and
+/// infinite differences are never near), so `x1` is the smallest value
+/// not near `x0`, and a third survivor exists exactly when some other
+/// value is near neither.
+fn distinct_x_upto_3<T>(samples: &[T], x: impl Fn(&T) -> f64) -> usize {
+    let near = |value: f64, kept: f64| (value - kept).abs() < 1e-9;
+    let smallest = |keep: &dyn Fn(usize, f64) -> bool| {
+        samples
+            .iter()
+            .map(&x)
+            .enumerate()
+            .filter(|&(i, value)| keep(i, value))
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+    };
+    let Some((i0, x0)) = smallest(&|_, _| true) else {
+        return 0;
+    };
+    let Some((i1, x1)) = smallest(&|i, value| i != i0 && !near(value, x0)) else {
+        return 1;
+    };
+    let third = samples
         .iter()
-        .map(|&(x, y)| ((x - mean) / scale, y))
-        .collect();
-    (standardized, mean, scale)
+        .map(&x)
+        .enumerate()
+        .any(|(i, value)| i != i0 && i != i1 && !near(value, x0) && !near(value, x1));
+    if third {
+        3
+    } else {
+        2
+    }
 }
 
-fn fit_linear(points: &[(f64, f64)]) -> Result<Quadratic, CoreError> {
-    let (std_pts, mu, s) = standardize(points);
-    let n = std_pts.len() as f64;
-    let sx: f64 = std_pts.iter().map(|p| p.0).sum();
-    let sxx: f64 = std_pts.iter().map(|p| p.0 * p.0).sum();
-    let sy: f64 = std_pts.iter().map(|p| p.1).sum();
-    let sxy: f64 = std_pts.iter().map(|p| p.0 * p.1).sum();
+/// The mean and scale that standardize `x` as `q = (x − mean) / scale`.
+fn standardization<T>(samples: &[T], xy: impl Fn(&T) -> (f64, f64)) -> (f64, f64) {
+    let n = samples.len() as f64;
+    let mean = samples.iter().map(|s| xy(s).0).sum::<f64>() / n;
+    let var = samples
+        .iter()
+        .map(|s| (xy(s).0 - mean).powi(2))
+        .sum::<f64>()
+        / n;
+    (mean, var.sqrt().max(1e-12))
+}
+
+fn fit_linear<T>(
+    samples: &[T],
+    xy: impl Fn(&T) -> (f64, f64) + Copy,
+) -> Result<Quadratic, CoreError> {
+    let (mu, s) = standardization(samples, xy);
+    let qy = |sample: &T| {
+        let (x, y) = xy(sample);
+        ((x - mu) / s, y)
+    };
+    let n = samples.len() as f64;
+    let sx: f64 = samples.iter().map(|p| qy(p).0).sum();
+    let sxx: f64 = samples
+        .iter()
+        .map(|p| {
+            let q = qy(p).0;
+            q * q
+        })
+        .sum();
+    let sy: f64 = samples.iter().map(|p| xy(p).1).sum();
+    let sxy: f64 = samples
+        .iter()
+        .map(|p| {
+            let (q, y) = qy(p);
+            q * y
+        })
+        .sum();
     let det = n * sxx - sx * sx;
     if det.abs() < 1e-12 {
         return Err(CoreError::DegenerateFit);
@@ -179,12 +240,17 @@ fn fit_linear(points: &[(f64, f64)]) -> Result<Quadratic, CoreError> {
     Ok(destandardize(a, b, 0.0, mu, s))
 }
 
-fn fit_quadratic_full(points: &[(f64, f64)]) -> Result<Quadratic, CoreError> {
-    let (std_pts, mu, s) = standardize(points);
+fn fit_quadratic_full<T>(
+    samples: &[T],
+    xy: impl Fn(&T) -> (f64, f64) + Copy,
+) -> Result<Quadratic, CoreError> {
+    let (mu, s) = standardization(samples, xy);
     // Normal equations for [a, b, c] of y = a + b·q + c·q².
     let mut m = [[0.0f64; 3]; 3];
     let mut v = [0.0f64; 3];
-    for &(q, y) in &std_pts {
+    for sample in samples {
+        let (x, y) = xy(sample);
+        let q = (x - mu) / s;
         let basis = [1.0, q, q * q];
         for i in 0..3 {
             for j in 0..3 {
@@ -246,6 +312,135 @@ mod tests {
 
     fn sample_curve(q: Quadratic, xs: &[f64]) -> Vec<(f64, f64)> {
         xs.iter().map(|&x| (x, q.eval(x))).collect()
+    }
+
+    /// The copy-and-sort fit `fit_quadratic` replaces: distinct powers
+    /// counted on a sorted, deduplicated copy, sums taken over a
+    /// standardized copy.
+    fn fit_reference(points: &[(f64, f64)]) -> Result<FitResult, CoreError> {
+        if points.len() < 2 {
+            return Err(CoreError::InsufficientSamples {
+                got: points.len(),
+                need: 2,
+            });
+        }
+        let mut xs: Vec<f64> = points.iter().map(|p| p.0).collect();
+        xs.sort_by(f64::total_cmp);
+        xs.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
+        let n = points.len() as f64;
+        let mean = points.iter().map(|p| p.0).sum::<f64>() / n;
+        let var = points.iter().map(|p| (p.0 - mean).powi(2)).sum::<f64>() / n;
+        let scale = var.sqrt().max(1e-12);
+        let std_pts: Vec<(f64, f64)> = points
+            .iter()
+            .map(|&(x, y)| ((x - mean) / scale, y))
+            .collect();
+        let curve = match xs.len() {
+            1 => Quadratic {
+                l: points.iter().map(|p| p.1).sum::<f64>() / n,
+                m: 0.0,
+                n: 0.0,
+            },
+            2 => {
+                let sx: f64 = std_pts.iter().map(|p| p.0).sum();
+                let sxx: f64 = std_pts.iter().map(|p| p.0 * p.0).sum();
+                let sy: f64 = std_pts.iter().map(|p| p.1).sum();
+                let sxy: f64 = std_pts.iter().map(|p| p.0 * p.1).sum();
+                let det = n * sxx - sx * sx;
+                if det.abs() < 1e-12 {
+                    return Err(CoreError::DegenerateFit);
+                }
+                let a = (sy * sxx - sx * sxy) / det;
+                let b = (n * sxy - sx * sy) / det;
+                destandardize(a, b, 0.0, mean, scale)
+            }
+            _ => {
+                let mut m = [[0.0f64; 3]; 3];
+                let mut v = [0.0f64; 3];
+                for &(q, y) in &std_pts {
+                    let basis = [1.0, q, q * q];
+                    for i in 0..3 {
+                        for j in 0..3 {
+                            m[i][j] += basis[i] * basis[j];
+                        }
+                        v[i] += basis[i] * y;
+                    }
+                }
+                let c = solve_3x3(m, v).ok_or(CoreError::DegenerateFit)?;
+                destandardize(c[0], c[1], c[2], mean, scale)
+            }
+        };
+        let sse: f64 = points
+            .iter()
+            .map(|&(x, y)| {
+                let r = curve.eval(x) - y;
+                r * r
+            })
+            .sum();
+        Ok(FitResult {
+            curve,
+            rmse: (sse / n).sqrt(),
+            samples: points.len(),
+        })
+    }
+
+    /// A fit result as raw bits, so NaN compares equal to the same NaN.
+    fn fit_bits(fit: &Result<FitResult, CoreError>) -> Result<[u64; 4], CoreError> {
+        fit.clone().map(|f| {
+            [
+                f.curve.l.to_bits(),
+                f.curve.m.to_bits(),
+                f.curve.n.to_bits(),
+                f.rmse.to_bits(),
+            ]
+        })
+    }
+
+    #[test]
+    fn in_place_fit_matches_copy_and_sort_reference() {
+        // Distinct-power counts of 1, 2 and 3+, tolerance chains that
+        // drop or keep a neighbour, signed zeros, and non-finite powers.
+        let nan = f64::NAN;
+        let inf = f64::INFINITY;
+        let xs_cases: [&[f64]; 16] = [
+            &[80.0, 80.0],
+            &[80.0, 80.0 + 0.5e-9, 80.0 - 0.4e-9],
+            &[80.0, 80.0 + 0.6e-9, 80.0 + 1.2e-9],
+            &[80.0 + 1.8e-9, 80.0, 80.0 + 0.9e-9],
+            &[
+                80.0,
+                80.0 + 0.6e-9,
+                80.0 + 1.2e-9,
+                80.0 + 1.8e-9,
+                80.0 + 2.4e-9,
+            ],
+            &[50.0, 100.0, 100.0],
+            &[100.0, 50.0, 100.0 + 1e-9, 50.0 - 0.5e-9],
+            &[150.0, 215.0, 280.0, 345.0, 411.0],
+            &[0.0, -0.0, 0.0],
+            &[-0.0, 0.5e-9, 1e-9, 2e-9],
+            &[60.0, nan, 70.0],
+            &[nan, nan],
+            &[inf, inf, 60.0],
+            &[-inf, 60.0, 60.0],
+            &[60.0, 60.0, -nan],
+            &[inf, nan, -inf, 60.0],
+        ];
+        for xs in xs_cases {
+            for perm in 0..xs.len() {
+                let pts: Vec<(f64, f64)> = (0..xs.len())
+                    .map(|i| {
+                        let x = xs[(i + perm) % xs.len()];
+                        (x, 3.0 + 0.5 * f64::from(i as u32) - 0.01 * x)
+                    })
+                    .collect();
+                assert_eq!(
+                    fit_bits(&fit_quadratic(&pts)),
+                    fit_bits(&fit_reference(&pts)),
+                    "{pts:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::database::fit::{fit_quadratic, FitResult};
+use crate::database::fit::{fit_samples, FitResult};
 use crate::database::model::PerfModel;
 use crate::error::CoreError;
 use crate::types::{ConfigId, PowerRange, SimTime, Throughput, Watts, WorkloadId};
@@ -330,11 +330,7 @@ impl PerfDatabase {
     }
 
     fn fit(samples: &[ProfileSample]) -> Result<FitResult, CoreError> {
-        let points: Vec<(f64, f64)> = samples
-            .iter()
-            .map(|s| (s.power.value(), s.perf.value()))
-            .collect();
-        fit_quadratic(&points)
+        fit_samples(samples, |s| (s.power.value(), s.perf.value()))
     }
 }
 

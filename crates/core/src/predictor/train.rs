@@ -5,12 +5,15 @@
 //! predicted and observed values within the `[0, 1] × [0, 1]` constraint.
 //! We implement this as a coarse grid search followed by a local grid
 //! refinement around the best coarse cell — derivative-free, robust, and
-//! fast enough to re-run every few hours of simulated time.
+//! fast enough to re-run every few hours of simulated time. Each grid is
+//! scored a chunk of points at a time, all of them stepping through the
+//! history together, with the same result bit for bit as scoring the
+//! points one by one.
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
-use crate::predictor::{sum_squared_error, HoltPredictor};
+use crate::predictor::HoltPredictor;
 
 /// A trained (α, β) pair.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -69,7 +72,7 @@ pub struct TrainOutcome {
 ///
 /// * [`CoreError::NoObservations`] if `history` has fewer than 3 points —
 ///   a shorter series cannot score even one prediction meaningfully.
-/// * [`CoreError::InvalidConfig`] if `coarse_step` is not in `(0, 1]`.
+/// * [`CoreError::InvalidQuantity`] if `coarse_step` is not in `(0, 1]`.
 ///
 /// # Examples
 ///
@@ -91,8 +94,9 @@ pub fn train_holt(history: &[f64], coarse_step: f64) -> Result<TrainOutcome, Cor
         return Err(CoreError::NoObservations);
     }
     if !coarse_step.is_finite() || coarse_step <= 0.0 || coarse_step > 1.0 {
-        return Err(CoreError::InvalidConfig {
-            reason: format!("coarse_step must be in (0, 1], got {coarse_step}"),
+        return Err(CoreError::InvalidQuantity {
+            quantity: "coarse_step",
+            value: coarse_step,
         });
     }
 
@@ -113,6 +117,20 @@ pub fn train_holt(history: &[f64], coarse_step: f64) -> Result<TrainOutcome, Cor
     })
 }
 
+/// Grid points scored together per pass over the history. A chunk's
+/// level, trend and error columns live on the stack (a few kB), so the
+/// search allocates nothing and keeps no buffer between calls.
+const LANES: usize = 64;
+
+/// Scores every point of the `[alpha_lo, alpha_hi] × [beta_lo, beta_hi]`
+/// grid and returns the regularized arg-min.
+///
+/// The points are scored [`LANES`] at a time by [`score_chunk`], but the
+/// result is bit-identical to scoring them one by one with
+/// [`sum_squared_error`](crate::predictor::sum_squared_error): every lane
+/// performs the same IEEE operations as the scalar recurrence, and the
+/// arg-min is scanned in the scalar grid's order with the same strict `<`,
+/// so ties still go to the first point.
 fn grid_search(
     history: &[f64],
     alpha_lo: f64,
@@ -127,11 +145,7 @@ fn grid_search(
     // regularizer pulls ties toward the responsive defaults without
     // affecting genuinely informative histories.
     let scale = history.iter().map(|v| v * v).sum::<f64>().max(1.0);
-    let regularizer = |a: f64, b: f64| {
-        let da = a - HoltParams::DEFAULT.alpha;
-        let db = b - HoltParams::DEFAULT.beta;
-        1e-9 * scale * (da * da + db * db)
-    };
+    let weight = 1e-9 * scale;
 
     let mut best = TrainOutcome {
         params: HoltParams {
@@ -141,31 +155,117 @@ fn grid_search(
         sse: f64::INFINITY,
     };
     let mut best_score = f64::INFINITY;
-    let mut alpha = alpha_lo;
-    while alpha <= alpha_hi + 1e-12 {
-        let mut beta = beta_lo;
-        while beta <= beta_hi + 1e-12 {
-            let a = alpha.clamp(0.0, 1.0);
-            let b = beta.clamp(0.0, 1.0);
-            let Ok(predictor) = HoltPredictor::new(a, b) else {
-                // Unreachable for clamped grid points; skip defensively.
-                beta += step;
-                continue;
-            };
-            let sse = sum_squared_error(predictor, history);
-            let score = sse + regularizer(a, b);
+    let mut points = GridPoints {
+        alpha: alpha_lo,
+        beta: beta_lo,
+        alpha_end: alpha_hi + 1e-12,
+        beta_lo,
+        beta_end: beta_hi + 1e-12,
+        step,
+    };
+    let mut alphas = [0.0; LANES];
+    let mut betas = [0.0; LANES];
+    let mut sse = [0.0; LANES];
+    loop {
+        let mut len = 0;
+        for (i, (a, b)) in points.by_ref().take(LANES).enumerate() {
+            alphas[i] = a;
+            betas[i] = b;
+            len = i + 1;
+        }
+        if len == 0 {
+            return best;
+        }
+        score_chunk(history, &alphas, &betas, &mut sse);
+        for ((&a, &b), &lane_sse) in alphas.iter().zip(&betas).zip(&sse).take(len) {
+            let da = a - HoltParams::DEFAULT.alpha;
+            let db = b - HoltParams::DEFAULT.beta;
+            let score = lane_sse + weight * (da * da + db * db);
             if score < best_score {
                 best_score = score;
                 best = TrainOutcome {
                     params: HoltParams { alpha: a, beta: b },
-                    sse,
+                    sse: lane_sse,
                 };
             }
-            beta += step;
         }
-        alpha += step;
+        if len < LANES {
+            return best;
+        }
     }
-    best
+}
+
+/// The search grid in scoring order: α-major, each coordinate advanced by
+/// repeated `+= step` from its lower end (not `lo + k·step`, whose
+/// rounding differs) and clamped into `[0, 1]`, duplicates kept.
+struct GridPoints {
+    alpha: f64,
+    beta: f64,
+    alpha_end: f64,
+    beta_lo: f64,
+    beta_end: f64,
+    step: f64,
+}
+
+impl Iterator for GridPoints {
+    type Item = (f64, f64);
+
+    fn next(&mut self) -> Option<(f64, f64)> {
+        while self.alpha <= self.alpha_end {
+            if self.beta <= self.beta_end {
+                let point = (self.alpha.clamp(0.0, 1.0), self.beta.clamp(0.0, 1.0));
+                self.beta += self.step;
+                return Some(point);
+            }
+            self.alpha += self.step;
+            self.beta = self.beta_lo;
+        }
+        None
+    }
+}
+
+/// Writes into `sse` the one-step-ahead SSE of Holt's recurrence over
+/// `history` for each `(alphas[i], betas[i])` lane.
+///
+/// The lanes step through the history together, so the loop over lanes
+/// has no dependency chain and vectorizes. Per lane this is
+/// [`sum_squared_error`](crate::predictor::sum_squared_error) of a
+/// [`HoltPredictor`](crate::predictor::HoltPredictor), operation for
+/// operation: the first two observations only prime the level and trend
+/// and are the same for every lane, so they are taken once; `1 − α` and
+/// `1 − β` are hoisted out of the loop (the same values the scalar code
+/// recomputes each step); and the forecast `level + trend` (the scalar
+/// `level + 1.0·trend`, the same value) feeds both the error and the
+/// level update, as it does there.
+fn score_chunk(
+    history: &[f64],
+    alphas: &[f64; LANES],
+    betas: &[f64; LANES],
+    sse: &mut [f64; LANES],
+) {
+    let [first, second, rest @ ..] = history else {
+        // Fewer than two observations: nothing was ever forecast.
+        *sse = [0.0; LANES];
+        return;
+    };
+    // The primed forecast is the first observation itself. The scalar sum
+    // starts at +0.0, and adding a square (never −0.0) to it is exact.
+    let warmup = first - second;
+    *sse = [warmup * warmup; LANES];
+    let mut level = [*second; LANES];
+    let mut trend = [second - first; LANES];
+    let keep_level = alphas.map(|a| 1.0 - a);
+    let keep_trend = betas.map(|b| 1.0 - b);
+    for &observed in rest {
+        for i in 0..LANES {
+            let forecast = level[i] + trend[i];
+            let d = forecast - observed;
+            sse[i] += d * d;
+            let new_level = alphas[i] * observed + keep_level[i] * forecast;
+            trend[i] = betas[i] * (new_level - level[i]) + keep_trend[i] * trend[i];
+            level[i] = new_level;
+        }
+    }
 }
 
 /// Trains on `history` but falls back to [`HoltParams::DEFAULT`] when the
@@ -182,6 +282,99 @@ pub fn train_or_default(history: &[f64], coarse_step: f64) -> HoltParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predictor::sum_squared_error;
+
+    /// The scalar search `grid_search` replaces: one `HoltPredictor` per
+    /// grid point, scored in turn.
+    fn grid_search_scalar(
+        history: &[f64],
+        alpha_lo: f64,
+        alpha_hi: f64,
+        beta_lo: f64,
+        beta_hi: f64,
+        step: f64,
+    ) -> TrainOutcome {
+        let scale = history.iter().map(|v| v * v).sum::<f64>().max(1.0);
+        let regularizer = |a: f64, b: f64| {
+            let da = a - HoltParams::DEFAULT.alpha;
+            let db = b - HoltParams::DEFAULT.beta;
+            1e-9 * scale * (da * da + db * db)
+        };
+        let mut best = TrainOutcome {
+            params: HoltParams {
+                alpha: alpha_lo,
+                beta: beta_lo,
+            },
+            sse: f64::INFINITY,
+        };
+        let mut best_score = f64::INFINITY;
+        let mut alpha = alpha_lo;
+        while alpha <= alpha_hi + 1e-12 {
+            let mut beta = beta_lo;
+            while beta <= beta_hi + 1e-12 {
+                let a = alpha.clamp(0.0, 1.0);
+                let b = beta.clamp(0.0, 1.0);
+                let sse = sum_squared_error(HoltPredictor::new(a, b).unwrap(), history);
+                let score = sse + regularizer(a, b);
+                if score < best_score {
+                    best_score = score;
+                    best = TrainOutcome {
+                        params: HoltParams { alpha: a, beta: b },
+                        sse,
+                    };
+                }
+                beta += step;
+            }
+            alpha += step;
+        }
+        best
+    }
+
+    fn bits(o: TrainOutcome) -> (u64, u64, u64) {
+        (
+            o.params.alpha.to_bits(),
+            o.params.beta.to_bits(),
+            o.sse.to_bits(),
+        )
+    }
+
+    #[test]
+    fn lane_kernel_matches_scalar_reference() {
+        // Lengths around the warm-up and chunk edges, steps whose grids
+        // end mid-chunk, windows clipped at either end, and histories
+        // with ties (constant, all-zero) and a sunrise.
+        let windows = [
+            (0.0, 1.0, 0.0, 1.0),
+            (0.0, 0.1, 0.9, 1.0),
+            (0.35, 0.45, 0.0, 0.05),
+            (0.2, 0.2, 0.3, 0.3),
+        ];
+        for len in [0, 1, 2, 3, 4, 5, 17, 64, 65, 96, 130] {
+            let wavy: Vec<f64> = (0..len)
+                .map(|i| 400.0 + 300.0 * (f64::from(i) * 0.37).sin() + f64::from(i % 7))
+                .collect();
+            let sunrise: Vec<f64> = (0..len)
+                .map(|i| (f64::from(i) - 10.0).max(0.0) * 25.0)
+                .collect();
+            for history in [
+                wavy,
+                sunrise,
+                vec![0.0; len as usize],
+                vec![42.5; len as usize],
+            ] {
+                for step in [0.03, 0.05, 0.1, 0.2, 1.0, 0.005] {
+                    for (a_lo, a_hi, b_lo, b_hi) in windows {
+                        assert_eq!(
+                            bits(grid_search(&history, a_lo, a_hi, b_lo, b_hi, step)),
+                            bits(grid_search_scalar(&history, a_lo, a_hi, b_lo, b_hi, step)),
+                            "len {len}, step {step}, window {:?}",
+                            (a_lo, a_hi, b_lo, b_hi)
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn rejects_short_history() {

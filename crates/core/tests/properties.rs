@@ -4,10 +4,13 @@
 // allow-*-in-tests clippy knobs do not reach; panicking is fine here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use greenhetero_core::database::{fit_quadratic, PerfModel, Quadratic};
+use greenhetero_core::database::{fit_quadratic, FitResult, PerfModel, Quadratic};
 use greenhetero_core::enforcer::{PowerState, PowerStateSet, Spc};
+use greenhetero_core::error::CoreError;
 use greenhetero_core::metrics::{productive_power, EpuAccumulator};
-use greenhetero_core::predictor::{HoltPredictor, Predictor};
+use greenhetero_core::predictor::{
+    sum_squared_error, train_holt, HoltParams, HoltPredictor, Predictor, TrainOutcome,
+};
 use greenhetero_core::solver::{
     audit_allocation, solve, solve_exact, solve_grid, AllocationProblem, FastPathConfig,
     ServerGroup, SolverFastPath,
@@ -498,4 +501,313 @@ proptest! {
             line
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// The end-epoch kernels against their scalar and copy-and-sort references.
+// ---------------------------------------------------------------------------
+
+/// Scalar reference for one grid search of `train_holt`: every grid point
+/// scored in turn with `sum_squared_error`, α-major with `+= step`
+/// accumulation and clamping, the same regularizer, ties to the first
+/// point (strict `<`).
+fn reference_grid(
+    history: &[f64],
+    (alpha_lo, alpha_hi): (f64, f64),
+    (beta_lo, beta_hi): (f64, f64),
+    step: f64,
+) -> TrainOutcome {
+    let scale = history.iter().map(|v| v * v).sum::<f64>().max(1.0);
+    let mut best = TrainOutcome {
+        params: HoltParams {
+            alpha: alpha_lo,
+            beta: beta_lo,
+        },
+        sse: f64::INFINITY,
+    };
+    let mut best_score = f64::INFINITY;
+    let mut alpha = alpha_lo;
+    while alpha <= alpha_hi + 1e-12 {
+        let mut beta = beta_lo;
+        while beta <= beta_hi + 1e-12 {
+            let (a, b) = (alpha.clamp(0.0, 1.0), beta.clamp(0.0, 1.0));
+            let sse = sum_squared_error(HoltPredictor::new(a, b).unwrap(), history);
+            let (da, db) = (a - HoltParams::DEFAULT.alpha, b - HoltParams::DEFAULT.beta);
+            let score = sse + 1e-9 * scale * (da * da + db * db);
+            if score < best_score {
+                best_score = score;
+                best = TrainOutcome {
+                    params: HoltParams { alpha: a, beta: b },
+                    sse,
+                };
+            }
+            beta += step;
+        }
+        alpha += step;
+    }
+    best
+}
+
+/// Scalar reference for `train_holt`: the coarse grid, then the fine
+/// window around its winner, clipped to `[0, 1]`.
+fn reference_train(history: &[f64], step: f64) -> Result<TrainOutcome, CoreError> {
+    if history.len() < 3 {
+        return Err(CoreError::NoObservations);
+    }
+    let coarse = reference_grid(history, (0.0, 1.0), (0.0, 1.0), step);
+    let window = |centre: f64| ((centre - step).max(0.0), (centre + step).min(1.0));
+    let fine = reference_grid(
+        history,
+        window(coarse.params.alpha),
+        window(coarse.params.beta),
+        step / 10.0,
+    );
+    Ok(if fine.sse < coarse.sse { fine } else { coarse })
+}
+
+/// A training outcome as raw bits, so the comparison is bit for bit.
+fn train_bits(outcome: Result<TrainOutcome, CoreError>) -> Result<[u64; 3], CoreError> {
+    outcome.map(|o| {
+        [
+            o.params.alpha.to_bits(),
+            o.params.beta.to_bits(),
+            o.sse.to_bits(),
+        ]
+    })
+}
+
+/// Strategy: a predictor-lane history of length 0–200 in one of the
+/// shapes the controller sees: a noisy level, a random walk, a diurnal
+/// curve, an all-zero night, a constant, a sunrise, an alternating series.
+fn arb_history() -> impl Strategy<Value = Vec<f64>> {
+    (
+        0usize..7,
+        0usize..201,
+        proptest::collection::vec(-1.0..1.0f64, 200),
+        0.0..2000.0f64,
+    )
+        .prop_map(|(shape, len, noise, level)| {
+            let mut walk = level;
+            (0..len)
+                .map(|i| {
+                    let t = i as f64;
+                    walk += 40.0 * noise[i];
+                    match shape {
+                        0 => level + 50.0 * noise[i],
+                        1 => walk,
+                        2 => {
+                            (level * (t / 96.0 * std::f64::consts::TAU).sin()).max(0.0)
+                                + 5.0 * noise[i]
+                        }
+                        3 => 0.0,
+                        4 => level,
+                        5 => (t - 30.0).max(0.0) * level / 50.0,
+                        _ => level + if i % 2 == 0 { 15.0 } else { -15.0 },
+                    }
+                })
+                .collect()
+        })
+}
+
+/// The copy-and-sort reference for `fit_quadratic`: distinct powers
+/// counted on a sorted, `1e-9`-deduplicated copy, the normal equations
+/// summed over a standardized copy.
+fn reference_fit(points: &[(f64, f64)]) -> Result<FitResult, CoreError> {
+    if points.len() < 2 {
+        return Err(CoreError::InsufficientSamples {
+            got: points.len(),
+            need: 2,
+        });
+    }
+    let mut xs: Vec<f64> = points.iter().map(|p| p.0).collect();
+    xs.sort_by(f64::total_cmp);
+    xs.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
+    let n = points.len() as f64;
+    let mu = points.iter().map(|p| p.0).sum::<f64>() / n;
+    let var = points.iter().map(|p| (p.0 - mu).powi(2)).sum::<f64>() / n;
+    let s = var.sqrt().max(1e-12);
+    let std_pts: Vec<(f64, f64)> = points.iter().map(|&(x, y)| ((x - mu) / s, y)).collect();
+    let destandardize = |a: f64, b: f64, c: f64| Quadratic {
+        l: a - b * mu / s + c * mu * mu / (s * s),
+        m: b / s - 2.0 * c * mu / (s * s),
+        n: c / (s * s),
+    };
+    let curve = match xs.len() {
+        1 => Quadratic {
+            l: points.iter().map(|p| p.1).sum::<f64>() / n,
+            m: 0.0,
+            n: 0.0,
+        },
+        2 => {
+            let sx: f64 = std_pts.iter().map(|p| p.0).sum();
+            let sxx: f64 = std_pts.iter().map(|p| p.0 * p.0).sum();
+            let sy: f64 = std_pts.iter().map(|p| p.1).sum();
+            let sxy: f64 = std_pts.iter().map(|p| p.0 * p.1).sum();
+            let det = n * sxx - sx * sx;
+            if det.abs() < 1e-12 {
+                return Err(CoreError::DegenerateFit);
+            }
+            destandardize((sy * sxx - sx * sxy) / det, (n * sxy - sx * sy) / det, 0.0)
+        }
+        _ => {
+            let mut m = [[0.0f64; 3]; 3];
+            let mut v = [0.0f64; 3];
+            for &(q, y) in &std_pts {
+                let basis = [1.0, q, q * q];
+                for i in 0..3 {
+                    for j in 0..3 {
+                        m[i][j] += basis[i] * basis[j];
+                    }
+                    v[i] += basis[i] * y;
+                }
+            }
+            let c = reference_solve_3x3(m, v).ok_or(CoreError::DegenerateFit)?;
+            destandardize(c[0], c[1], c[2])
+        }
+    };
+    let sse: f64 = points
+        .iter()
+        .map(|&(x, y)| {
+            let r = curve.eval(x) - y;
+            r * r
+        })
+        .sum();
+    Ok(FitResult {
+        curve,
+        rmse: (sse / n).sqrt(),
+        samples: points.len(),
+    })
+}
+
+/// Gaussian elimination with partial pivoting, as the fit solves it.
+fn reference_solve_3x3(mut m: [[f64; 3]; 3], mut v: [f64; 3]) -> Option<[f64; 3]> {
+    for col in 0..3 {
+        let pivot = (col..3)
+            .max_by(|&a, &b| m[a][col].abs().total_cmp(&m[b][col].abs()))
+            .unwrap_or(col);
+        if m[pivot][col].abs() < 1e-12 {
+            return None;
+        }
+        m.swap(col, pivot);
+        v.swap(col, pivot);
+        for row in (col + 1)..3 {
+            let factor = m[row][col] / m[col][col];
+            let pivot_row = m[col];
+            for (k, p) in pivot_row.iter().enumerate().skip(col) {
+                m[row][k] -= factor * p;
+            }
+            v[row] -= factor * v[col];
+        }
+    }
+    let mut x = [0.0f64; 3];
+    for row in (0..3).rev() {
+        let mut acc = v[row];
+        for k in (row + 1)..3 {
+            acc -= m[row][k] * x[k];
+        }
+        x[row] = acc / m[row][row];
+    }
+    Some(x)
+}
+
+/// A fit result as raw bits, so the comparison is bit for bit.
+fn fit_bits(fit: Result<FitResult, CoreError>) -> Result<[u64; 4], CoreError> {
+    fit.map(|f| {
+        [
+            f.curve.l.to_bits(),
+            f.curve.m.to_bits(),
+            f.curve.n.to_bits(),
+            f.rmse.to_bits(),
+        ]
+    })
+}
+
+/// Strategy: (power, throughput) samples on 1–4 base powers, each power
+/// offset from its base by 0–4 ticks of 0.1–0.7 nW, so the `1e-9` dedup
+/// chain both absorbs neighbours into one distinct power and splits
+/// them into two or three.
+fn arb_clustered_samples() -> impl Strategy<Value = Vec<(f64, f64)>> {
+    (
+        proptest::collection::vec(40.0..400.0f64, 1..5),
+        0.1e-9..0.7e-9f64,
+        proptest::collection::vec((0usize..4, 0u32..5, -5.0..5.0f64), 2..40),
+        -0.02..0.0f64,
+        0.5..5.0f64,
+    )
+        .prop_map(|(bases, tick, picks, n, m)| {
+            picks
+                .iter()
+                .map(|&(base, ticks, noise)| {
+                    let x = bases[base % bases.len()] + f64::from(ticks) * tick;
+                    (x, m * x + n * x * x + noise)
+                })
+                .collect()
+        })
+}
+
+proptest! {
+    /// The lane-batched trainer returns the scalar search's (α, β, SSE)
+    /// bit for bit, at every grid step and history shape and length.
+    #[test]
+    fn train_holt_matches_scalar_reference(
+        history in arb_history(),
+        step in proptest::sample::select(vec![0.03, 0.05, 0.1, 0.2, 1.0]),
+    ) {
+        prop_assert_eq!(
+            train_bits(train_holt(&history, step)),
+            train_bits(reference_train(&history, step))
+        );
+    }
+
+    /// The in-place fit returns the copy-and-sort fit bit for bit, with
+    /// 1, 2 and 3+ distinct powers inside and across the 1e-9 chain.
+    #[test]
+    fn fit_quadratic_matches_copy_and_sort_reference(pts in arb_clustered_samples()) {
+        prop_assert_eq!(fit_bits(fit_quadratic(&pts)), fit_bits(reference_fit(&pts)));
+    }
+}
+
+/// Fine windows clipped at 0 and at 1 (a coarse winner on the grid's
+/// edge) also match the scalar reference bit for bit.
+#[test]
+fn train_holt_matches_scalar_reference_on_clipped_windows() {
+    let walk: Vec<f64> = (0..120)
+        .map(|i| 500.0 + 200.0 * (f64::from(i) * 0.9).sin() * (f64::from(i) * 0.05).cos())
+        .scan(0.0, |acc, step| {
+            *acc += step;
+            Some(*acc)
+        })
+        .collect();
+    // Noise around a level, with no initial trend: trend smoothing off
+    // (β = 0) wins.
+    let noisy_level: Vec<f64> = (0..120)
+        .map(|i| {
+            300.0
+                + if i < 2 {
+                    0.0
+                } else {
+                    40.0 * (f64::from(i) * 2.3).sin()
+                }
+        })
+        .collect();
+    let (mut low, mut high) = (0, 0);
+    for history in [walk, noisy_level] {
+        for step in [0.03, 0.05, 0.1, 0.2, 1.0] {
+            // Step 1.0 clips every window; count the finer grids only.
+            let coarse = reference_grid(&history, (0.0, 1.0), (0.0, 1.0), step);
+            for v in [coarse.params.alpha, coarse.params.beta] {
+                low += usize::from(step < 1.0 && v - step < 0.0);
+                high += usize::from(step < 1.0 && v + step > 1.0);
+            }
+            assert_eq!(
+                train_bits(train_holt(&history, step)),
+                train_bits(reference_train(&history, step)),
+                "step {step}"
+            );
+        }
+    }
+    assert!(
+        low > 0 && high > 0,
+        "windows clipped low {low}, high {high}"
+    );
 }

@@ -14,7 +14,7 @@
 //! | GH003 | cross-newtype arithmetic must be in the sanctioned table |
 //! | GH004 | every `*Error` variant constructed outside its definition |
 //! | GH005 | doc comments on all pub items of the library crates |
-//! | GH006 | no per-solve heap allocation in the solver hot-loop modules |
+//! | GH006 | no heap allocation in the hot-loop kernel modules |
 //! | GH007 | no `HashMap`/`HashSet` iteration in reduction/telemetry paths |
 //! | GH008 | no accumulation (`+=`/`fold`/`sum`) through clamping newtypes |
 //! | GH009 | metric-name literals ↔ `telemetry::names` catalog coherence |
@@ -68,7 +68,7 @@ pub const RULES: &[(&str, &str)] = &[
     ("GH003", "cross-newtype arithmetic must be sanctioned"),
     ("GH004", "every *Error variant constructed somewhere"),
     ("GH005", "doc comments on all pub items of library crates"),
-    ("GH006", "no per-solve heap allocation in solver hot loops"),
+    ("GH006", "no heap allocation in hot-loop kernel modules"),
     (
         "GH007",
         "no HashMap/HashSet iteration in reduction/telemetry paths",
@@ -218,12 +218,21 @@ fn is_crate_src(path: &str) -> bool {
     path.starts_with("crates/") && path.contains("/src/")
 }
 
-/// `true` for the solver's hot-loop modules, where per-solve heap
-/// allocation is banned (GH006). `scratch.rs` is deliberately out of
-/// scope: it is the one solver module allowed to allocate, so the
-/// engines can borrow its buffers instead of building their own.
-fn is_solver_hot_loop(path: &str) -> bool {
-    path == "crates/core/src/solver/grid.rs" || path == "crates/core/src/solver/exact.rs"
+/// `true` for the hot-loop kernel modules, where heap allocation is
+/// banned (GH006): the solver's two engines, which run every epoch, and
+/// the end-epoch kernels (Holt α/β training and the quadratic refit),
+/// which run on every retrain and every feedback sample. The solver's
+/// `scratch.rs` is deliberately out of scope: it is the one solver
+/// module allowed to allocate, so the engines can borrow its buffers
+/// instead of building their own.
+fn is_hot_loop_module(path: &str) -> bool {
+    [
+        "crates/core/src/solver/grid.rs",
+        "crates/core/src/solver/exact.rs",
+        "crates/core/src/predictor/train.rs",
+        "crates/core/src/database/fit.rs",
+    ]
+    .contains(&path)
 }
 
 /// Reads every `.rs` file under `root` (skipping [`SKIP_DIRS`]), returning
@@ -318,7 +327,7 @@ pub fn analyze_files_report(files: &[(String, String)], rule_filter: Option<&str
         if is_crate_src(&model.path) {
             rules::gh003::check(model, &mut diags);
         }
-        if is_solver_hot_loop(&model.path) {
+        if is_hot_loop_module(&model.path) {
             rules::gh006::check(model, &mut diags);
         }
         if is_bounded_channel_scope(&model.path) {
@@ -485,13 +494,18 @@ mod tests {
 
     #[test]
     fn gh006_only_applies_to_hot_loop_modules() {
-        // The same allocation is flagged in an engine module, exempt in
-        // the scratch arena and everywhere else.
+        // The same allocation is flagged in a solver engine or an
+        // end-epoch kernel, exempt in the scratch arena, in the kernels'
+        // sibling modules and everywhere else.
         let src = "fn f(n: usize) -> Vec<f64> { vec![0.0; n] }\n";
         let diags = analyze_files(&[
             file("crates/core/src/solver/grid.rs", src),
             file("crates/core/src/solver/exact.rs", src),
             file("crates/core/src/solver/scratch.rs", src),
+            file("crates/core/src/predictor/train.rs", src),
+            file("crates/core/src/predictor/holt.rs", src),
+            file("crates/core/src/database/fit.rs", src),
+            file("crates/core/src/database/store.rs", src),
             file("crates/core/src/controller.rs", src),
         ]);
         let hits: Vec<&str> = diags
@@ -502,6 +516,8 @@ mod tests {
         assert_eq!(
             hits,
             vec![
+                "crates/core/src/database/fit.rs",
+                "crates/core/src/predictor/train.rs",
                 "crates/core/src/solver/exact.rs",
                 "crates/core/src/solver/grid.rs"
             ]

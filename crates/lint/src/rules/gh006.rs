@@ -1,11 +1,13 @@
-//! GH006: no per-solve heap allocation in the solver hot-loop modules.
+//! GH006: no heap allocation in the hot-loop kernel modules.
 //!
 //! `solve_grid` and `solve_exact` run once per epoch times every sweep
-//! scenario; a `Vec` built per call shows up directly in epoch wall
-//! time. Hot-loop working memory must come from the reusable
-//! `SolverScratch` buffers (whose module, `scratch.rs`, is deliberately
-//! outside this rule's scope — it is the one place allowed to
-//! allocate). One-time setup allocations can opt out with
+//! scenario, and the end-epoch kernels (`train_holt`'s grid search and
+//! `fit_quadratic`) run on every retrain and every feedback sample of
+//! every rack; a `Vec` built per call shows up directly in epoch wall
+//! time. Hot-loop working memory lives on the stack or comes from
+//! reusable buffers such as `SolverScratch` (whose module, `scratch.rs`,
+//! is deliberately outside this rule's scope — it is the one place
+//! allowed to allocate). One-time setup allocations can opt out with
 //! `// greenhetero-lint: allow(GH006) <reason>`.
 
 use crate::diag::Diagnostic;
@@ -53,7 +55,7 @@ pub fn check(model: &FileModel, diags: &mut Vec<Diagnostic>) {
             RULE,
             &model.path,
             t.line,
-            format!("`{what}` allocates in a solver hot-loop module; draw working memory from `SolverScratch` (or justify with a `greenhetero-lint: allow(GH006) <reason>` comment)"),
+            format!("`{what}` allocates in a hot-loop kernel module; keep working memory on the stack or borrow a reusable buffer such as `SolverScratch` (or justify with a `greenhetero-lint: allow(GH006) <reason>` comment)"),
         ));
     }
 }

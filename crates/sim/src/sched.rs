@@ -348,14 +348,20 @@ struct ExecShared<'a, B> {
     slots: Vec<Mutex<B>>,
     queues: Vec<Mutex<VecDeque<usize>>>,
     /// Batches still unfinished in the current epoch; the worker that
-    /// takes it to zero is the rollover leader.
+    /// takes it to zero is the rollover leader. Published (with `cur`)
+    /// *before* the queues are seeded: a worker may pop a fresh batch,
+    /// finish it and decrement the moment it is seeded, and a store
+    /// after that would overwrite the decrement, so the epoch would never
+    /// reach zero.
     remaining: AtomicUsize,
     /// Current epoch, guarded by a mutex so idle workers can condvar-wait
     /// for the rollover.
     epoch: Mutex<u64>,
-    /// Lock-free mirror of `epoch` for the hot stepping path: stored by
-    /// the rollover leader *before* re-seeding the queues, so any worker
-    /// that pops a batch id observes the epoch that seeded it.
+    /// Lock-free mirror of `epoch` for the hot stepping path. The leader
+    /// publishes in this order: `cur`, then `remaining`, then the seeded
+    /// queues. Popping a batch id synchronizes with the seeding (through
+    /// the queue mutex), so the popping worker sees the epoch and count
+    /// that batch belongs to.
     cur: AtomicU64,
     rollover: Condvar,
     abort: AtomicBool,
@@ -416,8 +422,8 @@ impl<B> ExecShared<'_, B> {
             self.done.store(true, Ordering::Release);
         } else {
             self.cur.store(e + 1, Ordering::Release);
-            self.seed_queues();
             self.remaining.store(self.slots.len(), Ordering::Release);
+            self.seed_queues();
             *epoch = e + 1;
         }
         drop(epoch);
@@ -525,10 +531,10 @@ pub fn run_epoch_batches<B: Send>(
         fold,
         epoch_done,
     };
-    shared.seed_queues();
     shared
         .remaining
         .store(shared.slots.len(), Ordering::Release);
+    shared.seed_queues();
     if workers == 1 {
         let release = PanicRelease { shared: &shared };
         shared.worker_loop(0);
