@@ -15,8 +15,9 @@
 //!    delta, the exact KKT engine answers alone and the grid cross-check
 //!    is skipped (a sampled periodic cross-check plus the controller's
 //!    `audit_allocation` keep exactness regressions observable); if the
-//!    exact engine cannot run, a short grid refinement seeded at the
-//!    previous allocation replaces the full lattice;
+//!    exact engine cannot run (more than
+//!    [`MAX_EXACT_GROUPS`](crate::solver::MAX_EXACT_GROUPS) groups), the
+//!    grid engine answers alone, exactly as the cold path would;
 //! 3. **Cache** — cold solves are remembered in a small LRU keyed by
 //!    (quantized budget bucket, group digest); a hit revalidates the
 //!    stored problem bit-for-bit against the live one and falls back to a
@@ -34,8 +35,10 @@
 //! and a shared hit is remembered locally exactly as the solve it replaced
 //! would have been. Entries are tagged with the engine path that produced
 //! them (warm exact vs. cold max-of-engines) so a hit always returns the
-//! same bits that path would have computed; warm *grid* answers are seeded
-//! by the previous allocation — history-dependent — and are never shared.
+//! same bits that path would have computed. Warm *grid* answers (problems
+//! too large for the exact engine) are not published: they equal the cold
+//! answer bit for bit, but sharing them would move the shared-cache
+//! counters.
 //!
 //! Every decision above is a pure function of the *problem sequence* —
 //! never of cache occupancy — which is why seeded runs are bit-identical
@@ -46,7 +49,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::error::CoreError;
-use crate::solver::grid::{solve_grid_seeded, solve_grid_with};
+use crate::solver::grid::solve_grid_with;
 use crate::solver::problem::{Allocation, AllocationProblem};
 use crate::solver::scratch::SolverScratch;
 use crate::solver::{solve_exact_with, solve_with_engine_scratch, SolveEngine};
@@ -115,7 +118,7 @@ impl FastPathStats {
     }
 }
 
-/// The previous solve, kept for reuse and warm seeding.
+/// The previous solve, kept for reuse and the warm-start gate.
 #[derive(Debug, Clone)]
 struct LastSolve {
     problem: AllocationProblem,
@@ -450,7 +453,7 @@ impl SolverFastPath {
         delta
     }
 
-    /// Drops the cache and the previous-epoch seed (counters survive).
+    /// Drops the cache and the previous-epoch solve (counters survive).
     /// The controller calls this when the policy or rack layout changes
     /// wholesale; normal model drift invalidates naturally via
     /// fingerprints.
@@ -507,19 +510,15 @@ impl SolverFastPath {
                             (exact, SolveEngine::Exact)
                         }
                         Err(CoreError::InvalidConfig { .. }) => {
-                            // Too many groups for the exact engine: refine the
-                            // grid locally around the previous allocation.
-                            // Seeded answers depend on *this rack's* history,
-                            // so they are never published to the shared cache.
-                            let seeded = match &self.last {
-                                Some(last) => solve_grid_seeded(
-                                    problem,
-                                    &last.allocation.per_server,
-                                    &mut self.scratch,
-                                ),
-                                None => solve_grid_with(problem, &mut self.scratch),
-                            };
-                            (seeded, SolveEngine::Grid)
+                            // Too many groups for the exact engine: the grid
+                            // answers alone, the same bits as the cold path.
+                            // Not published to the shared cache, so its
+                            // counters move only on warm-exact and cold
+                            // solves.
+                            (
+                                solve_grid_with(problem, &mut self.scratch),
+                                SolveEngine::Grid,
+                            )
                         }
                         Err(other) => return Err(other),
                     },
@@ -890,7 +889,7 @@ mod tests {
     }
 
     #[test]
-    fn many_group_problems_fall_back_to_seeded_grid_when_warm() {
+    fn many_group_problems_fall_back_to_the_cold_grid_when_warm() {
         let groups: Vec<ServerGroup> = (0..(MAX_EXACT_GROUPS_PLUS_ONE as u32))
             .map(|i| group(i, 1, 20.0, 60.0, 10.0 + f64::from(i), -0.02))
             .collect();
@@ -902,13 +901,13 @@ mod tests {
         assert_eq!(fast.stats().warm_starts, 1);
         let p = mk(306.0);
         assert!(p.is_feasible(&warm.per_server));
-        let (cold, _) = solve_with_engine(&p).unwrap();
-        assert!(
-            warm.projected.value() >= cold.projected.value() * (1.0 - 1e-3) - 1e-6,
-            "warm {} vs cold {}",
-            warm.projected.value(),
-            cold.projected.value()
-        );
+        let (cold, cold_engine) = solve_with_engine(&p).unwrap();
+        assert_eq!(cold_engine, SolveEngine::Grid);
+        let bits = |a: &Allocation| {
+            let watts: Vec<u64> = a.per_server.iter().map(|w| w.value().to_bits()).collect();
+            (watts, a.projected.value().to_bits())
+        };
+        assert_eq!(bits(&warm), bits(&cold));
     }
 
     const MAX_EXACT_GROUPS_PLUS_ONE: usize = crate::solver::MAX_EXACT_GROUPS + 1;

@@ -5,6 +5,15 @@
 //! refines the lattice around it. Works for any projection shape (including
 //! convex mis-fits) and any group count, at the cost of resolution.
 //!
+//! The objective `Σᵢ Perfᵢ(ηᵢ·P)` is separable across groups, so each
+//! level evaluates every group's throughput once per candidate into a
+//! stack table, and the search adds table entries along its path instead
+//! of re-evaluating the whole objective at every leaf. An exact bound
+//! (the path's sum plus each remaining group's best entry) skips subtrees
+//! that cannot beat the incumbent; DESIGN.md §17 shows why the answer is
+//! bit-identical to scoring every leaf with
+//! [`AllocationProblem::objective`].
+//!
 //! This is also the machinery behind the **Manual** policy of Table III,
 //! which "statically tries all possible power allocations at a granularity
 //! of 10 %": [`ShareLattice`] walks exactly that simplex, one point at a
@@ -12,29 +21,22 @@
 //! compatibility wrapper).
 //!
 //! The hot loops here are allocation-free by contract (lint rule GH006):
-//! all working memory lives in the caller-provided
+//! all working memory lives on the stack or in the caller-provided
 //! [`SolverScratch`](crate::solver::SolverScratch).
 
 use crate::solver::problem::{Allocation, AllocationProblem};
 use crate::solver::scratch::SolverScratch;
-use crate::types::{Ratio, Throughput, Watts};
+use crate::types::{Ratio, Watts};
 
 /// Number of lattice points per group per refinement level.
 const POINTS_PER_LEVEL: usize = 16;
 
+/// Most candidates one group has on one level: off, the lattice, the
+/// concave vertex and the budget bound.
+const MAX_CANDIDATES: usize = POINTS_PER_LEVEL + 3;
+
 /// Refinement levels; each shrinks the search window around the incumbent.
 const LEVELS: usize = 4;
-
-/// Refinement levels for a warm (seeded) solve: the windows already start
-/// a couple of lattice steps wide around the previous allocation, so
-/// three levels reach beyond full cold-path resolution at well under the
-/// cold path's cost.
-const SEEDED_LEVELS: usize = 3;
-
-/// Half-width of the seeded search window, in cold-path lattice steps.
-/// Two steps comfortably cover the optimum's drift for budget moves
-/// within the warm-start gate.
-const SEEDED_WINDOW_STEPS: f64 = 2.0;
 
 /// Above this many groups the exhaustive lattice product (exponential in
 /// the group count) is replaced by coordinate ascent.
@@ -52,8 +54,9 @@ const MAX_SHARE_STEPS: u32 = 1000;
 /// Solves the allocation problem by hierarchical grid search.
 ///
 /// Always succeeds (the all-off assignment is feasible for any budget).
-/// Resolution after refinement is roughly
-/// `(peak − idle) / POINTS_PER_LEVEL^LEVELS` watts per group.
+/// Each level's window is `2 / (POINTS_PER_LEVEL − 1)` of the last one,
+/// so the final lattice step is roughly `(peak − idle)·2³ / 15⁴` watts
+/// per group (about 1/6,328 of the envelope).
 ///
 /// This convenience wrapper allocates a fresh workspace per call; hot
 /// callers should hold a [`SolverScratch`] and use [`solve_grid_with`].
@@ -102,63 +105,19 @@ pub fn solve_grid_with(problem: &AllocationProblem, scratch: &mut SolverScratch)
             g.model.range().peak().value(),
         );
     }
-    refine(problem, scratch, LEVELS);
+    refine(problem, scratch);
     Allocation::from_assignment(problem, scratch.best_assignment.clone())
 }
 
-/// Warm-started grid search: seeds the incumbent and the search windows at
-/// `seed` (the previous epoch's assignment) and runs a short local
-/// refinement instead of the full lattice. The off candidate stays in play
-/// on the first level, so a group can still drop out when the budget
-/// shrank. Falls back to the full search when the seed does not match the
-/// problem shape.
-#[must_use]
-pub(crate) fn solve_grid_seeded(
-    problem: &AllocationProblem,
-    seed: &[Watts],
-    scratch: &mut SolverScratch,
-) -> Allocation {
-    let n = problem.groups().len();
-    if n > EXHAUSTIVE_MAX_GROUPS || seed.len() != n {
-        return solve_grid_with(problem, scratch);
-    }
-
-    scratch.prepare_grid(n);
-    if problem.is_feasible(seed) {
-        scratch.best_assignment.copy_from_slice(seed);
-    }
-    for (i, g) in problem.groups().iter().enumerate() {
-        let idle = g.model.range().idle().value();
-        let peak = g.model.range().peak().value();
-        let center = seed[i].value();
-        // A couple of cold-path lattice steps around the seed; off-groups
-        // get the band the residual budget could afford, like the cold
-        // search's later levels.
-        let half = SEEDED_WINDOW_STEPS * (peak - idle) / (POINTS_PER_LEVEL - 1) as f64;
-        scratch.windows[i] = if center == 0.0 {
-            let residual = problem.budget().value() / f64::from(g.count);
-            if residual >= idle {
-                (idle, residual.min(peak))
-            } else {
-                (idle, peak)
-            }
-        } else {
-            (center - half, center + half)
-        };
-    }
-    refine(problem, scratch, SEEDED_LEVELS);
-    Allocation::from_assignment(problem, scratch.best_assignment.clone())
-}
-
-/// The shared level loop: builds each level's candidate lattice into the
+/// The level loop: builds each level's candidate lattice into the
 /// scratch buffers, searches it, and shrinks the windows around the
 /// incumbent. Expects `scratch.windows` and `scratch.best_assignment` to
 /// be initialized for `problem`.
-fn refine(problem: &AllocationProblem, scratch: &mut SolverScratch, levels: usize) {
+fn refine(problem: &AllocationProblem, scratch: &mut SolverScratch) {
     let n = problem.groups().len();
-    let mut best_value = problem.objective(&scratch.best_assignment);
+    let mut best_value = problem.objective(&scratch.best_assignment).value();
 
-    for level in 0..levels {
+    for level in 0..LEVELS {
         for (i, g) in problem.groups().iter().enumerate() {
             let (lo, hi) = scratch.windows[i];
             let pts = &mut scratch.candidates[i];
@@ -194,17 +153,17 @@ fn refine(problem: &AllocationProblem, scratch: &mut SolverScratch, levels: usiz
             if (idle..=peak).contains(&bound) {
                 pts.push(bound);
             }
+            debug_assert!(pts.len() <= MAX_CANDIDATES, "lattice row overflows");
         }
 
-        search(
-            problem,
-            &scratch.candidates[..n],
-            0,
-            problem.budget().value(),
-            &mut scratch.assignment,
-            &mut best_value,
-            &mut scratch.best_assignment,
-        );
+        let lattice = Lattice::new(problem, &scratch.candidates[..n]);
+        let mut incumbent = Incumbent {
+            assignment: &mut scratch.assignment,
+            value: best_value,
+            best: &mut scratch.best_assignment,
+        };
+        lattice.search(0, problem.budget().value(), 0.0, &mut incumbent);
+        best_value = incumbent.value;
 
         // Shrink each window around the incumbent for the next level.
         let spent = problem.total_power(&scratch.best_assignment).value();
@@ -228,6 +187,93 @@ fn refine(problem: &AllocationProblem, scratch: &mut SolverScratch, levels: usiz
                 let half = (hi - lo) / (POINTS_PER_LEVEL - 1) as f64;
                 (center - half, center + half)
             };
+        }
+    }
+}
+
+/// One level's lattice in separable form: each group's candidates, its
+/// throughput at every candidate, and its best throughput.
+struct Lattice<'a> {
+    problem: &'a AllocationProblem,
+    candidates: &'a [Vec<f64>],
+    /// `values[i][k]` is group `i`'s throughput at `candidates[i][k]`.
+    values: [[f64; MAX_CANDIDATES]; EXHAUSTIVE_MAX_GROUPS],
+    /// `tops[i]` is the largest entry of row `i` of `values`.
+    tops: [f64; EXHAUSTIVE_MAX_GROUPS],
+}
+
+/// The search's mutable state: the assignment on the current path and
+/// the incumbent (first best leaf seen) with its objective value.
+struct Incumbent<'a> {
+    assignment: &'a mut [Watts],
+    value: f64,
+    best: &'a mut [Watts],
+}
+
+impl<'a> Lattice<'a> {
+    /// Evaluates every group at every candidate, once per level.
+    fn new(problem: &'a AllocationProblem, candidates: &'a [Vec<f64>]) -> Self {
+        let mut values = [[0.0; MAX_CANDIDATES]; EXHAUSTIVE_MAX_GROUPS];
+        let mut tops = [f64::NEG_INFINITY; EXHAUSTIVE_MAX_GROUPS];
+        for (i, (g, pts)) in problem.groups().iter().zip(candidates).enumerate() {
+            for (value, &p) in values[i].iter_mut().zip(pts) {
+                *value = g.throughput(Watts::new(p)).value();
+                tops[i] = tops[i].max(*value);
+            }
+        }
+        Lattice {
+            problem,
+            candidates,
+            values,
+            tops,
+        }
+    }
+
+    /// Visits the lattice below `depth` in candidate order, where
+    /// `partial` is the path's objective so far: `0.0` plus each chosen
+    /// entry, added in group order exactly as
+    /// [`AllocationProblem::objective`] folds them, so a leaf's value is
+    /// the bits `objective` would return for it. A subtree is skipped when
+    /// even each remaining group's best entry, added in the same order,
+    /// does not beat the incumbent: IEEE addition is monotone, so no leaf
+    /// below could, and the strict `>` keeps the first best leaf.
+    fn search(&self, depth: usize, budget_left: f64, partial: f64, incumbent: &mut Incumbent<'_>) {
+        let n = self.candidates.len();
+        let mut bound = partial;
+        for &top in &self.tops[depth..n] {
+            bound += top;
+        }
+        let may_beat = bound > incumbent.value;
+        if !may_beat {
+            return;
+        }
+        let count = f64::from(self.problem.groups()[depth].count);
+        let values = &self.values[depth];
+        let candidates = self.candidates[depth].iter().zip(values);
+        if depth + 1 == n {
+            // The last group: a flat scan, copying the path only when
+            // the incumbent improves.
+            for (&p, &value) in candidates {
+                let cost = p * count;
+                if cost > budget_left + 1e-9 {
+                    continue;
+                }
+                let total = partial + value;
+                if total > incumbent.value {
+                    incumbent.value = total;
+                    incumbent.assignment[depth] = Watts::new(p);
+                    incumbent.best.copy_from_slice(incumbent.assignment);
+                }
+            }
+            return;
+        }
+        for (&p, &value) in candidates {
+            let cost = p * count;
+            if cost > budget_left + 1e-9 {
+                continue;
+            }
+            incumbent.assignment[depth] = Watts::new(p);
+            self.search(depth + 1, budget_left - cost, partial + value, incumbent);
         }
     }
 }
@@ -301,44 +347,6 @@ fn solve_coordinate_ascent(problem: &AllocationProblem, scratch: &mut SolverScra
         }
     }
     Allocation::from_assignment(problem, scratch.assignment.clone())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn search(
-    problem: &AllocationProblem,
-    candidates: &[Vec<f64>],
-    depth: usize,
-    budget_left: f64,
-    assignment: &mut [Watts],
-    best_value: &mut Throughput,
-    best_assignment: &mut [Watts],
-) {
-    if depth == candidates.len() {
-        let value = problem.objective(assignment);
-        if value > *best_value {
-            *best_value = value;
-            best_assignment.copy_from_slice(assignment);
-        }
-        return;
-    }
-    let count = f64::from(problem.groups()[depth].count);
-    for &p in &candidates[depth] {
-        let cost = p * count;
-        if cost > budget_left + 1e-9 {
-            continue;
-        }
-        assignment[depth] = Watts::new(p);
-        search(
-            problem,
-            candidates,
-            depth + 1,
-            budget_left - cost,
-            assignment,
-            best_value,
-            best_assignment,
-        );
-    }
-    assignment[depth] = Watts::ZERO;
 }
 
 /// A streaming walk of the `granularity`-step share simplex: every
@@ -494,8 +502,10 @@ mod tests {
     use super::*;
     use crate::database::{PerfModel, Quadratic};
     use crate::solver::problem::ServerGroup;
-    use crate::solver::solve_exact;
-    use crate::types::{ConfigId, PowerRange};
+    use crate::solver::{solve_exact, solve_with_engine_scratch, SolveEngine};
+    use crate::types::{ConfigId, PowerRange, Throughput};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn group(id: u32, count: u32, idle: f64, peak: f64, q: Quadratic) -> ServerGroup {
         ServerGroup::new(
@@ -507,6 +517,257 @@ mod tests {
             ),
         )
         .unwrap()
+    }
+
+    /// The exhaustive grid engine (up to `EXHAUSTIVE_MAX_GROUPS` groups)
+    /// before the separable kernel: the same level loop, searched by
+    /// [`reference_search`], which scores every leaf with
+    /// [`AllocationProblem::objective`].
+    fn reference_solve_grid(problem: &AllocationProblem) -> Allocation {
+        let mut scratch = SolverScratch::new();
+        scratch.prepare_grid(problem.groups().len());
+        for (i, g) in problem.groups().iter().enumerate() {
+            scratch.windows[i] = (
+                g.model.range().idle().value(),
+                g.model.range().peak().value(),
+            );
+        }
+        reference_refine(problem, &mut scratch);
+        Allocation::from_assignment(problem, scratch.best_assignment.clone())
+    }
+
+    /// The level loop `refine` replaced.
+    fn reference_refine(problem: &AllocationProblem, scratch: &mut SolverScratch) {
+        let n = problem.groups().len();
+        let mut best_value = problem.objective(&scratch.best_assignment);
+
+        for level in 0..LEVELS {
+            for (i, g) in problem.groups().iter().enumerate() {
+                let (lo, hi) = scratch.windows[i];
+                let pts = &mut scratch.candidates[i];
+                pts.clear();
+                if level == 0 {
+                    pts.push(0.0);
+                }
+                let idle = g.model.range().idle().value();
+                let peak = g.model.range().peak().value();
+                let lo = lo.clamp(idle, peak);
+                let hi = hi.clamp(idle, peak);
+                if hi <= lo {
+                    pts.push(lo);
+                } else {
+                    for k in 0..POINTS_PER_LEVEL {
+                        let t = k as f64 / (POINTS_PER_LEVEL - 1) as f64;
+                        pts.push(lo + t * (hi - lo));
+                    }
+                }
+                if let Some(v) = g.model.curve().vertex() {
+                    if g.model.curve().is_concave() && (idle..=peak).contains(&v) {
+                        pts.push(v);
+                    }
+                }
+                let bound = problem.budget().value() / f64::from(g.count);
+                if (idle..=peak).contains(&bound) {
+                    pts.push(bound);
+                }
+            }
+
+            reference_search(
+                problem,
+                &scratch.candidates[..n],
+                0,
+                problem.budget().value(),
+                &mut scratch.assignment,
+                &mut best_value,
+                &mut scratch.best_assignment,
+            );
+
+            let spent = problem.total_power(&scratch.best_assignment).value();
+            for (i, g) in problem.groups().iter().enumerate() {
+                let (lo, hi) = scratch.windows[i];
+                let center = scratch.best_assignment[i].value();
+                let idle = g.model.range().idle().value();
+                let peak = g.model.range().peak().value();
+                scratch.windows[i] = if center == 0.0 {
+                    let residual = (problem.budget().value() - spent) / f64::from(g.count);
+                    if residual >= idle {
+                        (idle, residual.min(peak))
+                    } else {
+                        (idle, peak)
+                    }
+                } else {
+                    let half = (hi - lo) / (POINTS_PER_LEVEL - 1) as f64;
+                    (center - half, center + half)
+                };
+            }
+        }
+    }
+
+    /// The recursive search `Lattice::search` replaced: the whole
+    /// objective at every leaf, no bound.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_search(
+        problem: &AllocationProblem,
+        candidates: &[Vec<f64>],
+        depth: usize,
+        budget_left: f64,
+        assignment: &mut [Watts],
+        best_value: &mut Throughput,
+        best_assignment: &mut [Watts],
+    ) {
+        if depth == candidates.len() {
+            let value = problem.objective(assignment);
+            if value > *best_value {
+                *best_value = value;
+                best_assignment.copy_from_slice(assignment);
+            }
+            return;
+        }
+        let count = f64::from(problem.groups()[depth].count);
+        for &p in &candidates[depth] {
+            let cost = p * count;
+            if cost > budget_left + 1e-9 {
+                continue;
+            }
+            assignment[depth] = Watts::new(p);
+            reference_search(
+                problem,
+                candidates,
+                depth + 1,
+                budget_left - cost,
+                assignment,
+                best_value,
+                best_assignment,
+            );
+        }
+        assignment[depth] = Watts::ZERO;
+    }
+
+    /// `solve_with_engine_scratch`'s max of engines over the reference
+    /// grid.
+    fn reference_solve_with_engine(problem: &AllocationProblem) -> (Allocation, SolveEngine) {
+        let grid = reference_solve_grid(problem);
+        let exact = solve_exact(problem).unwrap();
+        if exact.projected >= grid.projected {
+            (exact, SolveEngine::Exact)
+        } else {
+            (grid, SolveEngine::Grid)
+        }
+    }
+
+    /// An allocation as raw bits: every per-server watt value, then the
+    /// projected throughput.
+    fn bits(allocation: &Allocation) -> (Vec<u64>, u64) {
+        (
+            allocation
+                .per_server
+                .iter()
+                .map(|w| w.value().to_bits())
+                .collect(),
+            allocation.projected.value().to_bits(),
+        )
+    }
+
+    /// Asserts that the grid engine and the max-of-engines solve return
+    /// the references' bits for `problem`, through a reused workspace.
+    fn assert_matches_reference(problem: &AllocationProblem, scratch: &mut SolverScratch) {
+        let grid = solve_grid_with(problem, scratch);
+        assert_eq!(
+            bits(&grid),
+            bits(&reference_solve_grid(problem)),
+            "grid engine diverged on {problem:?}"
+        );
+        let (solved, engine) = solve_with_engine_scratch(problem, scratch).unwrap();
+        let (expect, expect_engine) = reference_solve_with_engine(problem);
+        assert_eq!(engine, expect_engine, "engine diverged on {problem:?}");
+        assert_eq!(
+            bits(&solved),
+            bits(&expect),
+            "max of engines diverged on {problem:?}"
+        );
+    }
+
+    /// A random problem of `groups` groups: counts 1–6; linear, convex
+    /// and concave fits, with the vertex inside, below or above the
+    /// range, some offset below zero over part of it; sometimes a copy of
+    /// the previous group; budgets from zero to past the total peak.
+    fn random_problem(rng: &mut StdRng, groups: usize) -> AllocationProblem {
+        let mut list: Vec<ServerGroup> = Vec::with_capacity(groups);
+        for i in 0..groups {
+            if let Some(previous) = list.last() {
+                if rng.random::<f64>() < 0.15 {
+                    list.push(previous.clone());
+                    continue;
+                }
+            }
+            let idle = 20.0 + 130.0 * rng.random::<f64>();
+            let peak = idle + 5.0 + 120.0 * rng.random::<f64>();
+            let count = 1 + rng.random::<u32>() % 6;
+            let q = match rng.random::<u32>() % 5 {
+                0 => Quadratic {
+                    l: -400.0 * rng.random::<f64>(),
+                    m: 2.0 + 30.0 * rng.random::<f64>(),
+                    n: 0.0,
+                },
+                1 => Quadratic {
+                    l: -200.0 * rng.random::<f64>(),
+                    m: 10.0 * rng.random::<f64>() - 2.0,
+                    n: 0.001 + 0.05 * rng.random::<f64>(),
+                },
+                2 => {
+                    // Vertex inside the range.
+                    let v = idle + (peak - idle) * rng.random::<f64>();
+                    let n = -(0.01 + 0.3 * rng.random::<f64>());
+                    Quadratic {
+                        l: -500.0 * rng.random::<f64>(),
+                        m: -2.0 * n * v,
+                        n,
+                    }
+                }
+                3 => {
+                    // Vertex below idle or above peak.
+                    let v = if rng.random::<bool>() {
+                        idle * rng.random::<f64>()
+                    } else {
+                        peak * (1.05 + rng.random::<f64>())
+                    };
+                    let n = -(0.005 + 0.1 * rng.random::<f64>());
+                    Quadratic {
+                        l: -100.0 * rng.random::<f64>(),
+                        m: -2.0 * n * v,
+                        n,
+                    }
+                }
+                _ => Quadratic {
+                    // Zero over the lower part of the range.
+                    l: -3000.0 * rng.random::<f64>(),
+                    m: 20.0 + 40.0 * rng.random::<f64>(),
+                    n: -0.2 * rng.random::<f64>(),
+                },
+            };
+            list.push(group(i as u32, count, idle, peak, q));
+        }
+        let peak: f64 = list.iter().map(|g| g.group_peak().value()).sum();
+        let budget = match rng.random::<u32>() % 20 {
+            0 => 0.0,
+            1 => peak,
+            2 => peak * (1.0 + rng.random::<f64>()),
+            _ => peak * 1.1 * rng.random::<f64>(),
+        };
+        AllocationProblem::new(list, Watts::new(budget)).unwrap()
+    }
+
+    /// Checks `cases` random problems with group counts drawn from
+    /// `groups`.
+    fn sweep(seed: u64, cases: usize, groups: std::ops::RangeInclusive<usize>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut scratch = SolverScratch::new();
+        let span = groups.end() - groups.start() + 1;
+        for _ in 0..cases {
+            let groups = groups.start() + rng.random::<u32>() as usize % span;
+            let p = random_problem(&mut rng, groups);
+            assert_matches_reference(&p, &mut scratch);
+        }
     }
 
     #[test]
@@ -630,71 +891,139 @@ mod tests {
         }
     }
 
+    /// A concave curve with its vertex `-m / 2n` at `v`; exactly at `v`
+    /// when `n` is -0.5.
+    fn concave(v: f64, n: f64) -> Quadratic {
+        Quadratic {
+            l: 0.0,
+            m: -2.0 * n * v,
+            n,
+        }
+    }
+
     #[test]
-    fn seeded_solve_matches_cold_quality_near_the_seed() {
-        let a = group(
-            0,
-            1,
-            88.0,
-            147.0,
+    fn kernel_matches_reference_on_edge_cases() {
+        let mut scratch = SolverScratch::new();
+        let shapes = [
             Quadratic {
                 l: -3000.0,
                 m: 60.0,
                 n: -0.12,
             },
-        );
-        let b = group(
-            1,
-            1,
-            47.0,
-            81.0,
             Quadratic {
-                l: -1200.0,
-                m: 50.0,
-                n: -0.18,
+                l: 0.0,
+                m: 10.0,
+                n: 0.0,
             },
-        );
-        let mut scratch = SolverScratch::new();
-        let p0 = AllocationProblem::new(vec![a.clone(), b.clone()], Watts::new(220.0)).unwrap();
-        let cold = solve_grid_with(&p0, &mut scratch);
-        // Nudge the budget by 2 % and re-solve seeded at the old answer.
-        let p1 = AllocationProblem::new(vec![a, b], Watts::new(224.4)).unwrap();
-        let warm = solve_grid_seeded(&p1, &cold.per_server, &mut scratch);
-        let reference = solve_grid(&p1);
-        assert!(p1.is_feasible(&warm.per_server));
-        assert!(
-            warm.projected.value() >= reference.projected.value() * (1.0 - 1e-3) - 1e-6,
-            "warm {} vs cold {}",
-            warm.projected.value(),
-            reference.projected.value()
-        );
+            Quadratic {
+                l: -50.0,
+                m: 1.0,
+                n: 0.05,
+            },
+            concave(100.0, -0.3),
+        ];
+        for groups in 1..=EXHAUSTIVE_MAX_GROUPS {
+            // Five-group lattices are slow to score leaf by leaf in a
+            // debug build: one count and two budgets here, the rest in
+            // the ignored sweep.
+            let five = groups == EXHAUSTIVE_MAX_GROUPS;
+            for count in if five { 2..=2 } else { 1..=6 } {
+                let list: Vec<ServerGroup> = (0..groups)
+                    .map(|i| {
+                        let idle = 40.0 + 10.0 * i as f64;
+                        group(i as u32, count, idle, idle + 90.0, shapes[i % shapes.len()])
+                    })
+                    .collect();
+                let total_peak: f64 = list.iter().map(|g| g.group_peak().value()).sum();
+                let total_idle: f64 = list.iter().map(|g| g.group_idle().value()).sum();
+                let budgets = [
+                    0.0,
+                    total_peak,
+                    total_idle,
+                    0.6 * total_peak,
+                    2.0 * total_peak,
+                ];
+                let tested = if five { 2 } else { budgets.len() };
+                for budget in budgets.into_iter().take(tested) {
+                    let p = AllocationProblem::new(list.clone(), Watts::new(budget)).unwrap();
+                    assert_matches_reference(&p, &mut scratch);
+                }
+            }
+        }
     }
 
     #[test]
-    fn seeded_solve_drops_groups_when_the_budget_collapses() {
+    fn kernel_matches_reference_at_the_budget_tolerance() {
+        let mut scratch = SolverScratch::new();
+        // One group whose vertex costs exactly `budget + 1e-9`: the
+        // feasibility test admits it, and it is the best candidate.
+        let edge = 150.0 + 1e-9;
+        let p = AllocationProblem::new(
+            vec![group(0, 1, 60.0, 160.0, concave(edge, -0.5))],
+            Watts::new(150.0),
+        )
+        .unwrap();
+        assert_matches_reference(&p, &mut scratch);
+        assert_eq!(
+            solve_grid(&p).per_server[0].value().to_bits(),
+            edge.to_bits()
+        );
+
+        // The same edge after a subtraction: the first group's vertex
+        // leaves exactly 150 W of a 250 W budget, and the second group's
+        // vertex costs 150 W + 1e-9 (admitted) or one ulp more (not).
+        for second in [edge, f64::from_bits(edge.to_bits() + 1)] {
+            let p = AllocationProblem::new(
+                vec![
+                    group(0, 1, 50.0, 140.0, concave(100.0, -0.5)),
+                    group(1, 1, 60.0, 160.0, concave(second, -0.5)),
+                ],
+                Watts::new(250.0),
+            )
+            .unwrap();
+            assert_matches_reference(&p, &mut scratch);
+            let took_vertex = solve_grid(&p).per_server[1].value().to_bits() == second.to_bits();
+            assert_eq!(took_vertex, second.to_bits() == edge.to_bits());
+        }
+    }
+
+    #[test]
+    fn kernel_keeps_the_first_of_tied_groups() {
+        let mut scratch = SolverScratch::new();
         let q = Quadratic {
             l: -2640.0,
             m: 50.0,
             n: -0.1,
         };
-        let a = group(0, 1, 60.0, 120.0, q);
-        let b = group(1, 1, 60.0, 120.0, q);
-        let rich = AllocationProblem::new(vec![a.clone(), b.clone()], Watts::new(240.0)).unwrap();
-        let mut scratch = SolverScratch::new();
-        let cold = solve_grid_with(&rich, &mut scratch);
-        assert!(cold.per_server.iter().all(|w| w.value() > 0.0));
-        // Budget collapses to one server's worth: the seeded search must
-        // still be able to switch a group off.
-        let poor = AllocationProblem::new(vec![a, b], Watts::new(130.0)).unwrap();
-        let warm = solve_grid_seeded(&poor, &cold.per_server, &mut scratch);
-        assert!(poor.is_feasible(&warm.per_server));
-        let reference = solve_grid(&poor);
-        assert!(
-            warm.projected.value() >= reference.projected.value() * (1.0 - 1e-3) - 1e-6,
-            "warm {} vs cold {}",
-            warm.projected.value(),
-            reference.projected.value()
+        for count in 1..=3 {
+            for budget in [0.0, 70.0, 130.0, 180.0, 240.0, 400.0] {
+                let twins = vec![
+                    group(0, count, 60.0, 120.0, q),
+                    group(1, count, 60.0, 120.0, q),
+                ];
+                let p =
+                    AllocationProblem::new(twins, Watts::new(budget * f64::from(count))).unwrap();
+                assert_matches_reference(&p, &mut scratch);
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_reference_on_random_problems() {
+        sweep(0x6772_6964, 300, 1..=4);
+        sweep(
+            0x6772_6965,
+            6,
+            EXHAUSTIVE_MAX_GROUPS..=EXHAUSTIVE_MAX_GROUPS,
         );
+    }
+
+    /// The long sweep; run it with
+    /// `cargo test --release -p greenhetero-core --lib solver::grid -- --ignored`.
+    #[test]
+    #[ignore = "20,000 cases, about seven minutes in release"]
+    fn kernel_matches_reference_on_many_random_problems() {
+        sweep(0x6772_6964_7377, 20_000, 1..=EXHAUSTIVE_MAX_GROUPS);
     }
 
     #[test]
