@@ -359,7 +359,10 @@ impl PredictorLane {
     }
 
     fn retrain(&mut self, cfg: &ControllerConfig) {
-        self.params = train_or_default(&self.history, cfg.holt_grid_step);
+        // The last answer is the search's hint: the history has moved on by
+        // `holt_retrain_epochs` observations, so it is usually near the new
+        // one, and the result does not depend on it.
+        self.params = train_or_default(&self.history, cfg.holt_grid_step, self.params);
         let mut fresh = self.params.predictor();
         for &v in &self.history {
             fresh.observe(v);

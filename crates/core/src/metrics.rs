@@ -182,13 +182,15 @@ pub fn mean(values: &[f64]) -> Option<f64> {
 }
 
 /// Geometric mean of a slice of positive values; `None` when the slice is
-/// empty or contains a non-positive entry.
+/// empty or contains an entry that is not `> 0.0` (zero of either sign, a
+/// negative value or NaN). A `+∞` entry is positive and makes the mean
+/// `+∞`.
 ///
 /// Speedup ratios are conventionally aggregated with the geometric mean.
 #[must_use]
 // greenhetero-lint: allow(GH002) statistics over already-normalized dimensionless series
 pub fn geometric_mean(values: &[f64]) -> Option<f64> {
-    if values.is_empty() || values.iter().any(|v| *v <= 0.0) {
+    if values.is_empty() || !values.iter().all(|v| *v > 0.0) {
         return None;
     }
     let log_sum: f64 = values.iter().map(|v| v.ln()).sum();
@@ -327,6 +329,17 @@ mod tests {
         assert_eq!(geometric_mean(&[1.0, 0.0]), None);
         let gm = geometric_mean(&[2.0, 8.0]).unwrap();
         assert!((gm - 4.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn geometric_mean_rejects_every_entry_not_above_zero() {
+        assert_eq!(geometric_mean(&[2.0, f64::NAN]), None);
+        assert_eq!(geometric_mean(&[f64::NAN]), None);
+        assert_eq!(geometric_mean(&[2.0, -0.0]), None);
+        assert_eq!(geometric_mean(&[2.0, -3.0]), None);
+        assert_eq!(geometric_mean(&[2.0, f64::NEG_INFINITY]), None);
+        // `+∞` is positive: the mean is `+∞`, not `None`.
+        assert_eq!(geometric_mean(&[2.0, f64::INFINITY]), Some(f64::INFINITY));
     }
 
     #[test]

@@ -17,7 +17,7 @@ mod train;
 
 pub use baseline::{LastValue, MovingAverage, SeasonalNaive};
 pub use holt::HoltPredictor;
-pub use train::{train_holt, train_or_default, HoltParams, TrainOutcome};
+pub use train::{train_holt, train_holt_from, train_or_default, HoltParams, TrainOutcome};
 
 use crate::error::CoreError;
 

@@ -9,7 +9,8 @@ use greenhetero_core::enforcer::{PowerState, PowerStateSet, Spc};
 use greenhetero_core::error::CoreError;
 use greenhetero_core::metrics::{productive_power, EpuAccumulator};
 use greenhetero_core::predictor::{
-    sum_squared_error, train_holt, HoltParams, HoltPredictor, Predictor, TrainOutcome,
+    sum_squared_error, train_holt, train_holt_from, HoltParams, HoltPredictor, Predictor,
+    TrainOutcome,
 };
 use greenhetero_core::solver::{
     audit_allocation, solve, solve_exact, solve_grid, AllocationProblem, FastPathConfig,
@@ -578,17 +579,22 @@ fn train_bits(outcome: Result<TrainOutcome, CoreError>) -> Result<[u64; 3], Core
 
 /// Strategy: a predictor-lane history of length 0–200 in one of the
 /// shapes the controller sees: a noisy level, a random walk, a diurnal
-/// curve, an all-zero night, a constant, a sunrise, an alternating series.
+/// curve, an all-zero night, a constant (the demand lane at saturated
+/// load), a sunrise, an alternating series, and night-shaped solar: an
+/// exact `+0.0` night of 0–3 or 24–63 readings before a diurnal curve
+/// with zero runs of its own, once more opened by a `−0.0`.
 fn arb_history() -> impl Strategy<Value = Vec<f64>> {
     (
-        0usize..7,
+        0usize..9,
         0usize..201,
         proptest::collection::vec(-1.0..1.0f64, 200),
         0.0..2000.0f64,
+        (any::<bool>(), 0usize..4, 24usize..64),
     )
-        .prop_map(|(shape, len, noise, level)| {
+        .prop_map(|(shape, len, noise, level, (short, dawn, dusk))| {
+            let night = if short { dawn } else { dusk };
             let mut walk = level;
-            (0..len)
+            let mut history: Vec<f64> = (0..len)
                 .map(|i| {
                     let t = i as f64;
                     walk += 40.0 * noise[i];
@@ -602,10 +608,41 @@ fn arb_history() -> impl Strategy<Value = Vec<f64>> {
                         3 => 0.0,
                         4 => level,
                         5 => (t - 30.0).max(0.0) * level / 50.0,
-                        _ => level + if i % 2 == 0 { 15.0 } else { -15.0 },
+                        6 => level + if i % 2 == 0 { 15.0 } else { -15.0 },
+                        _ if i < night => 0.0,
+                        _ => {
+                            let day = (t - night as f64) / 96.0 * std::f64::consts::TAU;
+                            (level * day.sin()).max(0.0)
+                        }
                     }
                 })
-                .collect()
+                .collect();
+            if let (8, Some(first)) = (shape, history.first_mut()) {
+                *first = -0.0;
+            }
+            history
+        })
+}
+
+/// Strategy: a training hint from `[−1, 2]²`, an exact point of the
+/// default 0.05 grid (accumulated as the search accumulates it), or
+/// non-finite coordinates.
+fn arb_hint() -> impl Strategy<Value = HoltParams> {
+    let on_grid = |k: u32| (0..k).fold(0.0, |v, _| v + 0.05);
+    let non_finite = || proptest::sample::select(vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
+    (
+        0u32..3,
+        (-1.0..2.0f64, -1.0..2.0f64),
+        (0u32..21, 0u32..21),
+        (non_finite(), non_finite()),
+    )
+        .prop_map(move |(kind, square, (i, j), odd)| {
+            let (alpha, beta) = match kind {
+                0 => square,
+                1 => (on_grid(i), on_grid(j)),
+                _ => odd,
+            };
+            HoltParams { alpha, beta }
         })
 }
 
@@ -746,17 +783,19 @@ fn arb_clustered_samples() -> impl Strategy<Value = Vec<(f64, f64)>> {
 }
 
 proptest! {
-    /// The lane-batched trainer returns the scalar search's (α, β, SSE)
-    /// bit for bit, at every grid step and history shape and length.
+    /// The lane-batched, pruned trainer returns the scalar search's
+    /// (α, β, SSE) bit for bit from any hint, at every grid step and
+    /// history shape and length; so does `train_holt`, which starts from
+    /// the defaults.
     #[test]
     fn train_holt_matches_scalar_reference(
         history in arb_history(),
         step in proptest::sample::select(vec![0.03, 0.05, 0.1, 0.2, 1.0]),
+        hint in arb_hint(),
     ) {
-        prop_assert_eq!(
-            train_bits(train_holt(&history, step)),
-            train_bits(reference_train(&history, step))
-        );
+        let reference = train_bits(reference_train(&history, step));
+        prop_assert_eq!(train_bits(train_holt_from(&history, step, hint)), reference);
+        prop_assert_eq!(train_bits(train_holt(&history, step)), reference);
     }
 
     /// The in-place fit returns the copy-and-sort fit bit for bit, with
