@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the allocation solver: the per-epoch cost of the
-//! exact engine, the grid engine, and the combined `solve` for 2-, 3- and
-//! 5-type racks (the paper bounds racks at 3 types; 5 stresses headroom).
+//! exact engine, the grid engine, and `solve` (the exact engine at these
+//! sizes, plus the allocation audit) for 2-, 3- and 5-type racks (the
+//! paper bounds racks at 3 types; 5 stresses headroom).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use greenhetero_core::database::{PerfModel, Quadratic};

@@ -13,10 +13,11 @@
 //!   time).
 //!
 //! It also benchmarks the solver fast path in isolation and writes a
-//! second snapshot (`BENCH_solver.json`): cold max-of-engines solves
-//! versus warm-started and cache-hit solves over a drifting budget
-//! sequence, the cache hit rate, and heap allocations per solve from a
-//! counting global allocator.
+//! second snapshot (`BENCH_solver.json`): cold solves (`solve`, every
+//! call an engine run) versus warm solves (the fast path, with reuse and
+//! its memo) over one drifting budget sequence, cache-hit solves, the
+//! cache hit rate, and heap allocations per solve from a counting global
+//! allocator.
 //!
 //! With `--fleet`, it instead benchmarks the work-stealing epoch
 //! scheduler end to end and writes `BENCH_fleet.json`
@@ -65,9 +66,7 @@ use std::time::Instant;
 
 use greenhetero_core::database::{PerfModel, Quadratic};
 use greenhetero_core::policies::PolicyKind;
-use greenhetero_core::solver::{
-    solve, AllocationProblem, FastPathConfig, ServerGroup, SolverFastPath,
-};
+use greenhetero_core::solver::{solve, AllocationProblem, ServerGroup, SolverFastPath};
 use greenhetero_core::telemetry::{names, CollectingSink, EventLine};
 use greenhetero_core::types::{ConfigId, PowerRange, SimDuration, Watts};
 use greenhetero_serve::{Daemon, ServeConfig, SessionSpec};
@@ -327,9 +326,11 @@ fn validate_snapshot(path: &PathBuf) -> Result<(), String> {
         }
     }
     if is_solver {
-        // The fast path's reason to exist: warm solves must hold a 3×
-        // median speedup over cold max-of-engines solves, and the
-        // quantized cache must actually hit on a revisiting sequence.
+        // The fast path's reason to exist: over the same drifting
+        // sequence, warm solves (the fast path) must hold a 3× median
+        // speedup over cold solves (`solve`, an engine run every call),
+        // and the quantized cache must actually hit on a revisiting
+        // sequence.
         gate_floor(
             "speedup_warm_p50",
             event.num("speedup_warm_p50").unwrap_or(0.0),
@@ -695,15 +696,16 @@ fn percentile_us(sorted: &[f64], q: f64) -> f64 {
     sorted[rank - 1]
 }
 
-/// Benchmarks the solver fast path in isolation — cold max-of-engines
-/// solves versus warm-started and cache-hit solves — and writes the
-/// `BENCH_solver.json` snapshot.
+/// Benchmarks the solver fast path in isolation — cold solves (`solve`)
+/// versus warm solves (the fast path) over one drifting sequence, and
+/// cache-hit solves — and writes the `BENCH_solver.json` snapshot.
 fn bench_fast_path(out: &PathBuf) {
     let base = solver_problem();
     let calls = 2_000usize;
 
-    // A drifting budget sequence: a ±2 % triangle wave around the base
-    // budget, small enough that the warm gate stays open on every step.
+    // A drifting budget sequence: a triangle wave of 40 steps from −2 %
+    // to +2 % of the base budget, which revisits its budgets every
+    // period as solar does day over day.
     let problems: Vec<AllocationProblem> = (0..calls)
         .map(|i| {
             let phase = (i % 40) as f64 / 40.0;
@@ -717,7 +719,7 @@ fn bench_fast_path(out: &PathBuf) {
         })
         .collect();
 
-    // Cold: the combined max-of-engines solver, fresh scratch per call.
+    // Cold: `solve`, an engine run with fresh scratch every call.
     let mut cold_us = Vec::with_capacity(calls);
     let before_cold = ALLOCATIONS.load(Ordering::Relaxed);
     for p in &problems {
@@ -728,7 +730,7 @@ fn bench_fast_path(out: &PathBuf) {
     let cold_allocs = ALLOCATIONS.load(Ordering::Relaxed) - before_cold;
 
     // Warm: the fast path with its default config over the same drift
-    // (one unmeasured call opens the gate).
+    // (one unmeasured call first).
     let mut fast = SolverFastPath::default();
     fast.solve(&problems[0]).expect("warmup solve succeeds");
     let mut warm_us = Vec::with_capacity(calls);
@@ -743,12 +745,9 @@ fn bench_fast_path(out: &PathBuf) {
     }
     let warm_allocs = ALLOCATIONS.load(Ordering::Relaxed) - before_warm;
 
-    // Cached: a short rotation of recurring problems with the warm gate
-    // off, so every answer flows through the quantized cache.
-    let mut cached_path = SolverFastPath::new(FastPathConfig {
-        warm_start: false,
-        ..FastPathConfig::default()
-    });
+    // Cached: a short rotation of recurring problems, never the same
+    // twice in a row, so every answer flows through the quantized cache.
+    let mut cached_path = SolverFastPath::default();
     let rotation: Vec<&AllocationProblem> = problems.iter().step_by(calls / 4).collect();
     let mut cached_us = Vec::with_capacity(calls);
     for i in 0..calls {

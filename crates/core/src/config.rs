@@ -45,14 +45,6 @@ pub struct ControllerConfig {
     /// The cache only accelerates lookups — seeded runs are bit-identical
     /// with it on or off (DESIGN.md §11).
     pub solver_cache_capacity: usize,
-    /// Enables the solver's epoch-to-epoch warm-start path.
-    pub solver_warm_start: bool,
-    /// Largest relative budget change, epoch over epoch, that still
-    /// qualifies for a warm-started solve.
-    pub solver_warm_budget_delta: Ratio,
-    /// Run the observe-only grid cross-check every this many solves on
-    /// the warm path; 0 disables sampling.
-    pub solver_cross_check_period: u64,
     /// Width of the allocation cache's budget lookup buckets.
     pub solver_cache_budget_quantum: Watts,
     /// Serve daemon: epoch-step panics a session survives before it is
@@ -82,9 +74,6 @@ impl Default for ControllerConfig {
             holt_retrain_epochs: 24,
             holt_history: 192,
             solver_cache_capacity: 64,
-            solver_warm_start: true,
-            solver_warm_budget_delta: Ratio::saturating(0.05),
-            solver_cross_check_period: 64,
             solver_cache_budget_quantum: Watts::new(1.0),
             serve_restart_budget: 3,
             serve_backoff_base_ms: 50,
@@ -181,9 +170,6 @@ mod tests {
     fn solver_fast_path_defaults_and_validation() {
         let cfg = ControllerConfig::default();
         assert_eq!(cfg.solver_cache_capacity, 64);
-        assert!(cfg.solver_warm_start);
-        assert!((cfg.solver_warm_budget_delta.value() - 0.05).abs() < 1e-12);
-        assert_eq!(cfg.solver_cross_check_period, 64);
         assert_eq!(cfg.solver_cache_budget_quantum, Watts::new(1.0));
 
         let bad = ControllerConfig {

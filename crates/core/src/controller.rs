@@ -219,11 +219,12 @@ pub struct EpochTrace {
     pub refits: u32,
     /// Allocation-cache hits the solver fast path served this epoch.
     pub cache_hits: u32,
-    /// Allocation-cache misses (cold solves that consulted the cache).
+    /// Allocation-cache misses (solves that consulted the cache and ran
+    /// an engine).
     pub cache_misses: u32,
     /// Allocation-cache entries evicted this epoch.
     pub cache_evictions: u32,
-    /// Solves answered by the warm-start path this epoch.
+    /// Solves answered by reusing the previous solve's answer this epoch.
     pub warm_starts: u32,
 }
 
@@ -240,8 +241,6 @@ struct ControllerMetrics {
     solver_cache_miss: Arc<Counter>,
     solver_cache_evict: Arc<Counter>,
     solver_warm_start: Arc<Counter>,
-    solver_cross_check: Arc<Counter>,
-    solver_cross_check_grid_win: Arc<Counter>,
     training_runs: Arc<Counter>,
     predict_seconds: Arc<Histogram>,
     select_sources_seconds: Arc<Histogram>,
@@ -252,6 +251,11 @@ struct ControllerMetrics {
 impl ControllerMetrics {
     fn new(telemetry: &Telemetry) -> Self {
         let r = telemetry.registry();
+        // One exact engine leaves nothing to cross-check; the two counters
+        // stay registered, at 0, because run ledgers and dashboards read
+        // them.
+        let _ = r.counter(names::SOLVER_CROSS_CHECK);
+        let _ = r.counter(names::SOLVER_CROSS_CHECK_GRID_WIN);
         ControllerMetrics {
             degrade_to: [
                 r.counter(names::DEGRADE_TO_NOMINAL),
@@ -267,8 +271,6 @@ impl ControllerMetrics {
             solver_cache_miss: r.counter(names::SOLVER_CACHE_MISS),
             solver_cache_evict: r.counter(names::SOLVER_CACHE_EVICT),
             solver_warm_start: r.counter(names::SOLVER_WARM_START),
-            solver_cross_check: r.counter(names::SOLVER_CROSS_CHECK),
-            solver_cross_check_grid_win: r.counter(names::SOLVER_CROSS_CHECK_GRID_WIN),
             training_runs: r.counter(names::TRAINING_RUNS),
             predict_seconds: r.histogram(names::PREDICT_SECONDS),
             select_sources_seconds: r.histogram(names::SELECT_SOURCES_SECONDS),
@@ -388,9 +390,6 @@ impl Controller {
         let metrics = ControllerMetrics::new(&telemetry);
         let fast = SolverFastPath::new(FastPathConfig {
             cache_capacity: config.solver_cache_capacity,
-            warm_start: config.solver_warm_start,
-            warm_budget_delta: config.solver_warm_budget_delta,
-            cross_check_period: config.solver_cross_check_period,
             budget_quantum: config.solver_cache_budget_quantum,
         });
         Ok(Controller {
@@ -790,10 +789,6 @@ impl Controller {
         self.metrics.solver_cache_miss.add(stats.cache_misses);
         self.metrics.solver_cache_evict.add(stats.cache_evictions);
         self.metrics.solver_warm_start.add(stats.warm_starts);
-        self.metrics.solver_cross_check.add(stats.cross_checks);
-        self.metrics
-            .solver_cross_check_grid_win
-            .add(stats.cross_check_grid_wins);
     }
 
     /// Records the epoch's degradation rung and engine label, counting a

@@ -82,8 +82,8 @@ pub trait AllocationPolicy: fmt::Debug + Send {
     }
 
     /// Like [`allocate_traced`](AllocationPolicy::allocate_traced), but
-    /// with access to the caller's [`SolverFastPath`] (warm starts plus
-    /// the allocation cache). The default ignores the fast path and
+    /// with access to the caller's [`SolverFastPath`] (reuse of the last
+    /// answer plus the allocation cache). The default ignores the fast path and
     /// delegates — correct for policies that do not run a solver engine;
     /// the solver-backed policies override it. Answers are bit-identical
     /// to `allocate_traced` by the fast path's purity contract.
@@ -376,7 +376,7 @@ impl AllocationPolicy for GreenHetero {
         fast: &mut SolverFastPath,
     ) -> Result<(Allocation, Option<SolveEngine>), CoreError> {
         // Online refits change model fingerprints, which the fast path's
-        // warm gate and cache keys detect — no special handling needed.
+        // reuse check and cache keys detect — no special handling needed.
         fast.solve(problem).map(|(a, e)| (a, Some(e)))
     }
 

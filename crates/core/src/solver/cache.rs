@@ -1,59 +1,45 @@
-//! The solver fast path: epoch-to-epoch warm starts and a quantized
-//! allocation cache (DESIGN.md §11).
+//! The solver fast path: reuse of the last answer and a revalidated
+//! memo (DESIGN.md §11).
 //!
 //! Consecutive scheduling epochs differ only slightly — solar ramps a few
 //! percent per 15-minute epoch and the fitted curves change only on the
-//! rare accepted refit — so most of the classic
-//! [`solve_with_engine`](crate::solver::solve_with_engine) work (a full
-//! 4-level grid lattice cross-checking the exact engine every epoch) is
-//! redundant. [`SolverFastPath`] removes it in three layers:
+//! rare accepted refit — and fleets pose the same problem on many racks.
+//! The solver's answer is a pure function of the problem, so
+//! [`SolverFastPath`] skips engine calls in two layers:
 //!
-//! 1. **Reuse** — a problem bit-identical to the previous epoch's returns
+//! 1. **Reuse** — a problem bit-identical to the previous solve's returns
 //!    the previous allocation outright;
-//! 2. **Warm start** — when the group layout and every model fingerprint
-//!    are unchanged and the budget moved less than a configured relative
-//!    delta, the exact KKT engine answers alone and the grid cross-check
-//!    is skipped (a sampled periodic cross-check plus the controller's
-//!    `audit_allocation` keep exactness regressions observable); if the
-//!    exact engine cannot run (more than
-//!    [`MAX_EXACT_GROUPS`](crate::solver::MAX_EXACT_GROUPS) groups), the
-//!    grid engine answers alone, exactly as the cold path would;
-//! 3. **Cache** — cold solves are remembered in a small LRU keyed by
-//!    (quantized budget bucket, group digest); a hit revalidates the
-//!    stored problem bit-for-bit against the live one and falls back to a
-//!    cold solve on any mismatch, so a hit is always bit-identical to the
-//!    solve it replaced.
+//! 2. **Memo** — solves are remembered in a small LRU keyed by (quantized
+//!    budget bucket, group digest); a hit revalidates the stored problem
+//!    bit-for-bit against the live one and falls back to a solve on any
+//!    mismatch, so a hit is always bit-identical to the solve it replaced.
 //!
-//! A fourth, *cross-controller* layer can be attached on top:
-//! [`SharedSolveCache`] is a sharded, thread-safe store keyed the same way
-//! (model fingerprints via the group digest, quantized budget bucket) with
-//! the same full-equality revalidation on hit. Racks in a fleet that face
-//! bit-identical problems — common once noise is low and models converge —
-//! pay one cold solve and N bit-identical reuses per epoch (DESIGN.md §14).
-//! The shared layer only ever *stands in for* an engine call the local
-//! layers had already committed to: it never changes which path is taken,
-//! and a shared hit is remembered locally exactly as the solve it replaced
-//! would have been. Entries are tagged with the engine path that produced
-//! them (warm exact vs. cold max-of-engines) so a hit always returns the
-//! same bits that path would have computed. Warm *grid* answers (problems
-//! too large for the exact engine) are not published: they equal the cold
-//! answer bit for bit, but sharing them would move the shared-cache
-//! counters.
+//! The memo can reach past one controller: [`SharedSolveCache`] is a
+//! sharded, thread-safe store keyed the same way (model fingerprints via
+//! the group digest, quantized budget bucket) with the same full-equality
+//! revalidation on hit, consulted after a local miss. Racks in a fleet
+//! that face bit-identical problems — common once noise is low and models
+//! converge — pay one solve and N bit-identical reuses per epoch
+//! (DESIGN.md §14). A shared hit stands in for the engine call the local
+//! miss committed to, and is remembered locally exactly as that solve
+//! would have been.
 //!
-//! Every decision above is a pure function of the *problem sequence* —
-//! never of cache occupancy — which is why seeded runs are bit-identical
-//! with either cache on or off (`crates/sim/tests/fastpath.rs` and
-//! `crates/sim/tests/fleet.rs` prove it).
+//! Every layer returns the bits
+//! [`solve_with_engine`](crate::solver::solve_with_engine) computes for
+//! the same problem, and every counter is a pure function of the *problem
+//! sequence* — never of shared-cache occupancy — which is why seeded runs
+//! are bit-identical with either cache on, off or resized
+//! (`crates/sim/tests/fastpath.rs` and `crates/sim/tests/fleet.rs` prove
+//! it).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::error::CoreError;
-use crate::solver::grid::solve_grid_with;
 use crate::solver::problem::{Allocation, AllocationProblem};
 use crate::solver::scratch::SolverScratch;
-use crate::solver::{solve_exact_with, solve_with_engine_scratch, SolveEngine};
-use crate::types::{Ratio, Watts};
+use crate::solver::{solve_with_engine_scratch, SolveEngine};
+use crate::types::Watts;
 
 /// Tunables of the solver fast path; defaults mirror
 /// [`ControllerConfig`](crate::config::ControllerConfig).
@@ -61,14 +47,6 @@ use crate::types::{Ratio, Watts};
 pub struct FastPathConfig {
     /// Allocation-cache capacity in entries; 0 disables the cache.
     pub cache_capacity: usize,
-    /// Enables the warm-start layers (reuse + exact-first refinement).
-    pub warm_start: bool,
-    /// Largest relative budget change, epoch over epoch, that still
-    /// qualifies for a warm start.
-    pub warm_budget_delta: Ratio,
-    /// Run the observe-only grid cross-check every this many solves;
-    /// 0 disables sampling.
-    pub cross_check_period: u64,
     /// Width of the cache's budget lookup buckets.
     pub budget_quantum: Watts,
 }
@@ -77,9 +55,6 @@ impl Default for FastPathConfig {
     fn default() -> Self {
         FastPathConfig {
             cache_capacity: 64,
-            warm_start: true,
-            warm_budget_delta: Ratio::saturating(0.05),
-            cross_check_period: 64,
             budget_quantum: Watts::new(1.0),
         }
     }
@@ -92,17 +67,12 @@ impl Default for FastPathConfig {
 pub struct FastPathStats {
     /// Cache lookups that returned a revalidated stored allocation.
     pub cache_hits: u64,
-    /// Cold solves that consulted the cache and missed.
+    /// Solves that consulted the cache and missed.
     pub cache_misses: u64,
     /// Entries displaced by LRU eviction.
     pub cache_evictions: u64,
-    /// Solves answered by the warm path (reuse or exact-first).
+    /// Solves answered by reusing the previous solve's answer.
     pub warm_starts: u64,
-    /// Sampled observe-only grid cross-checks run.
-    pub cross_checks: u64,
-    /// Cross-checks where the grid beat the returned exact answer — a
-    /// nonzero rate flags an exactness regression.
-    pub cross_check_grid_wins: u64,
 }
 
 impl FastPathStats {
@@ -112,13 +82,11 @@ impl FastPathStats {
             cache_misses: self.cache_misses - earlier.cache_misses,
             cache_evictions: self.cache_evictions - earlier.cache_evictions,
             warm_starts: self.warm_starts - earlier.warm_starts,
-            cross_checks: self.cross_checks - earlier.cross_checks,
-            cross_check_grid_wins: self.cross_check_grid_wins - earlier.cross_check_grid_wins,
         }
     }
 }
 
-/// The previous solve, kept for reuse and the warm-start gate.
+/// The previous solve, kept for reuse.
 #[derive(Debug, Clone)]
 struct LastSolve {
     problem: AllocationProblem,
@@ -126,7 +94,7 @@ struct LastSolve {
     engine: SolveEngine,
 }
 
-/// One cached cold solve. `problem` is kept whole: the digest narrows the
+/// One cached solve. `problem` is kept whole: the digest narrows the
 /// lookup, equality on the full problem (budget bits included) is what
 /// authorizes reuse.
 #[derive(Debug, Clone)]
@@ -148,23 +116,11 @@ pub const DEFAULT_SHARED_SOLVE_CAPACITY: usize = 1024;
 /// never contend.
 const SHARED_SHARDS: usize = 16;
 
-/// Which engine path produced (and may reuse) a shared entry. Warm exact
-/// answers and cold max-of-engines answers for the same problem can differ
-/// bitwise, so a hit is only ever served to the path that stored it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SolveKind {
-    /// Produced by `solve_exact_with` on the warm path.
-    WarmExact,
-    /// Produced by `solve_with_engine_scratch` on the cold path.
-    Cold,
-}
-
 /// One shared solve. Like the local cache, the full problem is kept:
 /// digest and bucket narrow the lookup, bit-for-bit equality authorizes
 /// reuse.
 #[derive(Debug)]
 struct SharedEntry {
-    kind: SolveKind,
     bucket: i64,
     digest: u64,
     problem: AllocationProblem,
@@ -214,9 +170,8 @@ impl SharedSolveStats {
 /// A thread-safe solve cache shared across controllers — the fleet-wide
 /// batched-solve substrate. Keyed exactly like the local LRU (quantized
 /// budget bucket + group digest over configs, counts, and model
-/// fingerprints) plus the engine-path tag, and revalidated by full problem
-/// equality on every hit, so a hit is bit-identical to the engine call it
-/// replaces.
+/// fingerprints) and revalidated by full problem equality on every hit,
+/// so a hit is bit-identical to the engine call it replaces.
 ///
 /// Attaching or resizing this cache never changes any controller's output:
 /// it only substitutes bit-identical answers for redundant engine calls.
@@ -293,11 +248,10 @@ impl SharedSolveCache {
         self.clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Returns the stored answer for `problem` under `kind` if one exists
-    /// and survives full-equality + feasibility revalidation.
+    /// Returns the stored answer for `problem` if one exists and survives
+    /// full-equality + feasibility revalidation.
     fn lookup(
         &self,
-        kind: SolveKind,
         bucket: i64,
         digest: u64,
         problem: &AllocationProblem,
@@ -308,7 +262,7 @@ impl SharedSolveCache {
             .unwrap_or_else(PoisonError::into_inner);
         let mut collided = false;
         for e in entries.iter_mut() {
-            if e.kind == kind && e.bucket == bucket && e.digest == digest {
+            if e.bucket == bucket && e.digest == digest {
                 if e.problem == *problem && e.problem.is_feasible(&e.allocation.per_server) {
                     e.stamp = self.next_stamp();
                     self.hits.fetch_add(1, Ordering::Relaxed);
@@ -331,7 +285,6 @@ impl SharedSolveCache {
     /// bit-identical by construction) and only its stamp refreshes.
     fn insert(
         &self,
-        kind: SolveKind,
         bucket: i64,
         digest: u64,
         problem: &AllocationProblem,
@@ -342,9 +295,10 @@ impl SharedSolveCache {
             .shard(digest)
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        if let Some(existing) = entries.iter_mut().find(|e| {
-            e.kind == kind && e.bucket == bucket && e.digest == digest && e.problem == *problem
-        }) {
+        if let Some(existing) = entries
+            .iter_mut()
+            .find(|e| e.bucket == bucket && e.digest == digest && e.problem == *problem)
+        {
             existing.stamp = self.next_stamp();
             return;
         }
@@ -361,7 +315,6 @@ impl SharedSolveCache {
         }
         let stamp = self.next_stamp();
         entries.push(SharedEntry {
-            kind,
             bucket,
             digest,
             problem: problem.clone(),
@@ -384,15 +337,6 @@ pub struct SolverFastPath {
     stats: FastPathStats,
     taken: FastPathStats,
     clock: u64,
-    solves: u64,
-}
-
-/// How the next solve will be answered; computed up front so the borrow
-/// of `last` ends before the engines need the scratch space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Plan {
-    Warm,
-    Cold,
 }
 
 impl Default for SolverFastPath {
@@ -414,7 +358,6 @@ impl SolverFastPath {
             stats: FastPathStats::default(),
             taken: FastPathStats::default(),
             clock: 0,
-            solves: 0,
         }
     }
 
@@ -463,9 +406,10 @@ impl SolverFastPath {
     }
 
     /// Solves `problem` through the fast path. The returned allocation is
-    /// always bit-identical to what a pure function of the problem
-    /// sequence would produce: warm decisions depend only on the previous
-    /// problem, and cache hits are revalidated bit-for-bit before reuse.
+    /// always bit-identical to
+    /// [`solve_with_engine`](crate::solver::solve_with_engine)'s answer:
+    /// reuse needs the previous problem to equal this one bit for bit, and
+    /// memo hits are revalidated bit-for-bit before reuse.
     ///
     /// # Errors
     ///
@@ -474,61 +418,15 @@ impl SolverFastPath {
         &mut self,
         problem: &AllocationProblem,
     ) -> Result<(Allocation, SolveEngine), CoreError> {
-        self.solves += 1;
-        let plan = match &self.last {
-            Some(last) if self.config.warm_start => {
-                if last.problem == *problem {
-                    // Nothing moved: the previous answer is this epoch's
-                    // answer, bit for bit.
-                    self.stats.warm_starts += 1;
-                    return Ok((last.allocation.clone(), last.engine));
-                } else if warm_eligible(&last.problem, problem, self.config.warm_budget_delta) {
-                    Plan::Warm
-                } else {
-                    Plan::Cold
-                }
-            }
-            _ => Plan::Cold,
-        };
-
-        let (allocation, engine) = match plan {
-            Plan::Warm => {
+        if let Some(last) = &self.last {
+            if last.problem == *problem {
+                // Nothing moved: the previous answer is this epoch's
+                // answer, bit for bit.
                 self.stats.warm_starts += 1;
-                // A shared warm-exact hit stands in for `solve_exact_with`
-                // below: same bits, and only possible for problems where
-                // the exact engine succeeds (it stored the entry).
-                let answer = match self.shared_lookup(SolveKind::WarmExact, problem) {
-                    Some(hit) => hit,
-                    None => match solve_exact_with(problem, &mut self.scratch) {
-                        Ok(exact) => {
-                            self.shared_insert(
-                                SolveKind::WarmExact,
-                                problem,
-                                &exact,
-                                SolveEngine::Exact,
-                            );
-                            (exact, SolveEngine::Exact)
-                        }
-                        Err(CoreError::InvalidConfig { .. }) => {
-                            // Too many groups for the exact engine: the grid
-                            // answers alone, the same bits as the cold path.
-                            // Not published to the shared cache, so its
-                            // counters move only on warm-exact and cold
-                            // solves.
-                            (
-                                solve_grid_with(problem, &mut self.scratch),
-                                SolveEngine::Grid,
-                            )
-                        }
-                        Err(other) => return Err(other),
-                    },
-                };
-                self.maybe_cross_check(problem, &answer.0, answer.1);
-                answer
+                return Ok((last.allocation.clone(), last.engine));
             }
-            Plan::Cold => self.cold_solve(problem)?,
-        };
-
+        }
+        let (allocation, engine) = self.memo_solve(problem)?;
         self.last = Some(LastSolve {
             problem: problem.clone(),
             allocation: allocation.clone(),
@@ -537,9 +435,9 @@ impl SolverFastPath {
         Ok((allocation, engine))
     }
 
-    /// The cold path: consult the cache, else run the classic
-    /// exact-plus-grid solve and remember the answer.
-    fn cold_solve(
+    /// The memo: consult the local LRU, then the shared cache, else solve
+    /// and remember the answer.
+    fn memo_solve(
         &mut self,
         problem: &AllocationProblem,
     ) -> Result<(Allocation, SolveEngine), CoreError> {
@@ -569,22 +467,27 @@ impl SolverFastPath {
         // have been, so the local LRU state, counters, and every future
         // decision evolve bit-identically with the shared cache attached,
         // detached, or resized.
-        if let Some(hit) = self.shared_lookup(SolveKind::Cold, problem) {
-            if caching {
-                self.remember(bucket, digest, problem, &hit.0, hit.1);
+        let shared_hit = self
+            .shared
+            .as_ref()
+            .and_then(|shared| shared.lookup(bucket, digest, problem));
+        let (allocation, engine) = match shared_hit {
+            Some(hit) => hit,
+            None => {
+                let answer = solve_with_engine_scratch(problem, &mut self.scratch)?;
+                if let Some(shared) = &self.shared {
+                    shared.insert(bucket, digest, problem, &answer.0, answer.1);
+                }
+                answer
             }
-            return Ok(hit);
-        }
-
-        let (allocation, engine) = solve_with_engine_scratch(problem, &mut self.scratch)?;
-        self.shared_insert(SolveKind::Cold, problem, &allocation, engine);
+        };
         if caching {
             self.remember(bucket, digest, problem, &allocation, engine);
         }
         Ok((allocation, engine))
     }
 
-    /// Stores a cold answer in the local LRU, evicting the stalest entry
+    /// Stores an answer in the local LRU, evicting the stalest entry
     /// at capacity. Shared-cache hits go through the same door as real
     /// engine solves — local state must not see the difference.
     fn remember(
@@ -618,75 +521,6 @@ impl SolverFastPath {
             stamp: self.clock,
         });
     }
-
-    /// Shared-cache lookup under this fast path's quantum; no-op `None`
-    /// when no shared cache is attached.
-    fn shared_lookup(
-        &self,
-        kind: SolveKind,
-        problem: &AllocationProblem,
-    ) -> Option<(Allocation, SolveEngine)> {
-        let shared = self.shared.as_ref()?;
-        let bucket = budget_bucket(problem.budget(), self.config.budget_quantum);
-        let digest = problem_digest(problem);
-        shared.lookup(kind, bucket, digest, problem)
-    }
-
-    /// Publishes a freshly computed answer to the shared cache, if one is
-    /// attached.
-    fn shared_insert(
-        &self,
-        kind: SolveKind,
-        problem: &AllocationProblem,
-        allocation: &Allocation,
-        engine: SolveEngine,
-    ) {
-        if let Some(shared) = &self.shared {
-            let bucket = budget_bucket(problem.budget(), self.config.budget_quantum);
-            let digest = problem_digest(problem);
-            shared.insert(kind, bucket, digest, problem, allocation, engine);
-        }
-    }
-
-    /// The sampled, observe-only cross-check: every Nth solve that skipped
-    /// the grid engine, run it anyway and count whether it would have won.
-    /// The returned allocation is never altered — this exists purely so an
-    /// exactness regression shows up in telemetry instead of silently
-    /// shipping worse allocations.
-    fn maybe_cross_check(
-        &mut self,
-        problem: &AllocationProblem,
-        returned: &Allocation,
-        engine: SolveEngine,
-    ) {
-        let period = self.config.cross_check_period;
-        if engine != SolveEngine::Exact || period == 0 || !self.solves.is_multiple_of(period) {
-            return;
-        }
-        self.stats.cross_checks += 1;
-        let grid = solve_grid_with(problem, &mut self.scratch);
-        if grid.projected.value() > returned.projected.value() + 1e-9 {
-            self.stats.cross_check_grid_wins += 1;
-        }
-    }
-}
-
-/// `true` when `cur` is close enough to `prev` to trust the warm path:
-/// identical group layout (config, count) with bit-identical model
-/// fingerprints, and a relative budget move within `max_delta`.
-fn warm_eligible(prev: &AllocationProblem, cur: &AllocationProblem, max_delta: Ratio) -> bool {
-    if prev.groups().len() != cur.groups().len() {
-        return false;
-    }
-    let layout_same = prev.groups().iter().zip(cur.groups()).all(|(a, b)| {
-        a.config == b.config && a.count == b.count && a.model.fingerprint() == b.model.fingerprint()
-    });
-    if !layout_same {
-        return false;
-    }
-    let pb = prev.budget().value();
-    let cb = cur.budget().value();
-    (cb - pb).abs() <= max_delta.value() * pb.abs().max(1e-9)
 }
 
 /// The cache lookup bucket: budgets quantized to `quantum`-wide bins.
@@ -755,32 +589,14 @@ mod tests {
     }
 
     #[test]
-    fn small_budget_moves_take_the_warm_path() {
+    fn budget_moves_and_model_drift_miss_reuse() {
         let mut fast = SolverFastPath::default();
         fast.solve(&problem(500.0)).unwrap();
-        let p = problem(510.0); // 2 % move: within the 5 % gate
-        let (warm, engine) = fast.solve(&p).unwrap();
-        assert_eq!(fast.stats().warm_starts, 1);
-        assert_eq!(engine, SolveEngine::Exact);
-        // Concave fits: the warm exact answer matches the cold answer.
-        let (cold, _) = solve_with_engine(&p).unwrap();
-        assert!(
-            warm.projected.value() >= cold.projected.value() - 1e-9,
-            "warm {} vs cold {}",
-            warm.projected.value(),
-            cold.projected.value()
-        );
-    }
-
-    #[test]
-    fn large_budget_moves_and_model_drift_go_cold() {
-        let mut fast = SolverFastPath::default();
-        fast.solve(&problem(500.0)).unwrap();
-        fast.solve(&problem(800.0)).unwrap(); // 60 % move
+        fast.solve(&problem(500.5)).unwrap(); // a 0.1 % move is a new problem
         assert_eq!(fast.stats().warm_starts, 0);
         assert_eq!(fast.stats().cache_misses, 2);
 
-        // Refit one model: fingerprint changes, warm gate closes.
+        // Refit one model: fingerprint changes, reuse misses.
         let drifted = AllocationProblem::new(
             vec![
                 group(0, 2, 88.0, 147.0, 60.5, -0.12),
@@ -794,10 +610,10 @@ mod tests {
     }
 
     #[test]
-    fn cache_hits_return_the_stored_cold_answer() {
+    fn cache_hits_return_the_stored_answer() {
         let mut fast = SolverFastPath::default();
         let a = problem(500.0);
-        let b = problem(800.0); // far enough to defeat the warm gate
+        let b = problem(800.0); // in between, so reuse cannot answer
         let (first_a, _) = fast.solve(&a).unwrap();
         fast.solve(&b).unwrap();
         let (again_a, _) = fast.solve(&a).unwrap();
@@ -810,7 +626,6 @@ mod tests {
     fn lru_evicts_the_stalest_entry() {
         let mut fast = SolverFastPath::new(FastPathConfig {
             cache_capacity: 2,
-            warm_start: false,
             ..FastPathConfig::default()
         });
         fast.solve(&problem(100.0)).unwrap();
@@ -848,23 +663,6 @@ mod tests {
     }
 
     #[test]
-    fn cross_check_samples_without_altering_answers() {
-        let mut fast = SolverFastPath::new(FastPathConfig {
-            cross_check_period: 2,
-            ..FastPathConfig::default()
-        });
-        // Alternate two nearby budgets so every solve after the first is
-        // warm (and exact), making every even solve a cross-check sample.
-        for i in 0..10 {
-            let b = if i % 2 == 0 { 500.0 } else { 505.0 };
-            fast.solve(&problem(b)).unwrap();
-        }
-        assert!(fast.stats().cross_checks >= 4);
-        // Concave case study: exact never loses to the grid.
-        assert_eq!(fast.stats().cross_check_grid_wins, 0);
-    }
-
-    #[test]
     fn take_stats_returns_per_interval_deltas() {
         let mut fast = SolverFastPath::default();
         fast.solve(&problem(500.0)).unwrap();
@@ -888,29 +686,34 @@ mod tests {
         assert_eq!(fast.stats().cache_misses, 2);
     }
 
-    #[test]
-    fn many_group_problems_fall_back_to_the_cold_grid_when_warm() {
-        let groups: Vec<ServerGroup> = (0..(MAX_EXACT_GROUPS_PLUS_ONE as u32))
-            .map(|i| group(i, 1, 20.0, 60.0, 10.0 + f64::from(i), -0.02))
-            .collect();
-        let mk = |budget: f64| AllocationProblem::new(groups.clone(), Watts::new(budget)).unwrap();
-        let mut fast = SolverFastPath::default();
-        fast.solve(&mk(300.0)).unwrap();
-        let (warm, engine) = fast.solve(&mk(306.0)).unwrap();
-        assert_eq!(engine, SolveEngine::Grid);
-        assert_eq!(fast.stats().warm_starts, 1);
-        let p = mk(306.0);
-        assert!(p.is_feasible(&warm.per_server));
-        let (cold, cold_engine) = solve_with_engine(&p).unwrap();
-        assert_eq!(cold_engine, SolveEngine::Grid);
-        let bits = |a: &Allocation| {
-            let watts: Vec<u64> = a.per_server.iter().map(|w| w.value().to_bits()).collect();
-            (watts, a.projected.value().to_bits())
-        };
-        assert_eq!(bits(&warm), bits(&cold));
+    /// An allocation as raw bits: every per-server watt value, then the
+    /// projected throughput.
+    fn bits(a: &Allocation) -> (Vec<u64>, u64) {
+        let watts = a.per_server.iter().map(|w| w.value().to_bits()).collect();
+        (watts, a.projected.value().to_bits())
     }
 
-    const MAX_EXACT_GROUPS_PLUS_ONE: usize = crate::solver::MAX_EXACT_GROUPS + 1;
+    #[test]
+    fn every_answer_is_solve_with_engine_bit_for_bit() {
+        // Two groups (the exact engine) and one past MAX_EXACT_GROUPS
+        // (the grid), each over budgets that drift, repeat and revisit.
+        let many: Vec<ServerGroup> = (0..=crate::solver::MAX_EXACT_GROUPS as u32)
+            .map(|i| group(i, 1, 20.0, 60.0, 10.0 + f64::from(i), -0.02))
+            .collect();
+        let layouts = [problem(0.0).groups().to_vec(), many];
+        for groups in layouts {
+            let mut fast = SolverFastPath::default();
+            for budget in [300.0, 306.0, 306.0, 500.0, 300.0, 306.0, 120.0] {
+                let p = AllocationProblem::new(groups.clone(), Watts::new(budget)).unwrap();
+                let (answer, engine) = fast.solve(&p).unwrap();
+                let (expect, expect_engine) = solve_with_engine(&p).unwrap();
+                assert_eq!(bits(&answer), bits(&expect), "budget {budget}");
+                assert_eq!(engine, expect_engine, "budget {budget}");
+            }
+            assert_eq!(fast.stats().warm_starts, 1);
+            assert_eq!(fast.stats().cache_hits, 2);
+        }
+    }
 
     /// Runs the same problem sequence through two fast paths and asserts
     /// every answer and every *local* counter is bit-identical.
@@ -976,24 +779,20 @@ mod tests {
         let (a1, e1) = solve_with_engine(&p1).unwrap();
         let bucket1 = budget_bucket(p1.budget(), Watts::new(1.0));
         let digest = problem_digest(&p1); // layout-only: same for p1 and p2
-        shared.insert(SolveKind::Cold, bucket1, digest, &p1, &a1, e1);
+        shared.insert(bucket1, digest, &p1, &a1, e1);
         assert_eq!(shared.len(), 1);
 
         // Same key fields, different problem bits → revalidation miss.
-        assert!(shared
-            .lookup(SolveKind::Cold, bucket1, digest, &p2)
-            .is_none());
-        // Path tag mismatch → plain miss, not a revalidation miss.
-        assert!(shared
-            .lookup(SolveKind::WarmExact, bucket1, digest, &p1)
-            .is_none());
+        assert!(shared.lookup(bucket1, digest, &p2).is_none());
+        // Another bucket → plain miss, not a revalidation miss.
+        assert!(shared.lookup(bucket1 + 1, digest, &p1).is_none());
         let stats = shared.stats();
         assert_eq!(stats.revalidation_misses, 1);
         assert_eq!(stats.misses, 1);
 
         // True hit returns the stored bits.
         let (hit, engine) = shared
-            .lookup(SolveKind::Cold, bucket1, digest, &p1)
+            .lookup(bucket1, digest, &p1)
             .expect("revalidated hit");
         assert_eq!(hit, a1);
         assert_eq!(engine, e1);
@@ -1001,11 +800,9 @@ mod tests {
         // A second insert into the same (full) shard evicts the first.
         let bucket2 = budget_bucket(p2.budget(), Watts::new(1.0));
         let (a2, e2) = solve_with_engine(&p2).unwrap();
-        shared.insert(SolveKind::Cold, bucket2, digest, &p2, &a2, e2);
+        shared.insert(bucket2, digest, &p2, &a2, e2);
         assert_eq!(shared.stats().evictions, 1);
-        assert!(shared
-            .lookup(SolveKind::Cold, bucket1, digest, &p1)
-            .is_none());
+        assert!(shared.lookup(bucket1, digest, &p1).is_none());
     }
 
     #[test]
@@ -1015,8 +812,8 @@ mod tests {
         let (a, e) = solve_with_engine(&p).unwrap();
         let bucket = budget_bucket(p.budget(), Watts::new(1.0));
         let digest = problem_digest(&p);
-        shared.insert(SolveKind::Cold, bucket, digest, &p, &a, e);
-        shared.insert(SolveKind::Cold, bucket, digest, &p, &a, e);
+        shared.insert(bucket, digest, &p, &a, e);
+        shared.insert(bucket, digest, &p, &a, e);
         assert_eq!(shared.len(), 1);
         assert_eq!(shared.stats().insertions, 1);
     }

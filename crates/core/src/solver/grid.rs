@@ -1,4 +1,6 @@
-//! Grid-search allocation: a derivative-free fallback and cross-check.
+//! Grid-search allocation: the derivative-free engine for problems past
+//! [`MAX_EXACT_GROUPS`](crate::solver::MAX_EXACT_GROUPS) groups and the
+//! controller's fallback rung.
 //!
 //! Enumerates per-server power levels for every group over a lattice of
 //! `{off} ∪ [idle, peak]` points, keeps the best feasible combination, and
@@ -502,7 +504,7 @@ mod tests {
     use super::*;
     use crate::database::{PerfModel, Quadratic};
     use crate::solver::problem::ServerGroup;
-    use crate::solver::{solve_exact, solve_with_engine_scratch, SolveEngine};
+    use crate::solver::solve_exact;
     use crate::types::{ConfigId, PowerRange, Throughput};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -643,18 +645,6 @@ mod tests {
         assignment[depth] = Watts::ZERO;
     }
 
-    /// `solve_with_engine_scratch`'s max of engines over the reference
-    /// grid.
-    fn reference_solve_with_engine(problem: &AllocationProblem) -> (Allocation, SolveEngine) {
-        let grid = reference_solve_grid(problem);
-        let exact = solve_exact(problem).unwrap();
-        if exact.projected >= grid.projected {
-            (exact, SolveEngine::Exact)
-        } else {
-            (grid, SolveEngine::Grid)
-        }
-    }
-
     /// An allocation as raw bits: every per-server watt value, then the
     /// projected throughput.
     fn bits(allocation: &Allocation) -> (Vec<u64>, u64) {
@@ -668,22 +658,14 @@ mod tests {
         )
     }
 
-    /// Asserts that the grid engine and the max-of-engines solve return
-    /// the references' bits for `problem`, through a reused workspace.
+    /// Asserts that the grid engine returns the reference's bits for
+    /// `problem`, through a reused workspace.
     fn assert_matches_reference(problem: &AllocationProblem, scratch: &mut SolverScratch) {
         let grid = solve_grid_with(problem, scratch);
         assert_eq!(
             bits(&grid),
             bits(&reference_solve_grid(problem)),
             "grid engine diverged on {problem:?}"
-        );
-        let (solved, engine) = solve_with_engine_scratch(problem, scratch).unwrap();
-        let (expect, expect_engine) = reference_solve_with_engine(problem);
-        assert_eq!(engine, expect_engine, "engine diverged on {problem:?}");
-        assert_eq!(
-            bits(&solved),
-            bits(&expect),
-            "max of engines diverged on {problem:?}"
         );
     }
 
@@ -1021,7 +1003,7 @@ mod tests {
     /// The long sweep; run it with
     /// `cargo test --release -p greenhetero-core --lib solver::grid -- --ignored`.
     #[test]
-    #[ignore = "20,000 cases, about seven minutes in release"]
+    #[ignore = "20,000 cases, about three minutes in release"]
     fn kernel_matches_reference_on_many_random_problems() {
         sweep(0x6772_6964_7377, 20_000, 1..=EXHAUSTIVE_MAX_GROUPS);
     }

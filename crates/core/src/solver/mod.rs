@@ -8,14 +8,16 @@
 //!
 //! Two engines are provided:
 //!
-//! * [`solve_exact`] — subset enumeration plus KKT water-filling, exact for
-//!   concave quadratic fits (the normal case), for up to
-//!   [`MAX_EXACT_GROUPS`] groups;
+//! * [`solve_exact`] — subset enumeration, KKT water-filling and one
+//!   closed-form free convex group, exact for quadratic fits that are
+//!   non-negative on their envelope, for up to [`MAX_EXACT_GROUPS`]
+//!   groups;
 //! * [`solve_grid`] — hierarchical lattice search, shape-agnostic.
 //!
-//! [`solve`] picks the better answer of the two, which is what the
-//! scheduler uses: exactness when fits are well-behaved, robustness when
-//! profiling noise produced a pathological curve.
+//! [`solve`] answers with the exact engine up to [`MAX_EXACT_GROUPS`]
+//! groups and with the grid above it. The grid also serves as the
+//! controller's fallback rung when a policy's answer fails its soundness
+//! gate.
 
 mod cache;
 mod exact;
@@ -35,12 +37,13 @@ pub use scratch::SolverScratch;
 use crate::error::CoreError;
 
 /// Which engine produced an allocation — the label telemetry exports so
-/// exact-vs-grid win rates are observable per run.
+/// each run shows which engine answered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolveEngine {
     /// The exact KKT water-filling engine.
     Exact,
-    /// The hierarchical grid-lattice search.
+    /// The hierarchical grid-lattice search: problems over
+    /// [`MAX_EXACT_GROUPS`] groups, and the controller's fallback rung.
     Grid,
     /// The even per-server split ([`solve_uniform`]).
     Uniform,
@@ -58,10 +61,10 @@ impl SolveEngine {
     }
 }
 
-/// Solves the allocation problem with the best available engine.
+/// Solves the allocation problem with the engine its size calls for.
 ///
-/// Runs the exact engine when the group count permits and cross-checks it
-/// against the grid engine, returning whichever projects higher throughput.
+/// Runs the exact engine when the group count permits
+/// (up to [`MAX_EXACT_GROUPS`]) and the grid engine above it.
 ///
 /// # Errors
 ///
@@ -101,8 +104,8 @@ pub fn solve(problem: &AllocationProblem) -> Result<Allocation, CoreError> {
     solve_with_engine(problem).map(|(allocation, _)| allocation)
 }
 
-/// Like [`solve`], but also reports which engine's answer won — the
-/// hook telemetry uses to count exact-vs-grid wins.
+/// Like [`solve`], but also reports which engine answered — the hook
+/// telemetry uses to count exact and grid answers.
 ///
 /// # Errors
 ///
@@ -114,8 +117,8 @@ pub fn solve_with_engine(
 }
 
 /// [`solve_with_engine`] with a caller-provided [`SolverScratch`], so
-/// repeated solves (the controller's epoch loop, the fast path's cold
-/// branch, benchmarks) reuse buffers instead of re-allocating them.
+/// repeated solves (the controller's epoch loop, the fast path's memo
+/// misses, benchmarks) reuse buffers instead of re-allocating them.
 ///
 /// # Errors
 ///
@@ -124,18 +127,13 @@ pub fn solve_with_engine_scratch(
     problem: &AllocationProblem,
     scratch: &mut SolverScratch,
 ) -> Result<(Allocation, SolveEngine), CoreError> {
-    let grid = solve_grid_with(problem, scratch);
-    let best = match solve_exact_with(problem, scratch) {
-        Ok(exact) if exact.projected >= grid.projected => Ok((exact, SolveEngine::Exact)),
-        Ok(_) => Ok((grid, SolveEngine::Grid)),
-        // Too many groups for the exact engine: grid stands alone.
-        Err(CoreError::InvalidConfig { .. }) => Ok((grid, SolveEngine::Grid)),
-        Err(other) => Err(other),
+    let answer = if problem.groups().len() <= MAX_EXACT_GROUPS {
+        (solve_exact_with(problem, scratch)?, SolveEngine::Exact)
+    } else {
+        (solve_grid_with(problem, scratch), SolveEngine::Grid)
     };
-    if let Ok((allocation, _)) = &best {
-        audit_allocation(problem, allocation);
-    }
-    best
+    audit_allocation(problem, &answer.0);
+    Ok(answer)
 }
 
 /// The degenerate engine at the bottom of the fallback chain: an even
@@ -238,7 +236,7 @@ mod tests {
     }
 
     #[test]
-    fn solve_is_at_least_as_good_as_either_engine() {
+    fn solve_answers_with_the_exact_engine_up_to_twelve_groups() {
         let a = group(
             0,
             2,
@@ -273,12 +271,11 @@ mod tests {
             },
         );
         let p = AllocationProblem::new(vec![a, b, c], Watts::new(700.0)).unwrap();
-        let combined = solve(&p).unwrap();
-        let exact = solve_exact(&p).unwrap();
-        let grid = solve_grid(&p);
-        assert!(combined.projected >= exact.projected);
-        assert!(combined.projected >= grid.projected);
-        assert!(p.is_feasible(&combined.per_server));
+        let (answer, engine) = solve_with_engine(&p).unwrap();
+        assert_eq!(engine, SolveEngine::Exact);
+        assert_eq!(answer, solve_exact(&p).unwrap());
+        assert!(answer.projected >= solve_grid(&p).projected);
+        assert!(p.is_feasible(&answer.per_server));
     }
 
     #[test]
@@ -363,7 +360,9 @@ mod tests {
             })
             .collect();
         let p = AllocationProblem::new(groups, Watts::new(300.0)).unwrap();
-        let alloc = solve(&p).unwrap();
+        let (alloc, engine) = solve_with_engine(&p).unwrap();
+        assert_eq!(engine, SolveEngine::Grid);
+        assert_eq!(alloc, solve_grid(&p));
         assert!(p.is_feasible(&alloc.per_server));
         assert!(alloc.projected.value() > 0.0);
     }

@@ -1,9 +1,9 @@
 //! The reusable solver workspace.
 //!
-//! Both engines run every scheduling epoch, and before this workspace
-//! existed each call re-allocated its assignment vectors, candidate
-//! lattices, and index scratch on the heap — dozens of allocations per
-//! solve, thousands per simulated day. [`SolverScratch`] owns those
+//! An engine runs on every solve the fast path cannot answer, and before
+//! this workspace existed each call re-allocated its assignment vectors,
+//! candidate lattices, and index scratch on the heap — dozens of
+//! allocations per solve, thousands per simulated day. [`SolverScratch`] owns those
 //! buffers instead: the first solve sizes them, every later solve reuses
 //! them, and the hot loops in `grid.rs` / `exact.rs` stay allocation-free
 //! (enforced by lint rule GH006). The only allocation left per solve is

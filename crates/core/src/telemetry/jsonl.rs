@@ -256,7 +256,7 @@ pub struct ReplayTotals {
     pub cache_misses: u64,
     /// Sum of per-epoch allocation-cache evictions.
     pub cache_evicts: u64,
-    /// Sum of per-epoch warm-started solves.
+    /// Sum of per-epoch solves answered by reusing the previous answer.
     pub warm_starts: u64,
 }
 

@@ -60,21 +60,23 @@ pub mod names {
     pub const FEEDBACK_REJECTED: &str = "greenhetero_feedback_rejected_total";
     /// Profile entries the divergence watchdog quarantined.
     pub const PROFILE_QUARANTINED: &str = "greenhetero_profile_quarantined_total";
-    /// Epochs won by the exact (closed-form) solver engine.
+    /// Epochs answered by the exact (closed-form) solver engine.
     pub const SOLVER_EXACT_WINS: &str = "greenhetero_solver_exact_wins_total";
-    /// Epochs won by the grid-search solver engine.
+    /// Epochs answered by the grid-search solver engine: problems over
+    /// `MAX_EXACT_GROUPS` groups, and the fallback rung.
     pub const SOLVER_GRID_WINS: &str = "greenhetero_solver_grid_wins_total";
     /// Allocation-cache lookups that returned a revalidated stored answer.
     pub const SOLVER_CACHE_HIT: &str = "greenhetero_solver_cache_hit_total";
-    /// Cold solves that consulted the allocation cache and missed.
+    /// Solves that consulted the allocation cache and missed.
     pub const SOLVER_CACHE_MISS: &str = "greenhetero_solver_cache_miss_total";
     /// Allocation-cache entries displaced by LRU eviction.
     pub const SOLVER_CACHE_EVICT: &str = "greenhetero_solver_cache_evict_total";
-    /// Solves answered by the warm-start path (reuse or exact-first).
+    /// Solves answered by reusing the previous solve's answer.
     pub const SOLVER_WARM_START: &str = "greenhetero_solver_warm_start_total";
-    /// Sampled observe-only grid cross-checks run on the warm path.
+    /// Grid cross-checks of the exact engine. None run since the exact
+    /// engine answers alone; the counter stays registered and reads 0.
     pub const SOLVER_CROSS_CHECK: &str = "greenhetero_solver_cross_check_total";
-    /// Cross-checks where the grid beat the returned exact answer.
+    /// Cross-checks where the grid beat the exact answer; reads 0.
     pub const SOLVER_CROSS_CHECK_GRID_WIN: &str = "greenhetero_solver_cross_check_grid_win_total";
     /// Epochs spent running training plans.
     pub const TRAINING_RUNS: &str = "greenhetero_training_runs_total";

@@ -108,7 +108,7 @@ pub struct EpochEvent {
     pub cache_misses: u32,
     /// Solver allocation-cache evictions this epoch.
     pub cache_evicts: u32,
-    /// Solves the warm-start path answered this epoch.
+    /// Solves answered by reusing the previous answer this epoch.
     pub warm_starts: u32,
 }
 

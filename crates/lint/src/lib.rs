@@ -219,7 +219,8 @@ fn is_crate_src(path: &str) -> bool {
 }
 
 /// `true` for the hot-loop kernel modules, where heap allocation is
-/// banned (GH006): the solver's two engines, which run every epoch, and
+/// banned (GH006): the solver's two engines, one of which runs every
+/// epoch, and
 /// the end-epoch kernels (Holt α/β training and the quadratic refit),
 /// which run on every retrain and every feedback sample. The solver's
 /// `scratch.rs` is deliberately out of scope: it is the one solver
