@@ -190,16 +190,16 @@ pub fn is_bounded_channel_scope(path: &str) -> bool {
 }
 
 /// `true` for the files allowed to create OS threads directly (GH012):
-/// the work-stealing pool, the sharded runner, and the serve layer's
-/// fixed supervision threads (accept loop, spawner, watchdog). All
-/// other library code must submit tasks to the pool, so the process
-/// thread count stays a structural invariant instead of a function of
-/// load.
+/// the scheduler (the work-stealing pool and the scoped lock-step
+/// executor that fleets and sweeps run on) and the serve layer's fixed
+/// supervision threads (accept loop, spawner, watchdog). All other
+/// library code must hand its work to one of the two executors, so the
+/// process thread count stays a structural invariant instead of a
+/// function of load.
 #[must_use]
 pub fn is_thread_spawn_site(path: &str) -> bool {
     [
         "crates/sim/src/sched.rs",
-        "crates/sim/src/runner.rs",
         "crates/serve/src/supervisor.rs",
         "crates/serve/src/daemon.rs",
     ]
@@ -527,8 +527,8 @@ mod tests {
 
     #[test]
     fn gh012_exempts_the_scheduler_allowlist() {
-        // The same spawn is flagged in session code but sanctioned in
-        // the pool, the runner, and the supervisor/daemon threads.
+        // The same spawn is flagged in session and sweep code but
+        // sanctioned in the scheduler and the supervisor/daemon threads.
         let src = "fn f() { std::thread::spawn(|| ()); }\n";
         let diags = analyze_files(&[
             file("crates/serve/src/session.rs", src),
@@ -542,7 +542,10 @@ mod tests {
             .filter(|d| d.rule == "GH012")
             .map(|d| d.file.as_str())
             .collect();
-        assert_eq!(hits, vec!["crates/serve/src/session.rs"]);
+        assert_eq!(
+            hits,
+            vec!["crates/serve/src/session.rs", "crates/sim/src/runner.rs"]
+        );
     }
 
     #[test]

@@ -24,23 +24,24 @@
 //!   same budget bucket, full-equality revalidation on hit) pay one cold
 //!   solve and reuse the answer. Attaching, detaching, or resizing the
 //!   cache never changes a single output bit (DESIGN.md §14).
-//! * **Work-stolen lock-step epochs.** Racks are grouped into
-//!   contiguous batches and dispatched onto the work-stealing epoch
-//!   executor ([`crate::sched::run_epoch_batches`]): within an epoch,
-//!   whichever worker is free steals the next batch, and a dependency
-//!   counter (not a barrier) detects epoch completion. The worker that
-//!   finishes the last batch becomes the rollover leader: it folds every
-//!   batch's epoch records into the fleet accumulators **in ascending
-//!   rack order** (never completion order), flushes the shared event
-//!   sink through the finished epoch, and seeds the next one — so every
+//! * **Lock-step epochs on the scoped executor.** Racks are grouped into
+//!   contiguous batches and run on [`crate::sched::run_epoch_batches`]:
+//!   within an epoch, each worker claims the next unclaimed batch, and
+//!   once every batch has stepped, the calling thread folds each batch's
+//!   epoch records into the fleet accumulators **in ascending rack
+//!   order** (never completion order), flushes the shared event sink
+//!   through the finished epoch, and starts the next one — so every
 //!   float sum is a fixed-order reduction and the fleet CSV/JSONL is
-//!   byte-identical at any worker count. Records are folded at the
-//!   rollover and dropped: resident state is O(racks), not
+//!   byte-identical at any worker count. Records are folded as each
+//!   epoch ends and dropped: resident state is O(racks), not
 //!   O(racks × epochs), which is what lets 100k-rack fleets fit a
 //!   per-rack RSS budget (BENCH_fleet.json gates it).
 //!
 //! [`FleetSpec::run_sequential`] is the plain one-rack-after-another
-//! reference implementation the lock-step engine is tested against.
+//! reference implementation the lock-step engine is tested against. It
+//! folds each finished rack's records rack-major and reads the rack's
+//! figures off [`RunReport`]'s methods, then hands both to the same
+//! assembly step [`FleetSpec::run`] ends with.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -129,12 +130,12 @@ impl FleetSpec {
         self.base.validate()
     }
 
-    /// Runs the fleet in lock-step on the work-stealing epoch scheduler.
+    /// Runs the fleet in lock-step on the scoped epoch executor.
     ///
-    /// Rack batches are stolen by whichever of the `workers` pool
-    /// threads is free; the rollover leader folds each finished epoch
-    /// into streaming fleet accumulators in ascending rack order and
-    /// drops the per-epoch records, so resident state stays O(racks).
+    /// Rack batches are claimed by whichever of the `workers` threads is
+    /// free; at the end of each epoch the calling thread folds it into
+    /// streaming fleet accumulators in ascending rack order and drops
+    /// the per-epoch records, so resident state stays O(racks).
     ///
     /// # Errors
     ///
@@ -144,10 +145,11 @@ impl FleetSpec {
     pub fn run(&self) -> Result<FleetReport, CoreError> {
         self.validate()?;
         let substrate = self.substrate()?;
-        let workers = self.resolved_workers();
+        // The executor never runs more threads than there are racks.
+        let workers = self.resolved_workers().clamp(1, self.racks as usize);
         let sims = self.build_sims(&substrate)?;
         let sink = substrate.shared_sink.as_deref();
-        let stream = run_lock_step_sched(sims, workers, sink)?;
+        let stream = run_lock_step(sims, workers, sink)?;
         if let Some(sink) = sink {
             sink.flush_all();
         }
@@ -157,6 +159,11 @@ impl FleetSpec {
     /// Runs each rack to completion, one after another, with no worker
     /// pool and no lock-step — the plain reference the parallel engine
     /// must match byte for byte.
+    ///
+    /// Its fold schedule is its own: each rack's whole record stream,
+    /// rack-major, and each rack's figures come from [`RunReport`]'s
+    /// methods rather than the lock-step loop's streaming sums. Only the
+    /// final assembly is shared with [`Self::run`].
     ///
     /// # Errors
     ///
@@ -175,7 +182,21 @@ impl FleetSpec {
         if let Some(sink) = &substrate.shared_sink {
             sink.flush_all();
         }
-        Ok(self.reduce(reports, 1, substrate.solve_stats()))
+        let template: Vec<(EpochId, SimTime)> = reports
+            .first()
+            .map(|r| r.epochs.iter().map(|rec| (rec.epoch, rec.time)).collect())
+            .unwrap_or_default();
+        let mut columns = FleetColumns::zeroed(template.len());
+        for report in &reports {
+            columns.fold_rack(&report.epochs);
+        }
+        let racks = reports.into_iter().map(RackResult::of_report).collect();
+        let stream = FleetStream {
+            columns,
+            template,
+            racks,
+        };
+        Ok(self.assemble(stream, 1, substrate.solve_stats()))
     }
 
     /// The worker count this spec resolves to (before clamping to the
@@ -252,34 +273,30 @@ impl FleetSpec {
             .collect()
     }
 
-    /// Assembles the fleet report from the streaming lock-step loop's
-    /// output: columns already folded epoch-major in rack order, plus
-    /// per-rack results harvested in rack order. Mirrors [`reduce`] —
-    /// the record-vector reduction `run_sequential` still uses as the
-    /// byte-identity oracle — add for add, in the same order.
-    ///
-    /// [`reduce`]: Self::reduce
+    /// Assembles the fleet report from folded columns, the epoch
+    /// template and per-rack results in rack order — the one reduction
+    /// both [`Self::run`] and [`Self::run_sequential`] end with.
     fn assemble(
         &self,
         stream: FleetStream,
         workers: usize,
         shared_solve: SharedSolveStats,
     ) -> FleetReport {
-        let racks = stream.lanes.len();
+        let racks = stream.racks.len();
         let epochs = stream.columns.into_fleet_records(&stream.template, racks);
 
         let mut ledger = RunLedger::default();
-        for lane in &stream.lanes {
-            ledger.merge(&lane.report.ledger);
+        for rack in &stream.racks {
+            ledger.merge(&rack.ledger);
         }
 
         let mut mean_epu = 0.0;
         let rack_summaries: Vec<RackSummary> = stream
-            .lanes
+            .racks
             .iter()
             .enumerate()
-            .map(|(rack_id, lane)| {
-                mean_epu += lane.report.epu().value();
+            .map(|(rack_id, rack)| {
+                mean_epu += rack.epu.value();
                 RackSummary {
                     rack_id: rack_id as u32,
                     seed: mix_seed(self.base.seed, rack_id as u32),
@@ -288,84 +305,16 @@ impl FleetSpec {
                         self.base.seed,
                         rack_id as u32,
                     ),
-                    mean_throughput: lane.mean_throughput(),
-                    epu: lane.report.epu(),
-                    grid_cost: lane.report.grid_cost,
-                    battery_cycles: lane.report.battery_cycles,
-                    unserved_energy_wh: lane.unserved_energy.value(),
-                    degraded_epochs: lane.degraded_epochs,
+                    mean_throughput: rack.mean_throughput,
+                    epu: rack.epu,
+                    grid_cost: rack.grid_cost,
+                    battery_cycles: rack.battery_cycles,
+                    unserved_energy_wh: rack.unserved_energy.value(),
+                    degraded_epochs: rack.degraded_epochs,
                 }
             })
             .collect();
         mean_epu /= racks.max(1) as f64;
-
-        FleetReport {
-            racks: self.racks,
-            workers,
-            epochs,
-            rack_summaries,
-            mean_epu: Ratio::saturating(mean_epu),
-            ledger,
-            shared_solve,
-        }
-    }
-
-    /// Deterministic reduction: folds per-rack reports into the fleet
-    /// report in rack order, whatever order the workers finished in.
-    /// This record-vector form is retained as the sequential oracle's
-    /// reduction ([`Self::run_sequential`]); the scheduler path streams
-    /// the same fold via [`Self::assemble`].
-    ///
-    /// The per-epoch aggregation is a structure-of-arrays pass: one
-    /// column per aggregate field, each rack's record stream scanned
-    /// contiguously (rack-major). For any fixed (epoch, field) the
-    /// additions still land in ascending rack order, so every float sum
-    /// is the same fixed-order reduction as a record-at-a-time fold —
-    /// bit-identical results, but the hot loop walks one rack's
-    /// contiguous records instead of striding across N report vectors
-    /// per epoch.
-    fn reduce(
-        &self,
-        reports: Vec<RunReport>,
-        workers: usize,
-        shared_solve: SharedSolveStats,
-    ) -> FleetReport {
-        let epochs_per_rack = reports.first().map_or(0, |r| r.epochs.len());
-        let mut columns = FleetColumns::zeroed(epochs_per_rack);
-        for report in &reports {
-            columns.fold_rack(&report.epochs);
-        }
-        let epochs = columns.into_records(&reports[0].epochs, reports.len());
-
-        let mut ledger = RunLedger::default();
-        for report in &reports {
-            ledger.merge(&report.ledger);
-        }
-
-        let mut mean_epu = 0.0;
-        let rack_summaries: Vec<RackSummary> = reports
-            .iter()
-            .enumerate()
-            .map(|(rack_id, report)| {
-                mean_epu += report.epu().value();
-                RackSummary {
-                    rack_id: rack_id as u32,
-                    seed: mix_seed(self.base.seed, rack_id as u32),
-                    solar_scale: rack_solar_scale(
-                        self.solar_scale_spread,
-                        self.base.seed,
-                        rack_id as u32,
-                    ),
-                    mean_throughput: report.mean_throughput(),
-                    epu: report.epu(),
-                    grid_cost: report.grid_cost,
-                    battery_cycles: report.battery_cycles,
-                    unserved_energy_wh: report.unserved_energy.value(),
-                    degraded_epochs: report.degraded_epochs,
-                }
-            })
-            .collect();
-        mean_epu /= reports.len().max(1) as f64;
 
         FleetReport {
             racks: self.racks,
@@ -400,7 +349,7 @@ impl Substrate {
 }
 
 /// One epoch of the whole fleet in columns, one `Vec` per aggregate
-/// field — the SoA accumulator behind [`FleetSpec::reduce`]. SoC sums
+/// field — the SoA accumulator behind [`FleetSpec::assemble`]. SoC sums
 /// live in unclamped `f64`s (a [`Ratio`] would saturate at 1.0 as soon
 /// as two racks fold in); only the final mean becomes a `Ratio` again.
 #[derive(Debug)]
@@ -448,7 +397,7 @@ impl FleetColumns {
     /// Bit-identity invariant: for any fixed (epoch, field) cell the
     /// additions must land in ascending rack order. Both callers honour
     /// it — [`fold_rack`](Self::fold_rack) visits racks in ascending
-    /// order rack-major, and the scheduler's rollover leader folds
+    /// order rack-major, and the lock-step loop's epoch fold visits
     /// batches (contiguous ascending rack ranges) in ascending batch
     /// order epoch-major — so the two fold schedules produce the same
     /// fixed-order f64 reduction per cell, bit for bit.
@@ -482,14 +431,6 @@ impl FleetColumns {
     /// Assembles the columns back into per-epoch records. `template`
     /// supplies the per-slot epoch id and time (lock-step: identical for
     /// every rack); `racks` divides the SoC sums into means.
-    fn into_records(self, template: &[EpochRecord], racks: usize) -> Vec<FleetEpochRecord> {
-        let pairs: Vec<(EpochId, SimTime)> = template.iter().map(|t| (t.epoch, t.time)).collect();
-        self.into_fleet_records(&pairs, racks)
-    }
-
-    /// [`into_records`](Self::into_records) over a bare (epoch id, time)
-    /// template — the form the streaming fold captures, since it never
-    /// retains whole [`EpochRecord`]s.
     fn into_fleet_records(
         self,
         template: &[(EpochId, SimTime)],
@@ -525,9 +466,9 @@ impl FleetColumns {
 /// stream (or caller sink) while registries stay per-rack.
 ///
 /// Epoch events are buffered keyed by (epoch, rack id) and forwarded in
-/// key order when the run loops call [`flush_through`] at epoch
-/// boundaries (all of epoch *e*'s events exist before any worker passes
-/// the barrier into *e + 1*), so the emitted line order is a pure
+/// key order when the lock-step loop calls [`flush_through`] at epoch
+/// boundaries (all of epoch *e*'s events exist before any batch starts
+/// *e + 1*), so the emitted line order is a pure
 /// function of the spec at any worker count. Lock-step runs hold at most
 /// one epoch of events; the sequential reference buffers the whole run
 /// and flushes once. Spans carry no rack id and are forwarded
@@ -672,11 +613,11 @@ pub fn pretrain_database(rack: &Rack, base: &Scenario) -> Result<PerfDatabase, C
     Ok(db)
 }
 
-/// One rack riding through the work-stealing epoch loop: its simulation,
+/// One rack riding through the lock-step epoch loop: its simulation,
 /// its streaming per-rack accumulators (mirroring the formulas
 /// `RunReport` computes from full record vectors, in the same epoch
 /// order, so the results are bit-identical), the record awaiting the
-/// next rollover fold, and its error slot.
+/// epoch's fold, and its error slot.
 struct RackLane {
     rack_id: u32,
     sim: Simulation,
@@ -689,21 +630,7 @@ struct RackLane {
     error: Option<CoreError>,
 }
 
-/// A contiguous ascending run of rack lanes — the unit of stealing.
-struct FleetBatch {
-    lanes: Vec<RackLane>,
-}
-
-/// One rack's end-of-run harvest from the streaming loop.
-struct RackResult {
-    report: RunReport,
-    steady_sum: f64,
-    steady_count: u64,
-    unserved_energy: WattHours,
-    degraded_epochs: u64,
-}
-
-impl RackResult {
+impl RackLane {
     /// Streaming mirror of [`RunReport::mean_throughput`]: the same
     /// epoch-order left-fold sum over non-training epochs, divided by
     /// their count — bit-identical to the record-vector form.
@@ -715,43 +642,77 @@ impl RackResult {
     }
 }
 
-/// Everything the streaming lock-step loop hands back for assembly.
+/// A contiguous ascending run of rack lanes — the unit a worker claims.
+struct FleetBatch {
+    lanes: Vec<RackLane>,
+}
+
+/// One rack's end-of-run figures: everything [`FleetSpec::assemble`]
+/// reads per rack.
+struct RackResult {
+    mean_throughput: Throughput,
+    epu: Ratio,
+    grid_cost: f64,
+    battery_cycles: f64,
+    unserved_energy: WattHours,
+    degraded_epochs: u64,
+    ledger: RunLedger,
+}
+
+impl RackResult {
+    /// Reads a finished rack's figures off its report.
+    fn of_report(report: RunReport) -> Self {
+        RackResult {
+            mean_throughput: report.mean_throughput(),
+            epu: report.epu(),
+            grid_cost: report.grid_cost,
+            battery_cycles: report.battery_cycles,
+            unserved_energy: report.unserved_energy,
+            degraded_epochs: report.degraded_epochs,
+            ledger: report.ledger,
+        }
+    }
+}
+
+/// A fleet run's reduction inputs: the folded columns, the epoch
+/// template, and per-rack results in rack order.
 struct FleetStream {
     columns: FleetColumns,
     template: Vec<(EpochId, SimTime)>,
-    lanes: Vec<RackResult>,
+    racks: Vec<RackResult>,
 }
 
-/// Lock-step on the work-stealing epoch scheduler: contiguous rack
-/// batches are stolen within each epoch by whichever worker is free,
-/// and the rollover leader folds the finished epoch's records into the
-/// fleet columns in ascending batch (= rack) order, flushes the shared
-/// sink through that epoch, and drops the records — streaming the whole
-/// reduction so resident state is O(racks), not O(racks × epochs).
+/// Lock-step on the scoped epoch executor: workers claim contiguous
+/// rack batches within each epoch, and at each epoch's end the calling
+/// thread folds the epoch's records into the fleet columns in ascending
+/// batch (= rack) order, flushes the shared sink through that epoch,
+/// and drops the records — streaming the whole reduction so resident
+/// state is O(racks), not O(racks × epochs). `workers` is already
+/// clamped to the rack count.
 ///
-/// A failing rack stops its own batch mid-epoch and raises the abort:
-/// the run ends once the current epoch's dependency counter drains, the
-/// failed epoch is neither folded nor flushed (the `SharedSink` drop
-/// backstop still emits the ordered prefix of earlier epochs), and the
-/// first error in rack order is returned — independent of worker count.
-fn run_lock_step_sched(
+/// A failing rack stops its own batch mid-epoch and reports the
+/// failure: the run ends once every batch has stepped the current
+/// epoch, the failed epoch is neither folded nor flushed (the
+/// `SharedSink` drop backstop still emits the ordered prefix of earlier
+/// epochs), and the first error in rack order is returned — independent
+/// of worker count.
+fn run_lock_step(
     sims: Vec<Simulation>,
     workers: usize,
     sink: Option<&SharedSink>,
 ) -> Result<FleetStream, CoreError> {
     let total = sims.len();
-    let workers = workers.clamp(1, total.max(1));
     let epochs_total = sims.first().map_or(0, Simulation::epochs_total);
     let Some(epoch_len) = sims.first().map(|s| s.scenario().controller.epoch_len) else {
         return Ok(FleetStream {
             columns: FleetColumns::zeroed(0),
             template: Vec::new(),
-            lanes: Vec::new(),
+            racks: Vec::new(),
         });
     };
 
-    // ~4 batches per worker: fine enough for stealing to balance
-    // unequal rack costs, coarse enough to amortize dispatch.
+    // ~4 batches per worker: fine enough for the shared claim cursor to
+    // balance unequal rack costs, coarse enough to amortize each claim.
     let chunk = total.div_ceil((workers * 4).max(1)).max(1);
     let mut batches: Vec<FleetBatch> = Vec::with_capacity(total.div_ceil(chunk));
     let mut lanes: Vec<RackLane> = Vec::with_capacity(chunk);
@@ -804,8 +765,8 @@ fn run_lock_step_sched(
         }
         true
     };
-    // Called only by the rollover leader, batches in ascending order —
-    // the lock is uncontended sequencing, not synchronization.
+    // Called only on the calling thread, batches in ascending order: the
+    // lock is uncontended, and only there because `fold` must be `Sync`.
     let fold = |epoch: u64, batch: &mut FleetBatch| {
         let mut guard = fold_state.lock().unwrap_or_else(PoisonError::into_inner);
         let (columns, template) = &mut *guard;
@@ -836,23 +797,22 @@ fn run_lock_step_sched(
     let (columns, template) = fold_state
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner);
-    let lanes = done
+    let racks = done
         .into_iter()
         .map(|lane| RackResult {
-            // Record-derived report fields were computed streaming; the
-            // empty-record finish harvests the rest (grid totals,
-            // battery cycles, ledger, EPU) from the simulation state.
-            report: lane.sim.finish(Vec::new(), lane.epu),
-            steady_sum: lane.steady_sum,
-            steady_count: lane.steady_count,
+            mean_throughput: lane.mean_throughput(),
             unserved_energy: lane.unserved_energy,
             degraded_epochs: lane.degraded_epochs,
+            // Record-derived figures were computed streaming; the
+            // empty-record finish harvests the rest (grid totals,
+            // battery cycles, ledger, EPU) from the simulation state.
+            ..RackResult::of_report(lane.sim.finish(Vec::new(), lane.epu))
         })
         .collect();
     Ok(FleetStream {
         columns,
         template,
-        lanes,
+        racks,
     })
 }
 
@@ -923,8 +883,9 @@ pub struct RackSummary {
 pub struct FleetReport {
     /// Racks simulated.
     pub racks: u32,
-    /// Workers the lock-step loop ran on (1 for the sequential
-    /// reference) — reported for provenance; never affects the numbers.
+    /// Threads the lock-step loop ran on: the requested width clamped to
+    /// the rack count (1 for the sequential reference) — reported for
+    /// provenance; never affects the numbers.
     pub workers: usize,
     /// Fleet-wide per-epoch aggregates, summed in rack order.
     pub epochs: Vec<FleetEpochRecord>,
@@ -1090,6 +1051,18 @@ mod tests {
         // seeds differ) three times the power of one.
         let ratio = three.epochs[40].load.value() / one.epochs[40].load.value();
         assert!((2.5..3.5).contains(&ratio), "load ratio {ratio}");
+    }
+
+    #[test]
+    fn report_records_the_width_the_run_used() {
+        let mut spec = tiny_fleet(3);
+        spec.workers = 16;
+        let report = spec.run().unwrap();
+        assert_eq!(
+            report.workers, 3,
+            "16 workers over 3 racks run on 3 threads"
+        );
+        assert_eq!(tiny_fleet(3).run_sequential().unwrap().workers, 1);
     }
 
     #[test]

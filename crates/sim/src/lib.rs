@@ -11,6 +11,11 @@
 //!   brownouts, telemetry gaps) the engine injects mid-run;
 //! * [`intensity`] — offered-load profiles (constant / diurnal);
 //! * [`runner`] — parallel policy comparisons and parameter sweeps;
+//! * [`fleet`] — N racks in lock-step epochs on a shared substrate,
+//!   reduced in rack order;
+//! * [`sched`] — the two executors: a work-stealing pool for the
+//!   daemon's long-lived sessions, and a scoped lock-step executor for
+//!   fleet epochs and sweeps;
 //! * [`report`] — per-epoch records, run summaries and CSV export.
 //!
 //! ```no_run
@@ -40,5 +45,5 @@ pub mod report;
 pub mod runner;
 /// Scenario builder: datacenter composition, traces, and policy.
 pub mod scenario;
-/// Work-stealing epoch scheduler: bounded pools for sessions and fleets.
+/// Epoch schedulers: a session pool and a scoped fleet/sweep executor.
 pub mod sched;

@@ -2,12 +2,11 @@
 //!
 //! The paper's figures compare the five Table III policies across
 //! workloads, server combinations and grid budgets. These helpers run the
-//! cross-products, in parallel across OS threads (each simulation is
-//! independent and seeded).
+//! cross-products in parallel on the scoped executor
+//! ([`crate::sched::run_epoch_batches`]); each simulation is independent
+//! and seeded.
 
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use greenhetero_core::error::CoreError;
@@ -17,6 +16,7 @@ use greenhetero_core::types::Watts;
 use crate::engine::Simulation;
 use crate::report::RunReport;
 use crate::scenario::Scenario;
+use crate::sched::run_epoch_batches;
 
 /// The outcome of one (policy, scenario) cell.
 #[derive(Debug)]
@@ -69,10 +69,11 @@ pub fn compare_policies(
 /// Runs every scenario on a bounded worker pool and collects the reports
 /// in input order.
 ///
-/// The pool holds [`std::thread::available_parallelism`] workers (capped
-/// at the scenario count), not one thread per scenario: a 500-cell sweep
-/// on an 8-core box runs 8 simulations at a time instead of spawning 500
-/// OS threads. Each run's telemetry records how long it waited in the
+/// The scenarios run as one epoch of one-scenario batches on
+/// [`run_epoch_batches`], at [`worker_count`] threads (capped at the
+/// scenario count), not one thread per scenario: a 500-cell sweep on an
+/// 8-core box runs 8 simulations at a time instead of spawning 500 OS
+/// threads. Each run's telemetry records how long it waited in the
 /// queue before a worker picked it up
 /// ([`names::RUNNER_QUEUE_WAIT_SECONDS`](greenhetero_core::telemetry::names::RUNNER_QUEUE_WAIT_SECONDS)).
 ///
@@ -82,23 +83,33 @@ pub fn compare_policies(
 /// panic is resumed on the calling thread.
 pub fn run_all(scenarios: Vec<Scenario>) -> Result<Vec<RunReport>, CoreError> {
     let queued_at = Instant::now();
-    let results = run_bounded(scenarios, worker_count(), |scenario| {
-        let waited = queued_at.elapsed();
-        let sim = Simulation::new(scenario)?;
-        sim.note_queue_wait(waited);
-        sim.run()
-    });
-    results
+    let cells: Vec<Cell> = scenarios
         .into_iter()
-        .map(|slot| {
-            slot.unwrap_or_else(|| {
+        .map(|scenario| (Some(scenario), None))
+        .collect();
+    let run_cell = |(scenario, outcome): &mut Cell, _epoch: u64| {
+        *outcome = scenario.take().map(|scenario| {
+            let waited = queued_at.elapsed();
+            let sim = Simulation::new(scenario)?;
+            sim.note_queue_wait(waited);
+            sim.run()
+        });
+        true
+    };
+    run_epoch_batches(worker_count(), 1, cells, &run_cell, &|_, _| {}, &|_| {})
+        .into_iter()
+        .map(|(_, outcome)| {
+            outcome.unwrap_or_else(|| {
                 Err(CoreError::InvalidConfig {
-                    reason: "sweep worker pool dropped a scenario result".into(),
+                    reason: "sweep executor never ran a scenario".into(),
                 })
             })
         })
         .collect()
 }
+
+/// One sweep cell: its scenario until a worker takes it, then its outcome.
+type Cell = (Option<Scenario>, Option<Result<RunReport, CoreError>>);
 
 /// The worker-pool width: the `GH_SIM_THREADS` environment variable when
 /// set to a positive integer (clamped to ≥ 1 — CI and benchmarks use it
@@ -144,58 +155,6 @@ fn worker_count_from(override_: Option<&str>) -> (usize, Option<String>) {
             )
         }
     }
-}
-
-/// Runs `f` over `items` on at most `workers` scoped threads, returning
-/// per-item results in input order.
-///
-/// Workers claim items through a shared atomic cursor, so ordering of
-/// *execution* is first-come-first-served while ordering of *results* is
-/// positional. A panicking `f` is resumed on the calling thread once the
-/// pool unwinds. A `None` slot can only result from such a panic (the
-/// claimed item never finished).
-fn run_bounded<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<Option<R>>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let total = items.len();
-    let workers = workers.clamp(1, total.max(1));
-    let cursor = AtomicUsize::new(0);
-    let items: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..total).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| loop {
-                    let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    if index >= total {
-                        break;
-                    }
-                    let item = items[index]
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .take();
-                    if let Some(item) = item {
-                        let result = f(item);
-                        *results[index]
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner) = Some(result);
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            handle
-                .join()
-                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-        }
-    });
-    results
-        .into_iter()
-        .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
-        .collect()
 }
 
 /// Normalized performance of each policy relative to a baseline policy
@@ -400,21 +359,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_preserves_order_with_more_items_than_workers() {
-        let items: Vec<usize> = (0..23).collect();
-        let results = run_bounded(items, 3, |x| x * 2);
-        let got: Vec<usize> = results.into_iter().map(Option::unwrap).collect();
-        assert_eq!(got, (0..23).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn pool_with_single_worker_completes_everything() {
-        let results = run_bounded((0..7).collect(), 1, |x: u32| x + 1);
-        assert!(results.iter().all(Option::is_some));
-        assert_eq!(results.len(), 7);
-    }
-
-    #[test]
     fn run_all_completes_more_scenarios_than_cores() {
         let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         let n = cores + 2;
@@ -444,17 +388,6 @@ mod tests {
             err.to_string().contains("day"),
             "expected the earlier (days=0) failure, got: {err}"
         );
-    }
-
-    #[test]
-    fn worker_panic_is_resumed_on_the_caller() {
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_bounded((0..5).collect(), 2, |x: u32| {
-                assert!(x != 3, "boom on item 3");
-                x
-            })
-        }));
-        assert!(caught.is_err(), "pool should resume the worker panic");
     }
 
     #[test]

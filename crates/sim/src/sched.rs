@@ -1,7 +1,5 @@
-//! Work-stealing epoch scheduler: a bounded worker pool that hosts
-//! thousands of poll-able tasks on ~`available_parallelism` OS threads.
-//!
-//! Two execution surfaces share the same stealing machinery:
+//! Epoch schedulers: a work-stealing pool for long-lived sessions and a
+//! scoped lock-step executor for fleets and sweeps.
 //!
 //! * [`TaskPool`] — a long-lived pool for the serving daemon. Each rack
 //!   session is a [`PollTask`] that advances one epoch (or one waiting
@@ -11,22 +9,32 @@
 //!   ticks) return [`TaskPoll::After`] and are parked on a timer wheel
 //!   rather than blocking a worker.
 //! * [`run_epoch_batches`] — a scoped, lock-step executor for fleet
-//!   runs. Rack batches are work-stolen *within* an epoch, but a
-//!   dependency counter (not a barrier) detects epoch completion: the
-//!   worker that finishes the last batch becomes the rollover leader,
-//!   folds every batch **in ascending batch order** (= rack order), and
-//!   re-seeds the next epoch. Execution order is free; reduction order
-//!   is pinned — which is exactly the determinism contract the fleet
-//!   byte-identity suite enforces.
+//!   epochs and sweeps. The calling thread works beside `workers − 1`
+//!   scoped helpers that start once per run. Within an epoch every
+//!   thread claims the next batch through one atomic cursor; once each
+//!   helper has answered, the calling thread folds every batch **in
+//!   ascending batch order** (= rack order) and starts the next epoch.
+//!   Execution order is free; reduction order is pinned — which is
+//!   exactly the determinism contract the fleet byte-identity suite
+//!   enforces.
+//!
+//! There are two because the work has two lifetimes. Pool tasks are
+//! `Box<dyn PollTask>` that outlive any caller, so they must be
+//! `'static`. Fleet and sweep closures borrow the caller's stack (the
+//! fleet's fold state, a sweep's scenarios and results), which in safe
+//! Rust only scoped threads can run. Neither keeps a hand-written join
+//! protocol: the executor's epoch hand-off is a pair of bounded channels
+//! per helper.
 //!
 //! Determinism proof obligation (see DESIGN.md §15): no task may derive
-//! behaviour from worker identity, steal order, or wall-clock readings;
+//! behaviour from worker identity, claim order, or wall-clock readings;
 //! those inputs exist only in this module and never flow into task
 //! state. Everything a task computes is a function of its own spec and
 //! its own step counter.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -341,169 +349,33 @@ impl Drop for TaskPool {
 }
 
 // ---------------------------------------------------------------------------
-// Scoped lock-step executor for fleet epochs.
+// Scoped lock-step executor for fleet epochs and sweeps.
 // ---------------------------------------------------------------------------
 
-struct ExecShared<'a, B> {
-    slots: Vec<Mutex<B>>,
-    queues: Vec<Mutex<VecDeque<usize>>>,
-    /// Batches still unfinished in the current epoch; the worker that
-    /// takes it to zero is the rollover leader. Published (with `cur`)
-    /// *before* the queues are seeded: a worker may pop a fresh batch,
-    /// finish it and decrement the moment it is seeded, and a store
-    /// after that would overwrite the decrement, so the epoch would never
-    /// reach zero.
-    remaining: AtomicUsize,
-    /// Current epoch, guarded by a mutex so idle workers can condvar-wait
-    /// for the rollover.
-    epoch: Mutex<u64>,
-    /// Lock-free mirror of `epoch` for the hot stepping path. The leader
-    /// publishes in this order: `cur`, then `remaining`, then the seeded
-    /// queues. Popping a batch id synchronizes with the seeding (through
-    /// the queue mutex), so the popping worker sees the epoch and count
-    /// that batch belongs to.
-    cur: AtomicU64,
-    rollover: Condvar,
-    abort: AtomicBool,
-    done: AtomicBool,
-    steals: AtomicU64,
-    epochs: u64,
-    step: &'a (dyn Fn(&mut B, u64) -> bool + Sync),
-    fold: &'a (dyn Fn(u64, &mut B) + Sync),
-    epoch_done: &'a (dyn Fn(u64) + Sync),
-}
-
-impl<B> ExecShared<'_, B> {
-    /// Distributes batch ids across worker deques for one epoch, in
-    /// round-robin order so every worker starts with a local share.
-    fn seed_queues(&self) {
-        for (w, queue) in self.queues.iter().enumerate() {
-            let mut queue = queue.lock().unwrap_or_else(PoisonError::into_inner);
-            queue.clear();
-            queue.extend((w..self.slots.len()).step_by(self.queues.len()));
-        }
-    }
-
-    fn next_batch(&self, me: usize) -> Option<usize> {
-        if let Some(id) = self.queues[me]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop_front()
-        {
-            return Some(id);
-        }
-        for offset in 1..self.queues.len() {
-            let victim = (me + offset) % self.queues.len();
-            if let Some(id) = self.queues[victim]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .pop_back()
-            {
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                return Some(id);
-            }
-        }
-        None
-    }
-
-    /// Folds the finished epoch in ascending batch order, flushes it,
-    /// and either seeds the next epoch or marks the run complete.
-    fn rollover_leader(&self) {
-        let mut epoch = self.epoch.lock().unwrap_or_else(PoisonError::into_inner);
-        let e = *epoch;
-        if !self.abort.load(Ordering::Acquire) {
-            for slot in &self.slots {
-                let mut batch = slot.lock().unwrap_or_else(PoisonError::into_inner);
-                (self.fold)(e, &mut batch);
-            }
-            (self.epoch_done)(e);
-        }
-        if self.abort.load(Ordering::Acquire) || e + 1 >= self.epochs {
-            self.done.store(true, Ordering::Release);
-        } else {
-            self.cur.store(e + 1, Ordering::Release);
-            self.remaining.store(self.slots.len(), Ordering::Release);
-            self.seed_queues();
-            *epoch = e + 1;
-        }
-        drop(epoch);
-        self.rollover.notify_all();
-    }
-
-    fn worker_loop(&self, me: usize) {
-        let mut seen_epoch = 0u64;
-        loop {
-            if self.done.load(Ordering::Acquire) {
-                return;
-            }
-            if let Some(id) = self.next_batch(me) {
-                // Popping an id synchronizes (via the queue mutex) with
-                // the leader's `cur` store before it seeded the queue.
-                seen_epoch = self.cur.load(Ordering::Acquire);
-                let failed = {
-                    let mut batch = self.slots[id]
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner);
-                    !(self.step)(&mut batch, seen_epoch)
-                };
-                if failed {
-                    self.abort.store(true, Ordering::Release);
-                }
-                if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    self.rollover_leader();
-                }
-                continue;
-            }
-            // Out of batches this epoch: wait for the rollover leader.
-            let mut epoch = self.epoch.lock().unwrap_or_else(PoisonError::into_inner);
-            while *epoch == seen_epoch && !self.done.load(Ordering::Acquire) {
-                epoch = self
-                    .rollover
-                    .wait(epoch)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            seen_epoch = *epoch;
-        }
-    }
-}
-
-/// Releases waiting sibling workers if this worker's `step`/`fold`
-/// panics mid-epoch — without it the scope join would deadlock on the
-/// rollover condvar while the panic waits to propagate.
-struct PanicRelease<'a, 'b, B> {
-    shared: &'a ExecShared<'b, B>,
-}
-
-impl<B> Drop for PanicRelease<'_, '_, B> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.shared.done.store(true, Ordering::Release);
-            self.shared.abort.store(true, Ordering::Release);
-            self.shared.rollover.notify_all();
-        }
-    }
-}
-
-/// Runs `epochs` lock-step epochs over `batches` on `workers` threads
-/// with work stealing inside each epoch and a pinned reduction order at
-/// each rollover.
+/// Runs `epochs` lock-step epochs over `batches` on `workers` threads,
+/// folding each finished epoch in a pinned order.
 ///
-/// Per epoch, every batch is stepped exactly once via
-/// `step(&mut batch, epoch)` — on whichever worker steals it. The
-/// worker that completes the epoch's last batch becomes the rollover
-/// leader: it calls `fold(epoch, &mut batch)` for every batch in
-/// **ascending batch index order** (with ascending rack order inside a
-/// batch, that is ascending global rack order — the exact order the
-/// sequential oracle folds in), then `epoch_done(epoch)` (sink flush),
-/// then seeds the next epoch. There is no run-ahead: batch `i` never
-/// starts epoch `e+1` before every batch finished epoch `e`, preserving
-/// the lock-step contract the shared solve cache and the ≤1-epoch sink
-/// buffering rely on.
+/// The calling thread coordinates and works. It starts `workers − 1`
+/// scoped helpers once per run (none at one worker). Each epoch it
+/// resets a shared cursor, sends the epoch number to every helper over
+/// that helper's own bounded channel, claims batches through the cursor
+/// like any helper, and then receives one answer per helper. So every
+/// batch is stepped exactly once per epoch via `step(&mut batch,
+/// epoch)`, on whichever thread claims it. The calling thread then
+/// calls `fold(epoch, &mut batch)` for every batch in **ascending batch
+/// index order** — with ascending rack order inside a batch, that is
+/// ascending global rack order, the order the sequential oracle folds
+/// in — and then `epoch_done(epoch)` (sink flush). There is no
+/// run-ahead: no batch starts epoch `e+1` before every batch finished
+/// epoch `e`, the lock-step contract the shared solve cache and the
+/// ≤1-epoch sink buffering rely on.
 ///
-/// `step` returns `false` to report a failed batch: the run aborts at
-/// the end of the current epoch — its rollover fold and flush are
-/// skipped — and the caller inspects its own per-batch error state.
-/// Returns the batches for post-run harvest.
+/// `step` returns `false` to report a failed batch: the other batches
+/// still step that epoch, then the run ends with its fold and flush
+/// skipped, and the caller inspects its own per-batch error state. A
+/// panic in `step`, `fold` or `epoch_done` reaches the caller with its
+/// own payload once every helper has stopped. Returns the batches for
+/// post-run harvest.
 pub fn run_epoch_batches<B: Send>(
     workers: usize,
     epochs: u64,
@@ -516,43 +388,72 @@ pub fn run_epoch_batches<B: Send>(
         return batches;
     }
     let workers = workers.clamp(1, batches.len());
-    let shared = ExecShared {
-        slots: batches.into_iter().map(Mutex::new).collect(),
-        queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-        remaining: AtomicUsize::new(0),
-        epoch: Mutex::new(0),
-        cur: AtomicU64::new(0),
-        rollover: Condvar::new(),
-        abort: AtomicBool::new(false),
-        done: AtomicBool::new(false),
-        steals: AtomicU64::new(0),
-        epochs,
-        step,
-        fold,
-        epoch_done,
-    };
-    shared
-        .remaining
-        .store(shared.slots.len(), Ordering::Release);
-    shared.seed_queues();
-    if workers == 1 {
-        let release = PanicRelease { shared: &shared };
-        shared.worker_loop(0);
-        drop(release);
-    } else {
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let shared = &shared;
-                scope.spawn(move || {
-                    let release = PanicRelease { shared };
-                    shared.worker_loop(w);
-                    drop(release);
-                });
+    let slots: Vec<Mutex<B>> = batches.into_iter().map(Mutex::new).collect();
+    // `Relaxed` suffices for both atomics: a channel send and its
+    // receive pair as release and acquire, so a helper's epoch receive
+    // orders the cursor reset before its claims, and the caller's answer
+    // receive orders every claim and `failed` store before the fold. The
+    // slot mutexes carry the batches between threads.
+    let cursor = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
+    let claim = |epoch: u64| {
+        while let Some(slot) = slots.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            let mut batch = slot.lock().unwrap_or_else(PoisonError::into_inner);
+            if !step(&mut batch, epoch) {
+                failed.store(true, Ordering::Relaxed);
             }
-        });
-    }
-    shared
-        .slots
+        }
+    };
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers)
+            .map(|_| {
+                let (epoch_tx, epoch_rx) = sync_channel::<u64>(1);
+                let (answer_tx, answer_rx) = sync_channel::<()>(1);
+                let claim = &claim;
+                // A helper that panics drops `answer_tx`, so the caller's
+                // receive fails instead of waiting for it.
+                let handle = scope.spawn(move || {
+                    for epoch in epoch_rx {
+                        claim(epoch);
+                        if answer_tx.send(()).is_err() {
+                            return;
+                        }
+                    }
+                });
+                (epoch_tx, answer_rx, handle)
+            })
+            .collect();
+        for epoch in 0..epochs {
+            cursor.store(0, Ordering::Relaxed);
+            for (epoch_tx, _, _) in &helpers {
+                // A closed channel means that helper panicked; its
+                // answer below fails and ends the run.
+                epoch_tx.send(epoch).ok();
+            }
+            claim(epoch);
+            let answered = helpers
+                .iter()
+                .all(|(_, answer_rx, _)| answer_rx.recv().is_ok());
+            if !answered || failed.load(Ordering::Relaxed) {
+                break;
+            }
+            for slot in &slots {
+                let mut batch = slot.lock().unwrap_or_else(PoisonError::into_inner);
+                fold(epoch, &mut batch);
+            }
+            epoch_done(epoch);
+        }
+        // Dropping the epoch senders ends every helper's loop. Joining
+        // each one here, rather than leaving it to the scope, resumes a
+        // helper's own panic payload instead of a generic message.
+        let handles: Vec<_> = helpers.into_iter().map(|(_, _, handle)| handle).collect();
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+    });
+    slots
         .into_iter()
         .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
         .collect()
@@ -690,9 +591,9 @@ mod tests {
 
     #[test]
     fn epoch_batches_abort_skips_the_failed_epochs_rollover() {
-        // Batch 3 fails in epoch 2: the run stops after epoch 2's
-        // dependency counter drains, and epoch 2 is neither folded nor
-        // flushed (partial epochs never reach the artifacts).
+        // Batch 3 fails in epoch 2: the run stops once every batch has
+        // stepped epoch 2, and epoch 2 is neither folded nor flushed
+        // (partial epochs never reach the artifacts).
         let folded = Mutex::new(Vec::new());
         let flushed = Mutex::new(Vec::new());
         let slots: Vec<usize> = (0..5).collect();
@@ -730,6 +631,89 @@ mod tests {
             vec![0, 1],
             "only complete epochs flush"
         );
+    }
+
+    #[test]
+    fn epoch_batches_keep_input_order_with_more_batches_than_workers() {
+        let out = run_epoch_batches(
+            3,
+            1,
+            (0..23).collect::<Vec<usize>>(),
+            &|x, _e| {
+                *x *= 2;
+                true
+            },
+            &|_e, _x| {},
+            &|_e| {},
+        );
+        assert_eq!(out, (0..23).map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn epoch_batches_on_one_worker_run_everything_on_the_caller() {
+        let caller = std::thread::current().id();
+        let out = run_epoch_batches(
+            1,
+            2,
+            (0..7).collect::<Vec<u32>>(),
+            &|x, _e| {
+                assert_eq!(
+                    std::thread::current().id(),
+                    caller,
+                    "one worker spawns nothing"
+                );
+                *x += 1;
+                true
+            },
+            &|_e, _x| {},
+            &|_e| {},
+        );
+        assert_eq!(out, (2..9).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn epoch_batches_resume_the_steps_own_panic() {
+        // At one worker the caller's own step panics, mid-run. Above one,
+        // the panic is forced onto a helper: the caller's step waits
+        // until a helper has claimed a batch, and every helper step
+        // panics. Either way the caller sees the step's message, not the
+        // scope's generic one.
+        let caller = std::thread::current().id();
+        for workers in [1usize, 2, 4] {
+            let helper_claimed = AtomicBool::new(false);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_epoch_batches(
+                    workers,
+                    3,
+                    (0..5).collect::<Vec<u32>>(),
+                    &|_x, e| {
+                        if std::thread::current().id() != caller {
+                            helper_claimed.store(true, Ordering::Release);
+                            panic!("boom");
+                        }
+                        assert!(workers > 1 || e < 1, "boom");
+                        while !helper_claimed.load(Ordering::Acquire) && workers > 1 {
+                            std::thread::yield_now();
+                        }
+                        true
+                    },
+                    &|_e, _x| {},
+                    &|_e| {},
+                )
+            }));
+            let Err(payload) = caught else {
+                panic!("the step's panic must reach the caller at {workers} workers");
+            };
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_owned())
+                .or_else(|| payload.downcast_ref::<String>().cloned());
+            assert_eq!(
+                message.as_deref(),
+                Some("boom"),
+                "the caller sees the step's own message at {workers} workers"
+            );
+        }
     }
 
     #[test]

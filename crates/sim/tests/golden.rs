@@ -2,7 +2,7 @@
 //! exports are held to the exact bytes the pre-scheduler contiguous
 //! shard path produced (fixtures under `tests/fixtures/`, regenerated
 //! only deliberately via `cargo run --example gen_golden`). This pins
-//! execution-model changes — like the work-stealing epoch scheduler —
+//! execution-model changes — like the scoped lock-step executor —
 //! to history, not just to their own reruns, at every worker count.
 
 use std::sync::{Arc, Mutex, PoisonError};

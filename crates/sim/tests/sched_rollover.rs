@@ -1,11 +1,10 @@
-//! Regression test for the fleet executor's epoch rollover.
+//! Lock-step stress for the fleet executor's epoch hand-off.
 //!
-//! The rollover leader of `run_epoch_batches` must publish the next
-//! epoch's batch count before it makes any batch visible. When it seeded
-//! the queues first, a worker could pop a fresh batch, finish it and
-//! decrement the count, and the leader's late store then overwrote the
-//! decrement: the count never reached zero and every worker waited on
-//! the rollover condvar forever.
+//! `run_epoch_batches` hands every epoch to its helper threads and waits
+//! for one answer from each before it folds the epoch and starts the
+//! next. No-op steps leave that hand-off the most room to go wrong: a
+//! lost epoch or answer would wedge the run, and a claim that leaked
+//! across epochs would step a batch twice or not at all.
 //!
 //! The stress runs on a spawned thread and the test waits for it with a
 //! timeout, so a regression fails with a message instead of hanging the
@@ -23,13 +22,12 @@ const BATCHES: u64 = 8;
 const EPOCHS: u64 = 2_000;
 const ROUNDS: u32 = 50;
 
-/// Far above the stress's normal run time (well under a second on two
-/// cores in a release build, a few seconds in a debug build).
+/// Far above the stress's normal run time (two to three seconds on two
+/// cores, in a debug or a release build).
 const WATCHDOG: Duration = Duration::from_secs(120);
 
-/// Runs `ROUNDS` executor runs of no-op steps, which leave the rollover
-/// the most room to race, and returns the first round whose step count
-/// drifted from `EPOCHS × BATCHES`.
+/// Runs `ROUNDS` executor runs of no-op steps and returns the first
+/// round whose step count drifted from `EPOCHS × BATCHES`.
 fn stress() -> Result<(), String> {
     for round in 0..ROUNDS {
         let steps = AtomicU64::new(0);
@@ -57,7 +55,7 @@ fn stress() -> Result<(), String> {
 }
 
 #[test]
-fn rollover_publishes_the_count_before_seeding_batches() {
+fn lock_step_epochs_finish_under_a_watchdog() {
     let (done, outcome) = mpsc::sync_channel(1);
     thread::spawn(move || {
         // The receiver may have given up already; nothing to report then.
