@@ -123,11 +123,6 @@ pub enum Governor {
     Userspace(usize),
     /// Always the highest state.
     Performance,
-    /// Enforce a power cap: the server duty-cycles between the adjacent
-    /// DVFS states so its average draw tracks the cap — how the SPC
-    /// realizes fractional allocations on real hardware (RAPL-style).
-    /// Below idle power the server parks in its off state.
-    Capped(Watts),
 }
 
 #[cfg(test)]

@@ -88,6 +88,32 @@ impl RackGroup {
     pub fn server(&self) -> &SimServer {
         &self.server
     }
+
+    /// Measures the group with `online` servers up (clamped to the group
+    /// size), each capped at `alloc`. Reads the shared server in place; a
+    /// group with no server online is capped at zero and reports a zero
+    /// sample.
+    fn measure(&self, alloc: Watts, online: u32, intensity: Ratio) -> GroupMeasurement {
+        let count = online.min(self.count);
+        let cap = if count == 0 { Watts::ZERO } else { alloc };
+        let sample = self.server.run_capped(cap, intensity);
+        // A capped server duty-cycles *at or below* its cap and can never
+        // report negative draw or throughput.
+        debug_assert!(
+            sample.power <= cap.non_negative() + Watts::new(1e-6),
+            "measured draw exceeds the cap: {:?} vs {cap:?}",
+            sample.power
+        );
+        debug_assert!(
+            sample.power.value() >= 0.0 && sample.throughput.value() >= 0.0,
+            "measurement went negative: {sample:?}"
+        );
+        GroupMeasurement {
+            platform: self.platform,
+            sample,
+            count,
+        }
+    }
 }
 
 /// What the monitor measured for one group after an epoch.
@@ -313,8 +339,11 @@ impl Rack {
     /// Panics if `per_server.len()` differs from the group count.
     #[must_use]
     pub fn measure(&self, per_server: &[Watts], intensity: Ratio) -> RackMeasurement {
-        let full: Vec<u32> = self.groups.iter().map(|g| g.count).collect();
-        self.measure_active(per_server, &full, intensity)
+        RackMeasurement {
+            groups: self
+                .measurements(per_server, self.groups.iter().map(|g| g.count), intensity)
+                .collect(),
+        }
     }
 
     /// Measures as [`Rack::measure`], but with only `active[i]` servers per
@@ -335,52 +364,72 @@ impl Rack {
         active: &[u32],
         intensity: Ratio,
     ) -> RackMeasurement {
+        RackMeasurement {
+            groups: self
+                .measurements(per_server, active.iter().copied(), intensity)
+                .collect(),
+        }
+    }
+
+    /// Measured total throughput for an allocation with every server
+    /// online: [`Rack::measure`]'s [`RackMeasurement::total_throughput`],
+    /// bit for bit, without building the measurement.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `per_server.len()` differs from the group count.
+    #[must_use]
+    pub fn measured_throughput(&self, per_server: &[Watts], intensity: Ratio) -> Throughput {
+        self.measurements(per_server, self.groups.iter().map(|g| g.count), intensity)
+            .map(|m| m.total_throughput())
+            .sum()
+    }
+
+    /// Measured total throughput with only `active[i]` servers per group
+    /// online: [`Rack::measure_active`]'s
+    /// [`RackMeasurement::total_throughput`], bit for bit, without building
+    /// the measurement. This is the oracle the Manual policy searches with
+    /// ("trying all possible power allocations"); it allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `per_server.len()` or `active.len()` differs from the
+    /// group count.
+    #[must_use]
+    pub fn measured_throughput_active(
+        &self,
+        per_server: &[Watts],
+        active: &[u32],
+        intensity: Ratio,
+    ) -> Throughput {
+        self.measurements(per_server, active.iter().copied(), intensity)
+            .map(|m| m.total_throughput())
+            .sum()
+    }
+
+    /// Per-group measurements with `online` servers up per group, in group
+    /// order.
+    fn measurements<'a>(
+        &'a self,
+        per_server: &'a [Watts],
+        online: impl ExactSizeIterator<Item = u32> + 'a,
+        intensity: Ratio,
+    ) -> impl Iterator<Item = GroupMeasurement> + 'a {
         assert_eq!(
             per_server.len(),
             self.groups.len(),
             "allocation length must match group count"
         );
         assert_eq!(
-            active.len(),
+            online.len(),
             self.groups.len(),
             "active-count length must match group count"
         );
-        let groups: Vec<GroupMeasurement> = self
-            .groups
+        self.groups
             .iter()
-            .zip(per_server.iter().zip(active))
-            .map(|(g, (&alloc, &online))| {
-                let count = online.min(g.count);
-                let cap = if count == 0 { Watts::ZERO } else { alloc };
-                let mut server = g.server.clone();
-                server.apply_cap(cap);
-                let sample = server.run(intensity);
-                // A capped server duty-cycles *at or below* its cap and
-                // can never report negative draw or throughput.
-                debug_assert!(
-                    sample.power <= cap.non_negative() + Watts::new(1e-6),
-                    "measured draw exceeds the cap: {:?} vs {cap:?}",
-                    sample.power
-                );
-                debug_assert!(
-                    sample.power.value() >= 0.0 && sample.throughput.value() >= 0.0,
-                    "measurement went negative: {sample:?}"
-                );
-                GroupMeasurement {
-                    platform: g.platform,
-                    sample,
-                    count,
-                }
-            })
-            .collect();
-        RackMeasurement { groups }
-    }
-
-    /// Measured total throughput for an allocation — the oracle the Manual
-    /// policy uses ("trying all possible power allocations").
-    #[must_use]
-    pub fn measured_throughput(&self, per_server: &[Watts], intensity: Ratio) -> Throughput {
-        self.measure(per_server, intensity).total_throughput()
+            .zip(per_server)
+            .zip(online)
+            .map(move |((g, &alloc), n)| g.measure(alloc, n, intensity))
     }
 
     /// Sweeps group `group_idx`'s DVFS ladder to produce `samples`

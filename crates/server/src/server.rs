@@ -1,10 +1,11 @@
 //! A simulated server: a platform running a workload behind a DVFS ladder.
 //!
-//! The server responds to the enforcer the way the paper's physical
-//! servers respond to `cpufreq`: it can only occupy discrete power states,
-//! so an allocation of, say, 143 W is realized as the highest state whose
-//! full-load draw fits (quantization the controller's database must learn
-//! around).
+//! The server responds to a power cap the way a RAPL-capped machine does:
+//! [`SimServer::run_capped`] duty-cycles between adjacent DVFS states, so
+//! its average draw realizes any cap in `[idle, peak]` exactly; a cap below
+//! idle parks it in the off state. The highest state fitting under the cap
+//! is only reported, as the sample's `state_index`. Training runs pin
+//! individual states ([`SimServer::sample_at_state`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -91,13 +92,6 @@ impl SimServer {
         self.governor = governor;
     }
 
-    /// Enforces a power cap: the server will duty-cycle its DVFS states so
-    /// the average draw never exceeds `allocation` (off when even idle
-    /// power does not fit).
-    pub fn apply_cap(&mut self, allocation: Watts) {
-        self.governor = Governor::Capped(allocation);
-    }
-
     /// Runs the server for a sampling interval at the given offered-load
     /// intensity and reports what the monitor would see.
     #[must_use]
@@ -114,18 +108,16 @@ impl SimServer {
                     .position(|s| s.power >= demand)
                     .unwrap_or(self.states.len() - 1)
             }
-            Governor::Capped(cap) => {
-                // Duty-cycling tracks the cap continuously: the reported
-                // state index is the highest state fitting under it.
-                return self.run_capped(cap, intensity);
-            }
         };
         self.sample_at_state(state_index, intensity)
     }
 
     /// Runs under a RAPL-style power cap: average draw follows the cap
     /// continuously (duty-cycling between adjacent DVFS states), so any
-    /// allocation in `[idle, peak]` is realized exactly.
+    /// allocation in `[idle, peak]` is realized exactly; below idle the
+    /// server is off. The reported state index is the highest state fitting
+    /// under the cap. Takes `&self`: one server serves every measurement
+    /// of its group, whatever the cap.
     #[must_use]
     pub fn run_capped(&self, cap: Watts, intensity: Ratio) -> ServerSample {
         let state_index = Spc::new().command(cap, &self.states).state_index;
@@ -185,21 +177,23 @@ mod tests {
     }
 
     #[test]
-    fn cap_quantizes_to_a_state() {
-        let mut s = server();
-        s.apply_cap(Watts::new(70.0));
-        let sample = s.run(Ratio::ONE);
-        // Drawn power never exceeds the cap.
-        assert!(sample.power <= Watts::new(70.0));
-        assert!(sample.power > Watts::ZERO);
+    fn cap_between_states_is_drawn_exactly() {
+        let s = server();
+        let cap = Watts::new(70.0);
+        let sample = s.run_capped(cap, Ratio::ONE);
+        // Duty-cycling draws the cap itself, not the state below it; the
+        // state index only reports the highest state fitting under it.
+        assert_eq!(sample.power, cap);
         assert!(sample.throughput > Throughput::ZERO);
+        let state = s.states().states()[sample.state_index].power;
+        assert!(state <= cap && state < sample.power);
+        assert!(s.states().states()[sample.state_index + 1].power > cap);
     }
 
     #[test]
     fn cap_below_idle_turns_server_off() {
-        let mut s = server();
-        s.apply_cap(Watts::new(30.0)); // below the i5's 47 W idle
-        let sample = s.run(Ratio::ONE);
+        let s = server();
+        let sample = s.run_capped(Watts::new(30.0), Ratio::ONE); // below the i5's 47 W idle
         assert_eq!(sample.power, Watts::ZERO);
         assert_eq!(sample.throughput, Throughput::ZERO);
         assert_eq!(sample.state_index, 0);
@@ -207,9 +201,8 @@ mod tests {
 
     #[test]
     fn generous_cap_reaches_peak() {
-        let mut s = server();
-        s.apply_cap(Watts::new(500.0));
-        let sample = s.run(Ratio::ONE);
+        let s = server();
+        let sample = s.run_capped(Watts::new(500.0), Ratio::ONE);
         assert!(sample
             .power
             .approx_eq(s.truth().envelope().peak(), Watts::new(1.0)));

@@ -76,13 +76,11 @@ proptest! {
         cap_b in 0.0..400.0f64,
     ) {
         let workload = WorkloadKind::SradV1; // runs on every platform incl. GPU
-        let mut server = SimServer::new(ServerId::new(0), platform, workload).unwrap();
+        let server = SimServer::new(ServerId::new(0), platform, workload).unwrap();
         let (lo, hi) = if cap_a <= cap_b { (cap_a, cap_b) } else { (cap_b, cap_a) };
 
-        server.apply_cap(Watts::new(lo));
-        let low = server.run(Ratio::ONE);
-        server.apply_cap(Watts::new(hi));
-        let high = server.run(Ratio::ONE);
+        let low = server.run_capped(Watts::new(lo), Ratio::ONE);
+        let high = server.run_capped(Watts::new(hi), Ratio::ONE);
 
         prop_assert!(low.power.value() <= lo + 1e-9);
         prop_assert!(high.power.value() <= hi + 1e-9);
@@ -90,27 +88,60 @@ proptest! {
     }
 
     /// Rack measurements aggregate exactly: totals equal the per-group
-    /// sums, and group order matches the controller spec.
+    /// sums, group order matches the controller spec, online counts clamp
+    /// to the group size, and the allocation-free oracle totals equal the
+    /// measurements' totals bit for bit, on every combination.
     #[test]
     fn rack_measurement_aggregates(
+        comb in proptest::sample::select(Combination::ALL.to_vec()),
+        workload in arb_cpu_workload(),
         per_type in 1u32..5,
-        a in 0.0..300.0f64,
-        b in 0.0..300.0f64,
+        allocs in proptest::collection::vec(0.0..300.0f64, 3),
+        online in proptest::collection::vec(0u32..8, 3),
         intensity in 0.1..=1.0f64,
     ) {
-        let rack = Rack::combination(Combination::Comb1, per_type, WorkloadKind::SpecJbb).unwrap();
+        // Comb6's GPU runs only Rodinia; SradV1 runs on every platform.
+        let rack = Rack::combination(comb, per_type, workload)
+            .or_else(|_| Rack::combination(comb, per_type, WorkloadKind::SradV1))
+            .unwrap();
+        let groups = rack.groups().len();
+        let alloc: Vec<Watts> = allocs[..groups].iter().map(|&w| Watts::new(w)).collect();
+        // Draws of 0..8 against groups of 1..=4: dark, partial and above
+        // the group size.
+        let online = &online[..groups];
         let o = Ratio::saturating(intensity);
-        let m = rack.measure(&[Watts::new(a), Watts::new(b)], o);
+
+        let m = rack.measure(&alloc, o);
         let sum_power: f64 = m.groups.iter().map(|g| g.total_power().value()).sum();
         let sum_thr: f64 = m.groups.iter().map(|g| g.total_throughput().value()).sum();
         prop_assert!((m.total_power().value() - sum_power).abs() < 1e-9);
         prop_assert!((m.total_throughput().value() - sum_thr).abs() < 1e-9);
+        prop_assert_eq!(
+            rack.measured_throughput(&alloc, o).value().to_bits(),
+            m.total_throughput().value().to_bits()
+        );
         // Group counts match the composition.
-        prop_assert_eq!(m.groups[0].count, per_type);
-        prop_assert_eq!(m.groups[1].count, per_type);
+        for g in &m.groups {
+            prop_assert_eq!(g.count, per_type);
+        }
+
+        let active = rack.measure_active(&alloc, online, o);
+        for ((g, full), &n) in active.groups.iter().zip(&m.groups).zip(online) {
+            prop_assert_eq!(g.count, n.min(per_type));
+            if n > 0 {
+                prop_assert_eq!(g.sample, full.sample);
+            } else {
+                prop_assert!(g.sample.power.is_zero() && g.total_throughput().value() == 0.0);
+            }
+        }
+        prop_assert_eq!(
+            rack.measured_throughput_active(&alloc, online, o).value().to_bits(),
+            active.total_throughput().value().to_bits()
+        );
+
         // The controller spec mirrors the rack's structure.
         let spec = rack.controller_spec().unwrap();
-        prop_assert_eq!(spec.groups.len(), 2);
+        prop_assert_eq!(spec.groups.len(), groups);
         prop_assert!(spec.peak_demand().value() > 0.0);
     }
 

@@ -314,11 +314,8 @@ impl Simulation {
         // The Manual policy physically tries candidate allocations; other
         // policies are model-driven and get no oracle.
         let rack = &self.rack;
-        let oracle_online = online.clone();
-        let oracle_fn = move |per_server: &[Watts]| {
-            rack.measure_active(per_server, &oracle_online, intensity)
-                .total_throughput()
-        };
+        let oracle_fn =
+            |per_server: &[Watts]| rack.measured_throughput_active(per_server, &online, intensity);
         let oracle: Option<&dyn greenhetero_core::policies::AllocationOracle> =
             if self.scenario.policy == PolicyKind::Manual {
                 Some(&oracle_fn)

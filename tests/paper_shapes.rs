@@ -3,13 +3,15 @@
 //! generous — they pin the *shape* (who wins, roughly by how much), not
 //! exact values.
 
-use greenhetero::core::metrics::EpuAccumulator;
+use greenhetero::core::metrics::{geometric_mean, EpuAccumulator};
 use greenhetero::core::policies::PolicyKind;
 use greenhetero::core::sources::SupplyCase;
 use greenhetero::core::types::{Ratio, Watts};
+use greenhetero::power::solar::SolarProfile;
 use greenhetero::server::rack::{Combination, Rack};
 use greenhetero::server::workload::WorkloadKind;
 use greenhetero::sim::engine::run_scenario;
+use greenhetero::sim::report::RunReport;
 use greenhetero::sim::runner::compare_policies;
 use greenhetero::sim::scenario::Scenario;
 
@@ -117,6 +119,86 @@ fn fig9_workload_ordering_shape() {
         "memcached gain {memcached}"
     );
     assert!(jbb > 1.2, "SPECjbb gain {jbb}");
+}
+
+/// EPU over a run's scarce steady epochs, epoch by epoch, as
+/// `fig10_workload_epu` computes it (the run's EPU when none was scarce).
+fn scarce_epu(report: &RunReport) -> f64 {
+    let mut acc = EpuAccumulator::new();
+    for e in report.epochs.iter().filter(|e| !e.training) {
+        if RunReport::is_scarce(e) {
+            acc.record(e.load.min(e.budget), e.budget);
+        }
+    }
+    if acc.is_empty() {
+        report.epu().value()
+    } else {
+        acc.epu().value()
+    }
+}
+
+/// Fig. 10 on four workloads of the study under all five policies (the
+/// Manual baseline's oracle search included): GreenHetero's scarce-epoch
+/// EPU over Uniform has a geo-mean near the 1.04× of all 12 workloads
+/// (far below the paper's ≈2.2×, EXPERIMENTS.md D3), and its best
+/// workload gains at least 1.1×.
+#[test]
+fn fig10_workload_epu_shape() {
+    let gains: Vec<f64> = [
+        WorkloadKind::WebSearch,
+        WorkloadKind::Memcached,
+        WorkloadKind::Streamcluster,
+        WorkloadKind::Vips,
+    ]
+    .into_iter()
+    .map(|w| {
+        let base = Scenario::workload_study(w, PolicyKind::Uniform);
+        let o = compare_policies(&base, &PolicyKind::ALL).unwrap();
+        let epu = |p: PolicyKind| scarce_epu(&o.iter().find(|run| run.policy == p).unwrap().report);
+        epu(PolicyKind::GreenHetero) / epu(PolicyKind::Uniform)
+    })
+    .collect();
+    let mean = geometric_mean(&gains).unwrap();
+    assert!((0.98..=1.10).contains(&mean), "EPU geo-mean gain {mean}");
+    let best = gains.iter().copied().fold(f64::MIN, f64::max);
+    assert!(best >= 1.1, "best EPU gain {best}");
+}
+
+/// Fig. 11: under the Low trace the rack draws more grid energy than
+/// under High, GreenHetero gains ≈1.5× during Cases A and B (the paper's
+/// ≈1.2×, EXPERIMENTS.md D4), and the battery cycles to its DoD limit
+/// about 1.5 times a day.
+#[test]
+fn fig11_runtime_low_shape() {
+    let low = |p| Scenario {
+        solar_profile: SolarProfile::Low,
+        ..Scenario::paper_runtime(p)
+    };
+    let gh = run_scenario(low(PolicyKind::GreenHetero)).unwrap();
+    let uni = run_scenario(low(PolicyKind::Uniform)).unwrap();
+    let gh_high = run_scenario(Scenario::paper_runtime(PolicyKind::GreenHetero)).unwrap();
+
+    let (low_kwh, high_kwh) = (
+        gh.grid_energy.as_kilowatt_hours(),
+        gh_high.grid_energy.as_kilowatt_hours(),
+    );
+    assert!(
+        low_kwh > high_kwh,
+        "grid {low_kwh} kWh (Low) vs {high_kwh} kWh (High)"
+    );
+
+    let ab = gh
+        .mean_throughput_where(|e| e.case != SupplyCase::C)
+        .value()
+        / uni
+            .mean_throughput_where(|e| e.case != SupplyCase::C)
+            .value();
+    assert!((1.3..=1.7).contains(&ab), "Cases A+B gain {ab}");
+    assert!(
+        (1.0..=2.0).contains(&gh.battery_cycles),
+        "battery cycles per day {}",
+        gh.battery_cycles
+    );
 }
 
 /// Fig. 13: Comb2/Comb4 behave near-homogeneously; Comb1 and Comb5 show
