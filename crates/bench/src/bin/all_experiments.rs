@@ -1,42 +1,58 @@
 //! Reproduction summary — runs the headline measurement of every table
 //! and figure and prints paper-reported vs measured values side by side.
-//! This is the generator behind `EXPERIMENTS.md`.
+//! This is the generator behind `EXPERIMENTS.md`. Each measurement is the
+//! library's one computation of that quantity, shared with the figure's
+//! own binary and with `tests/paper_shapes.rs`.
 //!
-//! Expect a few minutes of runtime in release mode (it simulates ~90
-//! scenario-days).
+//! It simulates about 160 scenario-days, in under a second in release.
 
-use greenhetero_bench::{banner, policy_order, run_workload_study, table_header, table_row};
-use greenhetero_core::metrics::{geometric_mean, EpuAccumulator};
+use greenhetero_bench::{
+    banner, combination_study, greenhetero_gain, policy_order, run_workload_study, table_header,
+    table_row, CaseStudy, GainSpread, NightPoint, RuntimeDay,
+};
 use greenhetero_core::policies::PolicyKind;
-use greenhetero_core::sources::SupplyCase;
-use greenhetero_core::types::{Ratio, Watts};
+use greenhetero_core::types::Watts;
 use greenhetero_power::solar::SolarProfile;
-use greenhetero_server::rack::{Combination, Rack};
+use greenhetero_server::platform::PlatformKind;
+use greenhetero_server::rack::Combination;
 use greenhetero_server::workload::WorkloadKind;
-use greenhetero_sim::engine::run_scenario;
-use greenhetero_sim::report::RunReport;
-use greenhetero_sim::runner::compare_policies;
-use greenhetero_sim::scenario::Scenario;
 
-struct Row {
-    id: &'static str,
-    what: String,
-    paper: String,
-    measured: String,
-}
+/// Experiment, quantity and paper-reported value of each printed row, in
+/// the order `main` measures them.
+const ROWS: [(&str, &str, &str); 28] = [
+    ("Fig 3", "optimal PAR", "65%"),
+    ("Fig 3", "gain at optimum vs uniform", "≈1.5x"),
+    ("Fig 3", "uniform EPU", "≈0.86"),
+    ("Fig 3", "EPU at optimum", "→1.0"),
+    ("Fig 8", "gain while renewable insufficient", "≈1.5x"),
+    ("Fig 8", "gain while renewable abundant", "≈1.0x"),
+    ("Fig 8", "mean PAR", "≈58%"),
+    ("Fig 8", "Case C battery ride-through", "≈4.2 h"),
+    ("Fig 9", "mean perf gain over workloads", "≈1.6x"),
+    ("Fig 9", "best workload", "Streamcluster 2.2x"),
+    ("Fig 9", "worst workload", "Memcached 1.2x"),
+    ("Fig 10", "mean EPU gain", "≈2.2x"),
+    ("Fig 10", "best EPU gain", "Canneal 2.7x"),
+    ("Fig 11", "gain during Cases A+B (Low trace)", "≈1.2x"),
+    ("Fig 11", "battery DoD cycles per day", "≈2"),
+    ("Fig 12", "gain shrinks as grid budget grows", "monotone ↓"),
+    ("Fig 13", "Comb1 gain (SPECjbb)", "≈1.5x"),
+    ("Fig 13", "Comb2 gain (SPECjbb)", "≈1.03x"),
+    ("Fig 13", "Comb3 gain (SPECjbb)", "≈1.5x"),
+    ("Fig 13", "Comb4 gain (SPECjbb)", "≈1.03x"),
+    ("Fig 13", "Comb5 gain (SPECjbb)", "≈1.6x"),
+    ("Fig 14", "Srad_v1 gain on GPU rack", "≈4.6x"),
+    ("Fig 14", "mean gain on GPU rack", "≈2.5x"),
+    ("Fig 14", "Cfd gain (smallest)", "smallest"),
+    ("Tab I", "workload catalog", "16 workloads / 4 suites"),
+    ("Tab II", "platform catalog", "6 platforms"),
+    ("Tab III", "policies", "5 policies"),
+    ("Tab IV", "combinations", "6 combinations"),
+];
 
-fn scarce_epu(report: &RunReport) -> f64 {
-    let mut acc = EpuAccumulator::new();
-    for e in report.epochs.iter().filter(|e| !e.training) {
-        if RunReport::is_scarce(e) {
-            acc.record(e.load.min(e.budget), e.budget);
-        }
-    }
-    if acc.is_empty() {
-        report.epu().value()
-    } else {
-        acc.epu().value()
-    }
+/// A gain as the table prints it.
+fn times(gain: f64) -> String {
+    format!("{gain:.2}x")
 }
 
 fn main() {
@@ -44,329 +60,69 @@ fn main() {
         "GreenHetero reproduction",
         "paper-reported vs measured, every table and figure",
     );
-    let mut rows: Vec<Row> = Vec::new();
 
-    // ---- Figure 3: case study -------------------------------------------
-    {
-        let rack = Rack::combination(Combination::Comb1, 1, WorkloadKind::SpecJbb).unwrap();
-        let budget = Watts::new(220.0);
-        let eval = |par: f64| {
-            let a = budget * Ratio::from_percent(par);
-            let m = rack.measure(&[a, budget - a], Ratio::ONE);
+    let case = CaseStudy::default().summary();
+    let high = RuntimeDay::run(SolarProfile::High).summary();
+    let study = run_workload_study();
+    let gh = PolicyKind::GreenHetero;
+    let perf: Vec<_> = study.iter().map(|(w, r)| (*w, r.gain(gh))).collect();
+    let epu: Vec<_> = study.iter().map(|(w, r)| (*w, r.epu_gain(gh))).collect();
+    let (perf, epu) = (GainSpread::of(&perf), GainSpread::of(&epu));
+    let low = RuntimeDay::run(SolarProfile::Low).summary();
+    let tight = NightPoint::at(Watts::new(600.0)).gain();
+    let ample = NightPoint::at(Watts::new(1400.0)).gain();
+    let mut measured = vec![
+        format!("{:.0}%", case.optimal_par),
+        times(case.gain),
+        format!("{:.2}", case.uniform_epu),
+        format!("{:.2}", case.optimum_epu),
+        times(high.scarce_gain),
+        times(high.abundant_gain),
+        format!("{:.0}%", high.mean_par_percent),
+        format!("{:.1} h", high.ride_through_h),
+        times(perf.geo_mean),
+        format!("{} {}", perf.best.0, times(perf.best.1)),
+        format!("{} {}", perf.worst.0, times(perf.worst.1)),
+        times(epu.geo_mean),
+        times(epu.best.1),
+        times(low.cases_ab_gain),
+        format!("{:.1}", low.battery_cycles),
+        format!("600 W: {} → 1400 W: {}", times(tight), times(ample)),
+    ];
+    for comb in &Combination::ALL[..5] {
+        measured.push(times(greenhetero_gain(&combination_study(
+            *comb,
+            WorkloadKind::SpecJbb,
+        ))));
+    }
+    let gpu: Vec<_> = WorkloadKind::COMB6_SET
+        .into_iter()
+        .map(|w| {
             (
-                m.total_power().min(budget).value() / budget.value(),
-                m.total_throughput().value(),
+                w,
+                greenhetero_gain(&combination_study(Combination::Comb6, w)),
             )
-        };
-        let uniform = eval(50.0);
-        let mut best = (0.0f64, 0.0f64);
-        for s in 0..=100 {
-            let par = f64::from(s);
-            let (_, perf) = eval(par);
-            if perf > best.1 {
-                best = (par, perf);
-            }
-        }
-        rows.push(Row {
-            id: "Fig 3",
-            what: "optimal PAR".into(),
-            paper: "65%".into(),
-            measured: format!("{:.0}%", best.0),
-        });
-        rows.push(Row {
-            id: "Fig 3",
-            what: "gain at optimum vs uniform".into(),
-            paper: "≈1.5x".into(),
-            measured: format!("{:.2}x", best.1 / uniform.1),
-        });
-        rows.push(Row {
-            id: "Fig 3",
-            what: "uniform EPU".into(),
-            paper: "≈0.86".into(),
-            measured: format!("{:.2}", uniform.0),
-        });
-        rows.push(Row {
-            id: "Fig 3",
-            what: "EPU at optimum".into(),
-            paper: "→1.0".into(),
-            measured: format!("{:.2}", eval(best.0).0),
-        });
-    }
+        })
+        .collect();
+    let on_gpu = |workload| {
+        gpu.iter()
+            .find(|(w, _)| *w == workload)
+            .map_or(0.0, |g| g.1)
+    };
+    measured.extend([
+        times(on_gpu(WorkloadKind::SradV1)),
+        times(GainSpread::of(&gpu).geo_mean),
+        times(on_gpu(WorkloadKind::Cfd)),
+        format!("{} workloads", WorkloadKind::ALL.len()),
+        format!("{} platforms", PlatformKind::ALL.len()),
+        format!("{} policies", policy_order().len()),
+        format!("{} combinations", Combination::ALL.len()),
+    ]);
 
-    // ---- Figure 8: High-trace runtime -----------------------------------
-    {
-        let gh = run_scenario(Scenario::paper_runtime(PolicyKind::GreenHetero)).unwrap();
-        let uni = run_scenario(Scenario::paper_runtime(PolicyKind::Uniform)).unwrap();
-        let scarce = gh
-            .mean_throughput_where(|e| e.case != SupplyCase::A)
-            .value()
-            / uni
-                .mean_throughput_where(|e| e.case != SupplyCase::A)
-                .value();
-        let abundant = gh
-            .mean_throughput_where(|e| e.case == SupplyCase::A)
-            .value()
-            / uni
-                .mean_throughput_where(|e| e.case == SupplyCase::A)
-                .value()
-                .max(1e-9);
-        let mut ride = 0.0f64;
-        let mut streak = 0.0f64;
-        for e in &gh.epochs {
-            if e.case == SupplyCase::C && e.battery_discharge.value() > 0.0 {
-                streak += 0.25;
-                ride = ride.max(streak);
-            } else {
-                streak = 0.0;
-            }
-        }
-        rows.push(Row {
-            id: "Fig 8",
-            what: "gain while renewable insufficient".into(),
-            paper: "≈1.5x".into(),
-            measured: format!("{scarce:.2}x"),
-        });
-        rows.push(Row {
-            id: "Fig 8",
-            what: "gain while renewable abundant".into(),
-            paper: "≈1.0x".into(),
-            measured: format!("{abundant:.2}x"),
-        });
-        rows.push(Row {
-            id: "Fig 8",
-            what: "mean PAR".into(),
-            paper: "≈58%".into(),
-            measured: format!("{:.0}%", gh.mean_par().map_or(0.0, |p| p.as_percent())),
-        });
-        rows.push(Row {
-            id: "Fig 8",
-            what: "Case C battery ride-through".into(),
-            paper: "≈4.2 h".into(),
-            measured: format!("{ride:.1} h"),
-        });
-    }
-
-    // ---- Figures 9 & 10: workload study ---------------------------------
-    {
-        let study = run_workload_study();
-        let mut perf_gains = Vec::new();
-        let mut epu_gains = Vec::new();
-        let mut best_perf = ("", 0.0f64);
-        let mut worst_perf = ("", f64::MAX);
-        for (w, outcomes) in &study {
-            let uni = &outcomes
-                .iter()
-                .find(|(p, _)| *p == PolicyKind::Uniform)
-                .unwrap()
-                .1;
-            let gh = &outcomes
-                .iter()
-                .find(|(p, _)| *p == PolicyKind::GreenHetero)
-                .unwrap()
-                .1;
-            let g = gh.mean_scarce_throughput().value() / uni.mean_scarce_throughput().value();
-            let e = scarce_epu(gh) / scarce_epu(uni);
-            perf_gains.push(g);
-            epu_gains.push(e);
-            if g > best_perf.1 {
-                best_perf = (w.name(), g);
-            }
-            if g < worst_perf.1 {
-                worst_perf = (w.name(), g);
-            }
-        }
-        rows.push(Row {
-            id: "Fig 9",
-            what: "mean perf gain over workloads".into(),
-            paper: "≈1.6x".into(),
-            measured: format!("{:.2}x", geometric_mean(&perf_gains).unwrap_or(1.0)),
-        });
-        rows.push(Row {
-            id: "Fig 9",
-            what: "best workload".into(),
-            paper: "Streamcluster 2.2x".into(),
-            measured: format!("{} {:.2}x", best_perf.0, best_perf.1),
-        });
-        rows.push(Row {
-            id: "Fig 9",
-            what: "worst workload".into(),
-            paper: "Memcached 1.2x".into(),
-            measured: format!("{} {:.2}x", worst_perf.0, worst_perf.1),
-        });
-        rows.push(Row {
-            id: "Fig 10",
-            what: "mean EPU gain".into(),
-            paper: "≈2.2x".into(),
-            measured: format!("{:.2}x", geometric_mean(&epu_gains).unwrap_or(1.0)),
-        });
-        rows.push(Row {
-            id: "Fig 10",
-            what: "best EPU gain".into(),
-            paper: "Canneal 2.7x".into(),
-            measured: format!("{:.2}x", epu_gains.iter().cloned().fold(f64::MIN, f64::max)),
-        });
-    }
-
-    // ---- Figure 11: Low-trace runtime ------------------------------------
-    {
-        let low = |p| Scenario {
-            solar_profile: SolarProfile::Low,
-            ..Scenario::paper_runtime(p)
-        };
-        let gh = run_scenario(low(PolicyKind::GreenHetero)).unwrap();
-        let uni = run_scenario(low(PolicyKind::Uniform)).unwrap();
-        let ab = gh
-            .mean_throughput_where(|e| e.case != SupplyCase::C)
-            .value()
-            / uni
-                .mean_throughput_where(|e| e.case != SupplyCase::C)
-                .value();
-        rows.push(Row {
-            id: "Fig 11",
-            what: "gain during Cases A+B (Low trace)".into(),
-            paper: "≈1.2x".into(),
-            measured: format!("{ab:.2}x"),
-        });
-        rows.push(Row {
-            id: "Fig 11",
-            what: "battery DoD cycles per day".into(),
-            paper: "≈2".into(),
-            measured: format!("{:.1}", gh.battery_cycles),
-        });
-    }
-
-    // ---- Figure 12: grid budget sweep ------------------------------------
-    {
-        let gain_at = |budget: f64| {
-            let base = Scenario {
-                grid_budget: Watts::new(budget),
-                ..Scenario::paper_runtime(PolicyKind::Uniform)
-            };
-            let o =
-                compare_policies(&base, &[PolicyKind::Uniform, PolicyKind::GreenHetero]).unwrap();
-            let night = |r: &RunReport| {
-                r.mean_throughput_where(|e| {
-                    e.solar.value() < 5.0 && e.battery_discharge.value() == 0.0
-                })
-                .value()
-            };
-            night(&o[1].report) / night(&o[0].report).max(1e-9)
-        };
-        let tight = gain_at(600.0);
-        let ample = gain_at(1400.0);
-        rows.push(Row {
-            id: "Fig 12",
-            what: "gain shrinks as grid budget grows".into(),
-            paper: "monotone ↓".into(),
-            measured: format!("600 W: {tight:.2}x → 1400 W: {ample:.2}x"),
-        });
-    }
-
-    // ---- Figure 13: combinations -----------------------------------------
-    {
-        for (comb, paper) in [
-            (Combination::Comb1, "≈1.5x"),
-            (Combination::Comb2, "≈1.03x"),
-            (Combination::Comb3, "≈1.5x"),
-            (Combination::Comb4, "≈1.03x"),
-            (Combination::Comb5, "≈1.6x"),
-        ] {
-            let base = Scenario {
-                combination: comb,
-                ..Scenario::workload_study(WorkloadKind::SpecJbb, PolicyKind::Uniform)
-            };
-            let o =
-                compare_policies(&base, &[PolicyKind::Uniform, PolicyKind::GreenHetero]).unwrap();
-            let g = o[1].report.mean_scarce_throughput().value()
-                / o[0].report.mean_scarce_throughput().value();
-            rows.push(Row {
-                id: "Fig 13",
-                what: format!("{comb} gain (SPECjbb)"),
-                paper: paper.into(),
-                measured: format!("{g:.2}x"),
-            });
-        }
-    }
-
-    // ---- Figure 14: GPU combination ---------------------------------------
-    {
-        let mut gains = Vec::new();
-        let mut srad = 0.0;
-        let mut cfd = 0.0;
-        for w in WorkloadKind::COMB6_SET {
-            let base = Scenario {
-                combination: Combination::Comb6,
-                ..Scenario::workload_study(w, PolicyKind::Uniform)
-            };
-            let o =
-                compare_policies(&base, &[PolicyKind::Uniform, PolicyKind::GreenHetero]).unwrap();
-            let g = o[1].report.mean_scarce_throughput().value()
-                / o[0].report.mean_scarce_throughput().value();
-            gains.push(g);
-            if w == WorkloadKind::SradV1 {
-                srad = g;
-            }
-            if w == WorkloadKind::Cfd {
-                cfd = g;
-            }
-        }
-        rows.push(Row {
-            id: "Fig 14",
-            what: "Srad_v1 gain on GPU rack".into(),
-            paper: "≈4.6x".into(),
-            measured: format!("{srad:.2}x"),
-        });
-        rows.push(Row {
-            id: "Fig 14",
-            what: "mean gain on GPU rack".into(),
-            paper: "≈2.5x".into(),
-            measured: format!("{:.2}x", geometric_mean(&gains).unwrap_or(1.0)),
-        });
-        rows.push(Row {
-            id: "Fig 14",
-            what: "Cfd gain (smallest)".into(),
-            paper: "smallest".into(),
-            measured: format!("{cfd:.2}x"),
-        });
-    }
-
-    // ---- Tables ------------------------------------------------------------
-    rows.push(Row {
-        id: "Tab I",
-        what: "workload catalog".into(),
-        paper: "16 workloads / 4 suites".into(),
-        measured: format!("{} workloads", WorkloadKind::ALL.len()),
-    });
-    rows.push(Row {
-        id: "Tab II",
-        what: "platform catalog".into(),
-        paper: "6 platforms".into(),
-        measured: format!(
-            "{} platforms",
-            greenhetero_server::platform::PlatformKind::ALL.len()
-        ),
-    });
-    rows.push(Row {
-        id: "Tab III",
-        what: "policies".into(),
-        paper: "5 policies".into(),
-        measured: format!("{} policies", policy_order().len()),
-    });
-    rows.push(Row {
-        id: "Tab IV",
-        what: "combinations".into(),
-        paper: "6 combinations".into(),
-        measured: format!("{} combinations", Combination::ALL.len()),
-    });
-
+    assert_eq!(measured.len(), ROWS.len(), "one measurement per row");
     println!();
     table_header(&["Experiment", "Quantity", "Paper", "Measured"]);
-    for r in &rows {
-        table_row(&[
-            r.id.to_string(),
-            r.what.clone(),
-            r.paper.clone(),
-            r.measured.clone(),
-        ]);
+    for ((id, what, paper), measured) in ROWS.into_iter().zip(measured) {
+        table_row(&[id.into(), what.into(), paper.into(), measured]);
     }
 }

@@ -329,7 +329,7 @@ fn validate_snapshot(path: &PathBuf) -> Result<(), String> {
         // The fast path's reason to exist: over the same drifting
         // sequence, warm solves (the fast path) must hold a 3× median
         // speedup over cold solves (`solve`, an engine run every call),
-        // and the quantized cache must actually hit on a revisiting
+        // and the allocation cache must actually hit on a revisiting
         // sequence.
         gate_floor(
             "speedup_warm_p50",
@@ -746,7 +746,7 @@ fn bench_fast_path(out: &PathBuf) {
     let warm_allocs = ALLOCATIONS.load(Ordering::Relaxed) - before_warm;
 
     // Cached: a short rotation of recurring problems, never the same
-    // twice in a row, so every answer flows through the quantized cache.
+    // twice in a row, so every answer flows through the allocation cache.
     let mut cached_path = SolverFastPath::default();
     let rotation: Vec<&AllocationProblem> = problems.iter().step_by(calls / 4).collect();
     let mut cached_us = Vec::with_capacity(calls);

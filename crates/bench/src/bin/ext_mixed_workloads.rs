@@ -8,11 +8,10 @@
 //! against *service throughput* through their very different
 //! power-response curves.
 
-use greenhetero_bench::{banner, policy_order, table_header, table_row};
+use greenhetero_bench::{banner, policy_order, table_header, table_row, Comparison};
 use greenhetero_core::policies::PolicyKind;
 use greenhetero_server::platform::PlatformKind;
 use greenhetero_server::workload::WorkloadKind;
-use greenhetero_sim::runner::compare_policies;
 use greenhetero_sim::scenario::Scenario;
 
 type Mix = (&'static str, Vec<(PlatformKind, u32, WorkloadKind)>);
@@ -59,15 +58,9 @@ fn main() {
             mixed: Some(composition.clone()),
             ..Scenario::workload_study(WorkloadKind::SpecJbb, PolicyKind::Uniform)
         };
-        let outcomes = compare_policies(&base, &policies).expect("simulations run");
-        let baseline = outcomes[0].report.mean_scarce_throughput().value();
+        let runs = Comparison::run(&base, &policies);
         let mut cells = vec![(*label).to_string()];
-        for o in &outcomes {
-            cells.push(format!(
-                "{:.2}x",
-                o.report.mean_scarce_throughput().value() / baseline
-            ));
-        }
+        cells.extend(policies.iter().map(|&p| format!("{:.2}x", runs.gain(p))));
         table_row(&cells);
     }
 

@@ -5,13 +5,11 @@
 //! Server A = dual-socket Xeon E5-2620 (idle 88 W, SPECjbb max ≈ 147 W);
 //! Server B = Core i5-4460 (idle 47 W, SPECjbb max ≈ 81 W). The x-axis is
 //! the percentage of the 220 W supply allocated to Server A; both series
-//! are normalized to the uniform 50 % split, as in the paper.
+//! are normalized to the uniform 50 % split, as in the paper. The table
+//! steps PAR by 5 %; the optimum line below it comes from the 1 % scan
+//! that `all_experiments` reports.
 
-use greenhetero_bench::{banner, bar, table_header, table_row};
-use greenhetero_core::metrics::EpuAccumulator;
-use greenhetero_core::types::{Ratio, Watts};
-use greenhetero_server::rack::{Combination, Rack};
-use greenhetero_server::workload::WorkloadKind;
+use greenhetero_bench::{banner, bar, table_header, table_row, CaseStudy};
 
 fn main() {
     banner(
@@ -19,42 +17,27 @@ fn main() {
         "EPU and normalized performance vs power allocation ratio (SPECjbb, 220 W)",
     );
 
-    let rack = Rack::combination(Combination::Comb1, 1, WorkloadKind::SpecJbb)
-        .expect("Comb1 runs SPECjbb");
-    let budget = Watts::new(220.0);
-
-    let evaluate = |par_percent: f64| -> (f64, f64) {
-        let to_a = budget * Ratio::from_percent(par_percent);
-        let to_b = budget - to_a;
-        let m = rack.measure(&[to_a, to_b], Ratio::ONE);
-        let mut epu = EpuAccumulator::new();
-        epu.record(m.total_power().min(budget), budget);
-        (epu.epu().value(), m.total_throughput().value())
-    };
-
-    let (_, perf_uniform) = evaluate(50.0);
+    let study = CaseStudy::default();
+    let perf_uniform = study.at(50.0).throughput;
 
     table_header(&["PAR (to Server A)", "EPU", "Perf (norm. to 50%)", ""]);
-    let mut best = (0.0, 0.0);
     for step in 0..=20 {
         let par = f64::from(step) * 5.0;
-        let (epu, perf) = evaluate(par);
-        let norm = perf / perf_uniform;
-        if norm > best.1 {
-            best = (par, norm);
-        }
+        let point = study.at(par);
+        let norm = point.throughput / perf_uniform;
         table_row(&[
             format!("{par:3.0}%"),
-            format!("{epu:.3}"),
+            format!("{:.3}", point.epu),
             format!("{norm:.3}x"),
             bar(norm, 1.6, 24),
         ]);
     }
 
+    let summary = study.summary();
     println!();
     println!(
         "optimal PAR ≈ {:.0}% with {:.2}x the uniform performance",
-        best.0, best.1
+        summary.optimal_par, summary.gain
     );
     println!("paper reports: optimum at 65% PAR, ≈1.5x gain, uniform EPU ≈ 0.86, EPU → 1.0 at the optimum");
 }

@@ -8,12 +8,10 @@
 
 use std::path::PathBuf;
 
-use greenhetero_bench::{banner, table_header, table_row};
-use greenhetero_core::policies::PolicyKind;
-use greenhetero_core::sources::SupplyCase;
-use greenhetero_sim::engine::run_scenario;
+use greenhetero_bench::{banner, table_header, table_row, RuntimeDay};
+use greenhetero_power::solar::SolarProfile;
 use greenhetero_sim::report::RunReport;
-use greenhetero_sim::scenario::{Scenario, TelemetrySpec};
+use greenhetero_sim::scenario::TelemetrySpec;
 
 /// Parses `--telemetry <out.jsonl>` from the command line; without the
 /// flag the run exports nothing.
@@ -34,13 +32,12 @@ fn main() {
         "Runtime results of SPECjbb using the High solar trace (24 h, Comb1 x5, 1000 W grid)",
     );
 
-    let mut gh_scenario = Scenario::paper_runtime(PolicyKind::GreenHetero);
-    gh_scenario.telemetry = telemetry_from_args();
-    if let TelemetrySpec::Jsonl(path) = &gh_scenario.telemetry {
+    let telemetry = telemetry_from_args();
+    if let TelemetrySpec::Jsonl(path) = &telemetry {
         println!("streaming per-epoch telemetry to {}", path.display());
     }
-    let gh = run_scenario(gh_scenario).expect("simulation runs");
-    let uni = run_scenario(Scenario::paper_runtime(PolicyKind::Uniform)).expect("simulation runs");
+    let day = RuntimeDay::with_telemetry(SolarProfile::High, telemetry);
+    let (gh, uni) = (&day.greenhetero, &day.uniform);
 
     println!("\n(a) hourly performance (normalized to Uniform) and PAR");
     table_header(&[
@@ -57,8 +54,8 @@ fn main() {
             let slice = &r.epochs[idx(h)];
             slice.iter().map(|e| e.throughput.value()).sum::<f64>() / slice.len() as f64
         };
-        let g = mean_thr(&gh, hour);
-        let u = mean_thr(&uni, hour);
+        let g = mean_thr(gh, hour);
+        let u = mean_thr(uni, hour);
         let slice = &gh.epochs[idx(hour)];
         let par = slice
             .iter()
@@ -107,41 +104,20 @@ fn main() {
         ]);
     }
 
-    // Summary lines matching the paper's headline numbers.
-    // Insufficient supply = Cases B and C (the paper's reading of Fig. 8);
-    // abundant = Case A.
-    let scarce_gain = gh
-        .mean_throughput_where(|e| e.case != SupplyCase::A)
-        .value()
-        / uni
-            .mean_throughput_where(|e| e.case != SupplyCase::A)
-            .value()
-            .max(1e-9);
-    let gh_abundant = gh.mean_throughput_where(|e| e.case == SupplyCase::A);
-    let uni_abundant = uni.mean_throughput_where(|e| e.case == SupplyCase::A);
-    let abundant_gain = if uni_abundant.value() > 0.0 {
-        gh_abundant.value() / uni_abundant.value()
-    } else {
-        1.0
-    };
-    // Longest contiguous Case C stretch the battery carried alone.
-    let mut ride_through_h = 0.0f64;
-    let mut streak = 0.0f64;
-    for e in &gh.epochs {
-        if e.case == SupplyCase::C && e.battery_discharge.value() > 0.0 {
-            streak += 0.25;
-            ride_through_h = ride_through_h.max(streak);
-        } else {
-            streak = 0.0;
-        }
-    }
+    let summary = day.summary();
     println!();
-    println!("mean gain while supply is insufficient: {scarce_gain:.2}x (paper: ≈1.5x)");
-    println!("mean gain while supply is abundant:     {abundant_gain:.2}x (paper: ≈1.0x)");
     println!(
-        "mean PAR: {:.0}% (paper: ≈58%)",
-        gh.mean_par().map_or(0.0, |p| p.value() * 100.0)
+        "mean gain while supply is insufficient: {:.2}x (paper: ≈1.5x)",
+        summary.scarce_gain
     );
-    println!("Case C battery ride-through: {ride_through_h:.1} h (paper: ≈4.2 h)");
-    println!("battery cycles used: {:.2}", gh.battery_cycles);
+    println!(
+        "mean gain while supply is abundant:     {:.2}x (paper: ≈1.0x)",
+        summary.abundant_gain
+    );
+    println!("mean PAR: {:.0}% (paper: ≈58%)", summary.mean_par_percent);
+    println!(
+        "Case C battery ride-through: {:.1} h (paper: ≈4.2 h)",
+        summary.ride_through_h
+    );
+    println!("battery cycles used: {:.2}", summary.battery_cycles);
 }

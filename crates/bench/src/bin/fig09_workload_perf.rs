@@ -7,8 +7,9 @@
 //! ≈ 1.3×, and GreenHetero ≥ GreenHetero-a ≥ {GreenHetero-p, Manual}
 //! ≥ Uniform.
 
-use greenhetero_bench::{banner, policy_order, run_workload_study, table_header, table_row};
-use greenhetero_core::metrics::geometric_mean;
+use greenhetero_bench::{
+    banner, policy_order, run_workload_study, table_header, table_row, GainSpread,
+};
 use greenhetero_core::policies::PolicyKind;
 
 fn main() {
@@ -25,42 +26,32 @@ fn main() {
     header.extend(&names);
     table_header(&header);
 
-    let mut per_policy_gains: Vec<Vec<f64>> = vec![Vec::new(); policies.len()];
-    for (workload, outcomes) in &study {
-        let baseline = outcomes
-            .iter()
-            .find(|(p, _)| *p == PolicyKind::Uniform)
-            .expect("uniform always runs")
-            .1
-            .mean_scarce_throughput();
-        assert!(
-            baseline.value() > 0.0,
-            "Uniform baseline produced zero scarce throughput for {workload}; cannot normalize"
-        );
+    for (workload, runs) in &study {
         let mut cells = vec![workload.to_string()];
-        for (i, (_, report)) in outcomes.iter().enumerate() {
-            let speedup = report.mean_scarce_throughput().value() / baseline.value();
-            per_policy_gains[i].push(speedup);
-            cells.push(format!("{speedup:.2}x"));
-        }
+        cells.extend(policies.iter().map(|&p| format!("{:.2}x", runs.gain(p))));
         table_row(&cells);
     }
 
+    let spread = |policy: PolicyKind| {
+        let gains: Vec<_> = study
+            .iter()
+            .map(|(w, runs)| (*w, runs.gain(policy)))
+            .collect();
+        GainSpread::of(&gains)
+    };
     let mut mean_cells = vec!["**geo-mean**".to_string()];
-    for gains in &per_policy_gains {
-        mean_cells.push(format!("{:.2}x", geometric_mean(gains).unwrap_or(1.0)));
-    }
+    mean_cells.extend(
+        policies
+            .iter()
+            .map(|&p| format!("{:.2}x", spread(p).geo_mean)),
+    );
     table_row(&mean_cells);
 
-    let gh = &per_policy_gains[policies.len() - 1];
-    let best = gh.iter().cloned().fold(f64::MIN, f64::max);
-    let worst = gh.iter().cloned().fold(f64::MAX, f64::min);
+    let gh = spread(PolicyKind::GreenHetero);
     println!();
     println!(
         "GreenHetero vs Uniform: geo-mean {:.2}x, best {:.2}x, worst {:.2}x",
-        geometric_mean(gh).unwrap_or(1.0),
-        best,
-        worst
+        gh.geo_mean, gh.best.1, gh.worst.1
     );
     println!("paper reports: average ≈1.6x, best 2.2x (Streamcluster), worst 1.2x (Memcached), Mcf ≈1.3x");
 }

@@ -5,27 +5,10 @@
 //! the largest improvement (≈ 2.7×) and Web-search the smallest (≈ 1.1×);
 //! several policies often tie on EPU.
 
-use greenhetero_bench::{banner, policy_order, run_workload_study, table_header, table_row};
-use greenhetero_core::metrics::geometric_mean;
-use greenhetero_core::metrics::EpuAccumulator;
+use greenhetero_bench::{
+    banner, policy_order, run_workload_study, scarce_epu, table_header, table_row, GainSpread,
+};
 use greenhetero_core::policies::PolicyKind;
-use greenhetero_sim::report::RunReport;
-
-/// EPU over scarce epochs only (matching the paper's insufficient-supply
-/// focus): productive watts vs budget watts, epoch by epoch.
-fn scarce_epu(report: &RunReport) -> f64 {
-    let mut acc = EpuAccumulator::new();
-    for e in report.epochs.iter().filter(|e| !e.training) {
-        if RunReport::is_scarce(e) {
-            acc.record(e.load.min(e.budget), e.budget);
-        }
-    }
-    if acc.is_empty() {
-        report.epu().value()
-    } else {
-        acc.epu().value()
-    }
-}
 
 fn main() {
     banner(
@@ -43,38 +26,26 @@ fn main() {
     table_header(&header);
 
     let mut gh_gains = Vec::new();
-    for (workload, outcomes) in &study {
-        let baseline = scarce_epu(
-            &outcomes
-                .iter()
-                .find(|(p, _)| *p == PolicyKind::Uniform)
-                .expect("uniform always runs")
-                .1,
-        );
-        assert!(
-            baseline > 0.0,
-            "Uniform baseline produced zero scarce EPU for {workload}; cannot normalize"
-        );
+    for (workload, runs) in &study {
         let mut cells = vec![workload.to_string()];
-        let mut gh_abs = 0.0;
-        for (p, report) in outcomes {
-            let epu = scarce_epu(report);
-            cells.push(format!("{:.2}x", epu / baseline));
-            if *p == PolicyKind::GreenHetero {
-                gh_gains.push(epu / baseline);
-                gh_abs = epu;
-            }
-        }
-        cells.push(format!("{gh_abs:.3}"));
+        cells.extend(
+            policies
+                .iter()
+                .map(|&p| format!("{:.2}x", runs.epu_gain(p))),
+        );
+        cells.push(format!(
+            "{:.3}",
+            scarce_epu(runs.report(PolicyKind::GreenHetero))
+        ));
         table_row(&cells);
+        gh_gains.push((*workload, runs.epu_gain(PolicyKind::GreenHetero)));
     }
 
+    let gh = GainSpread::of(&gh_gains);
     println!();
     println!(
         "GreenHetero EPU vs Uniform: geo-mean {:.2}x, best {:.2}x, worst {:.2}x",
-        geometric_mean(&gh_gains).unwrap_or(1.0),
-        gh_gains.iter().cloned().fold(f64::MIN, f64::max),
-        gh_gains.iter().cloned().fold(f64::MAX, f64::min),
+        gh.geo_mean, gh.best.1, gh.worst.1
     );
     println!("paper reports: average ≈2.2x, best 2.7x (Canneal), worst 1.1x (Web-search)");
 }

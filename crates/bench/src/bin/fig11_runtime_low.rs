@@ -6,19 +6,9 @@
 //! batteries cycle to max DoD about twice per day; more grid energy is
 //! consumed than under the High trace.
 
-use greenhetero_bench::{banner, table_header, table_row};
-use greenhetero_core::policies::PolicyKind;
-use greenhetero_core::sources::SupplyCase;
+use greenhetero_bench::{banner, table_header, table_row, RuntimeDay};
 use greenhetero_power::solar::SolarProfile;
-use greenhetero_sim::engine::run_scenario;
-use greenhetero_sim::scenario::Scenario;
-
-fn low(policy: PolicyKind) -> Scenario {
-    Scenario {
-        solar_profile: SolarProfile::Low,
-        ..Scenario::paper_runtime(policy)
-    }
-}
+use greenhetero_sim::report::RunReport;
 
 fn main() {
     banner(
@@ -26,10 +16,10 @@ fn main() {
         "Runtime results of SPECjbb using the Low solar trace (24 h, Comb1 x5, 1000 W grid)",
     );
 
-    let gh = run_scenario(low(PolicyKind::GreenHetero)).expect("simulation runs");
-    let uni = run_scenario(low(PolicyKind::Uniform)).expect("simulation runs");
-    let gh_high =
-        run_scenario(Scenario::paper_runtime(PolicyKind::GreenHetero)).expect("simulation runs");
+    let low = RuntimeDay::run(SolarProfile::Low);
+    let high = RuntimeDay::run(SolarProfile::High);
+    let (gh, uni, gh_high) = (&low.greenhetero, &low.uniform, &high.greenhetero);
+    let (low_summary, high_summary) = (low.summary(), high.summary());
 
     println!("\n(a) hourly performance (normalized to Uniform) and supply case");
     table_header(&[
@@ -65,13 +55,13 @@ fn main() {
 
     println!("\n(b) power profile comparison vs the High trace");
     table_header(&["Metric", "Low trace", "High trace"]);
-    let charge_events = |r: &greenhetero_sim::report::RunReport| {
+    let charge_events = |r: &RunReport| {
         r.epochs
             .iter()
             .filter(|e| e.battery_charge.value() > 0.0)
             .count()
     };
-    let discharge_events = |r: &greenhetero_sim::report::RunReport| {
+    let discharge_events = |r: &RunReport| {
         r.epochs
             .iter()
             .filter(|e| e.battery_discharge.value() > 0.0)
@@ -79,23 +69,23 @@ fn main() {
     };
     table_row(&[
         "battery cycles/day".to_string(),
-        format!("{:.2}", gh.battery_cycles),
-        format!("{:.2}", gh_high.battery_cycles),
+        format!("{:.2}", low_summary.battery_cycles),
+        format!("{:.2}", high_summary.battery_cycles),
     ]);
     table_row(&[
         "charging epochs".to_string(),
-        format!("{}", charge_events(&gh)),
-        format!("{}", charge_events(&gh_high)),
+        format!("{}", charge_events(gh)),
+        format!("{}", charge_events(gh_high)),
     ]);
     table_row(&[
         "discharging epochs".to_string(),
-        format!("{}", discharge_events(&gh)),
-        format!("{}", discharge_events(&gh_high)),
+        format!("{}", discharge_events(gh)),
+        format!("{}", discharge_events(gh_high)),
     ]);
     table_row(&[
         "grid energy (kWh)".to_string(),
-        format!("{:.1}", gh.grid_energy.as_kilowatt_hours()),
-        format!("{:.1}", gh_high.grid_energy.as_kilowatt_hours()),
+        format!("{:.1}", low_summary.grid_kwh),
+        format!("{:.1}", high_summary.grid_kwh),
     ]);
     table_row(&[
         "grid cost ($)".to_string(),
@@ -103,18 +93,14 @@ fn main() {
         format!("{:.2}", gh_high.grid_cost),
     ]);
 
-    let ab_gain = gh
-        .mean_throughput_where(|e| e.case != SupplyCase::C)
-        .value()
-        / uni
-            .mean_throughput_where(|e| e.case != SupplyCase::C)
-            .value()
-            .max(1e-9);
     println!();
-    println!("mean gain during Cases A and B: {ab_gain:.2}x (paper: ≈1.2x)");
+    println!(
+        "mean gain during Cases A and B: {:.2}x (paper: ≈1.2x)",
+        low_summary.cases_ab_gain
+    );
     println!(
         "battery cycled {:.1}x to max DoD (paper: about twice per day)",
-        gh.battery_cycles
+        low_summary.battery_cycles
     );
     println!(
         "paper: the Low trace shows more frequent charge/discharge and more grid usage than High"

@@ -7,12 +7,8 @@
 //! pays — and peak grid power is expensive (up to $13.61/kW), so
 //! GreenHetero lets operators under-provision the grid infrastructure.
 
-use greenhetero_bench::{banner, table_header, table_row};
-use greenhetero_core::policies::PolicyKind;
+use greenhetero_bench::{banner, table_header, table_row, NightPoint};
 use greenhetero_core::types::Watts;
-use greenhetero_sim::report::RunReport;
-use greenhetero_sim::runner::compare_policies;
-use greenhetero_sim::scenario::Scenario;
 
 fn main() {
     banner(
@@ -30,26 +26,14 @@ fn main() {
 
     // Scarcity bites at night, when the battery hits its DoD floor and the
     // grid budget is all there is — precisely the Fig. 12 condition.
-    let night = |r: &RunReport| {
-        r.mean_throughput_where(|e| e.solar.value() < 5.0 && e.battery_discharge.value() == 0.0)
-    };
-
     for budget in [400.0, 600.0, 800.0, 1000.0, 1200.0, 1400.0] {
-        let base = Scenario {
-            grid_budget: Watts::new(budget),
-            ..Scenario::paper_runtime(PolicyKind::Uniform)
-        };
-        let outcomes = compare_policies(&base, &[PolicyKind::Uniform, PolicyKind::GreenHetero])
-            .expect("simulations run");
-        let uni = night(&outcomes[0].report).value();
-        let gh = night(&outcomes[1].report).value();
-        let gain = if uni > 0.0 { gh / uni } else { f64::INFINITY };
+        let night = NightPoint::at(Watts::new(budget));
         table_row(&[
             format!("{budget:.0}"),
-            format!("{uni:.0}"),
-            format!("{gh:.0}"),
-            format!("{gain:.2}x"),
-            format!("{:.2}", outcomes[1].report.grid_cost),
+            format!("{:.0}", night.uniform),
+            format!("{:.0}", night.greenhetero),
+            format!("{:.2}x", night.gain()),
+            format!("{:.2}", night.grid_cost),
         ]);
     }
 

@@ -5,12 +5,11 @@
 //! improvement — their members have similar power profiles); Comb1 and
 //! Comb3 show up to 1.5× gains; the three-type Comb5 reaches ≈ 1.6×.
 
-use greenhetero_bench::{banner, policy_order, table_header, table_row};
-use greenhetero_core::policies::PolicyKind;
+use greenhetero_bench::{
+    banner, combination_study, policy_order, table_header, table_row, Comparison,
+};
 use greenhetero_server::rack::Combination;
 use greenhetero_server::workload::WorkloadKind;
-use greenhetero_sim::runner::compare_policies;
-use greenhetero_sim::scenario::Scenario;
 
 fn main() {
     banner(
@@ -31,16 +30,7 @@ fn main() {
         Combination::Comb4,
         Combination::Comb5,
     ] {
-        let base = Scenario {
-            combination: comb,
-            ..Scenario::workload_study(WorkloadKind::SpecJbb, PolicyKind::Uniform)
-        };
-        let outcomes = compare_policies(&base, &policies).expect("simulations run");
-        let baseline = outcomes[0].report.mean_scarce_throughput().value();
-        assert!(
-            baseline > 0.0,
-            "Uniform baseline produced zero scarce throughput for {comb}; cannot normalize"
-        );
+        let runs = Comparison::run(&combination_study(comb, WorkloadKind::SpecJbb), &policies);
         let mut cells = vec![
             comb.to_string(),
             comb.platforms()
@@ -49,12 +39,7 @@ fn main() {
                 .collect::<Vec<_>>()
                 .join(" + "),
         ];
-        for o in &outcomes {
-            cells.push(format!(
-                "{:.2}x",
-                o.report.mean_scarce_throughput().value() / baseline
-            ));
-        }
+        cells.extend(policies.iter().map(|&p| format!("{:.2}x", runs.gain(p))));
         table_row(&cells);
     }
 

@@ -5,13 +5,12 @@
 //! (the GPU dwarfs the CPU on it, and Uniform starves the 149 W-idle GPU);
 //! Cfd gains least (CPU and GPU perform similarly); mean ≈ 2.5×.
 
-use greenhetero_bench::{banner, policy_order, table_header, table_row};
-use greenhetero_core::metrics::geometric_mean;
+use greenhetero_bench::{
+    banner, combination_study, policy_order, table_header, table_row, Comparison, GainSpread,
+};
 use greenhetero_core::policies::PolicyKind;
 use greenhetero_server::rack::Combination;
 use greenhetero_server::workload::WorkloadKind;
-use greenhetero_sim::runner::compare_policies;
-use greenhetero_sim::scenario::Scenario;
 
 fn main() {
     banner(
@@ -27,28 +26,18 @@ fn main() {
 
     let mut gh_gains = Vec::new();
     for workload in WorkloadKind::COMB6_SET {
-        let base = Scenario {
-            combination: Combination::Comb6,
-            ..Scenario::workload_study(workload, PolicyKind::Uniform)
-        };
-        let outcomes = compare_policies(&base, &policies).expect("simulations run");
-        let baseline = outcomes[0].report.mean_scarce_throughput().value();
+        let runs = Comparison::run(&combination_study(Combination::Comb6, workload), &policies);
         let mut cells = vec![workload.to_string()];
-        for o in &outcomes {
-            let gain = o.report.mean_scarce_throughput().value() / baseline;
-            cells.push(format!("{gain:.2}x"));
-            if o.policy == PolicyKind::GreenHetero {
-                gh_gains.push(gain);
-            }
-        }
+        cells.extend(policies.iter().map(|&p| format!("{:.2}x", runs.gain(p))));
         table_row(&cells);
+        gh_gains.push((workload, runs.gain(PolicyKind::GreenHetero)));
     }
 
+    let gh = GainSpread::of(&gh_gains);
     println!();
     println!(
         "GreenHetero vs Uniform on the GPU rack: geo-mean {:.2}x, best {:.2}x",
-        geometric_mean(&gh_gains).unwrap_or(1.0),
-        gh_gains.iter().cloned().fold(f64::MIN, f64::max),
+        gh.geo_mean, gh.best.1
     );
     println!("paper reports: mean ≈2.5x, Srad_v1 up to 4.6x, Cfd smallest (CPU ≈ GPU)");
 }

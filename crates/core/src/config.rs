@@ -45,8 +45,6 @@ pub struct ControllerConfig {
     /// The cache only accelerates lookups — seeded runs are bit-identical
     /// with it on or off (DESIGN.md §11).
     pub solver_cache_capacity: usize,
-    /// Width of the allocation cache's budget lookup buckets.
-    pub solver_cache_budget_quantum: Watts,
     /// Serve daemon: epoch-step panics a session survives before it is
     /// quarantined. `0` quarantines on the first panic.
     pub serve_restart_budget: u32,
@@ -74,7 +72,6 @@ impl Default for ControllerConfig {
             holt_retrain_epochs: 24,
             holt_history: 192,
             solver_cache_capacity: 64,
-            solver_cache_budget_quantum: Watts::new(1.0),
             serve_restart_budget: 3,
             serve_backoff_base_ms: 50,
             serve_backoff_cap_ms: 2_000,
@@ -129,12 +126,6 @@ impl ControllerConfig {
         if self.holt_retrain_epochs == 0 {
             return fail("holt retrain interval must be at least 1 epoch".into());
         }
-        let quantum = self.solver_cache_budget_quantum.value();
-        if !(quantum > 0.0 && quantum.is_finite()) {
-            return fail(format!(
-                "solver cache budget quantum must be positive and finite, got {quantum}"
-            ));
-        }
         if self.serve_backoff_base_ms == 0 {
             return fail("serve restart backoff base must be at least 1 ms".into());
         }
@@ -167,16 +158,9 @@ mod tests {
     }
 
     #[test]
-    fn solver_fast_path_defaults_and_validation() {
+    fn solver_fast_path_defaults() {
         let cfg = ControllerConfig::default();
         assert_eq!(cfg.solver_cache_capacity, 64);
-        assert_eq!(cfg.solver_cache_budget_quantum, Watts::new(1.0));
-
-        let bad = ControllerConfig {
-            solver_cache_budget_quantum: Watts::ZERO,
-            ..ControllerConfig::default()
-        };
-        assert!(bad.validate().is_err());
     }
 
     #[test]

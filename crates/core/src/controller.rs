@@ -18,8 +18,8 @@ use crate::error::CoreError;
 use crate::policies::{AllocationOracle, AllocationPolicy, PolicyKind};
 use crate::predictor::{train_or_default, HoltParams, Predictor};
 use crate::solver::{
-    allocation_is_sound, solve_grid, solve_uniform, Allocation, AllocationProblem, FastPathConfig,
-    ServerGroup, SharedSolveCache, SolveEngine, SolverFastPath,
+    allocation_is_sound, solve_grid, solve_uniform, Allocation, AllocationProblem, ServerGroup,
+    SharedSolveCache, SolveEngine, SolverFastPath,
 };
 use crate::sources::{select_sources, BatteryView, SourceInputs, SourcePlan};
 use crate::telemetry::{names, Counter, Histogram, SpanRecord, Telemetry};
@@ -388,10 +388,7 @@ impl Controller {
         config.validate()?;
         let telemetry = Telemetry::default();
         let metrics = ControllerMetrics::new(&telemetry);
-        let fast = SolverFastPath::new(FastPathConfig {
-            cache_capacity: config.solver_cache_capacity,
-            budget_quantum: config.solver_cache_budget_quantum,
-        });
+        let fast = SolverFastPath::new(config.solver_cache_capacity);
         Ok(Controller {
             config,
             policy: policy.build(),

@@ -9,20 +9,20 @@
 //!
 //! 1. **Reuse** — a problem bit-identical to the previous solve's returns
 //!    the previous allocation outright;
-//! 2. **Memo** — solves are remembered in a small LRU keyed by (quantized
-//!    budget bucket, group digest); a hit revalidates the stored problem
-//!    bit-for-bit against the live one and falls back to a solve on any
-//!    mismatch, so a hit is always bit-identical to the solve it replaced.
+//! 2. **Memo** — solves are remembered in a small LRU keyed by a digest
+//!    of the group layout and the budget; a hit revalidates the stored
+//!    problem bit-for-bit against the live one and falls back to a solve
+//!    on any mismatch, so a hit is always bit-identical to the solve it
+//!    replaced.
 //!
 //! The memo can reach past one controller: [`SharedSolveCache`] is a
-//! sharded, thread-safe store keyed the same way (model fingerprints via
-//! the group digest, quantized budget bucket) with the same full-equality
-//! revalidation on hit, consulted after a local miss. Racks in a fleet
-//! that face bit-identical problems — common once noise is low and models
-//! converge — pay one solve and N bit-identical reuses per epoch
-//! (DESIGN.md §14). A shared hit stands in for the engine call the local
-//! miss committed to, and is remembered locally exactly as that solve
-//! would have been.
+//! sharded, thread-safe store keyed the same way with the same
+//! full-equality revalidation on hit, consulted after a local miss.
+//! Racks in a fleet that face bit-identical problems — common once noise
+//! is low and models converge — pay one solve and N bit-identical reuses
+//! per epoch (DESIGN.md §14). A shared hit stands in for the engine call
+//! the local miss committed to, and is remembered locally exactly as that
+//! solve would have been.
 //!
 //! Every layer returns the bits
 //! [`solve_with_engine`](crate::solver::solve_with_engine) computes for
@@ -35,30 +35,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
+use crate::config::ControllerConfig;
 use crate::error::CoreError;
 use crate::solver::problem::{Allocation, AllocationProblem};
 use crate::solver::scratch::SolverScratch;
 use crate::solver::{solve_with_engine_scratch, SolveEngine};
-use crate::types::Watts;
-
-/// Tunables of the solver fast path; defaults mirror
-/// [`ControllerConfig`](crate::config::ControllerConfig).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FastPathConfig {
-    /// Allocation-cache capacity in entries; 0 disables the cache.
-    pub cache_capacity: usize,
-    /// Width of the cache's budget lookup buckets.
-    pub budget_quantum: Watts,
-}
-
-impl Default for FastPathConfig {
-    fn default() -> Self {
-        FastPathConfig {
-            cache_capacity: 64,
-            budget_quantum: Watts::new(1.0),
-        }
-    }
-}
 
 /// Monotone counters the fast path accumulates; the controller drains
 /// them into telemetry once per epoch via
@@ -99,7 +80,6 @@ struct LastSolve {
 /// authorizes reuse.
 #[derive(Debug, Clone)]
 struct CacheEntry {
-    bucket: i64,
     digest: u64,
     problem: AllocationProblem,
     allocation: Allocation,
@@ -117,11 +97,9 @@ pub const DEFAULT_SHARED_SOLVE_CAPACITY: usize = 1024;
 const SHARED_SHARDS: usize = 16;
 
 /// One shared solve. Like the local cache, the full problem is kept:
-/// digest and bucket narrow the lookup, bit-for-bit equality authorizes
-/// reuse.
+/// the digest narrows the lookup, bit-for-bit equality authorizes reuse.
 #[derive(Debug)]
 struct SharedEntry {
-    bucket: i64,
     digest: u64,
     problem: AllocationProblem,
     allocation: Allocation,
@@ -143,7 +121,7 @@ pub struct SharedSolveStats {
     /// Lookups that found no entry under the key.
     pub misses: u64,
     /// Lookups that found the key but failed full-equality revalidation
-    /// (digest collision or same-bucket budget neighbor).
+    /// (a digest collision).
     pub revalidation_misses: u64,
     /// Solves published into the cache.
     pub insertions: u64,
@@ -168,10 +146,10 @@ impl SharedSolveStats {
 }
 
 /// A thread-safe solve cache shared across controllers — the fleet-wide
-/// batched-solve substrate. Keyed exactly like the local LRU (quantized
-/// budget bucket + group digest over configs, counts, and model
-/// fingerprints) and revalidated by full problem equality on every hit,
-/// so a hit is bit-identical to the engine call it replaces.
+/// batched-solve substrate. Keyed exactly like the local LRU (a digest
+/// over configs, counts, model fingerprints and the budget) and
+/// revalidated by full problem equality on every hit, so a hit is
+/// bit-identical to the engine call it replaces.
 ///
 /// Attaching or resizing this cache never changes any controller's output:
 /// it only substitutes bit-identical answers for redundant engine calls.
@@ -252,7 +230,6 @@ impl SharedSolveCache {
     /// full-equality + feasibility revalidation.
     fn lookup(
         &self,
-        bucket: i64,
         digest: u64,
         problem: &AllocationProblem,
     ) -> Option<(Allocation, SolveEngine)> {
@@ -262,7 +239,7 @@ impl SharedSolveCache {
             .unwrap_or_else(PoisonError::into_inner);
         let mut collided = false;
         for e in entries.iter_mut() {
-            if e.bucket == bucket && e.digest == digest {
+            if e.digest == digest {
                 if e.problem == *problem && e.problem.is_feasible(&e.allocation.per_server) {
                     e.stamp = self.next_stamp();
                     self.hits.fetch_add(1, Ordering::Relaxed);
@@ -285,7 +262,6 @@ impl SharedSolveCache {
     /// bit-identical by construction) and only its stamp refreshes.
     fn insert(
         &self,
-        bucket: i64,
         digest: u64,
         problem: &AllocationProblem,
         allocation: &Allocation,
@@ -297,7 +273,7 @@ impl SharedSolveCache {
             .unwrap_or_else(PoisonError::into_inner);
         if let Some(existing) = entries
             .iter_mut()
-            .find(|e| e.bucket == bucket && e.digest == digest && e.problem == *problem)
+            .find(|e| e.digest == digest && e.problem == *problem)
         {
             existing.stamp = self.next_stamp();
             return;
@@ -315,7 +291,6 @@ impl SharedSolveCache {
         }
         let stamp = self.next_stamp();
         entries.push(SharedEntry {
-            bucket,
             digest,
             problem: problem.clone(),
             allocation: allocation.clone(),
@@ -329,7 +304,7 @@ impl SharedSolveCache {
 /// The stateful solver front-end the controller holds across epochs.
 #[derive(Debug)]
 pub struct SolverFastPath {
-    config: FastPathConfig,
+    capacity: usize,
     scratch: SolverScratch,
     cache: Vec<CacheEntry>,
     last: Option<LastSolve>,
@@ -340,19 +315,21 @@ pub struct SolverFastPath {
 }
 
 impl Default for SolverFastPath {
+    /// The memo capacity of [`ControllerConfig::default`].
     fn default() -> Self {
-        SolverFastPath::new(FastPathConfig::default())
+        SolverFastPath::new(ControllerConfig::default().solver_cache_capacity)
     }
 }
 
 impl SolverFastPath {
-    /// A fast path with empty cache and no previous epoch.
+    /// A fast path with an empty memo of `capacity` entries (0 disables
+    /// it) and no previous solve.
     #[must_use]
-    pub fn new(config: FastPathConfig) -> Self {
+    pub fn new(capacity: usize) -> Self {
         SolverFastPath {
-            config,
+            capacity,
             scratch: SolverScratch::new(),
-            cache: Vec::with_capacity(config.cache_capacity),
+            cache: Vec::with_capacity(capacity),
             last: None,
             shared: None,
             stats: FastPathStats::default(),
@@ -370,18 +347,6 @@ impl SolverFastPath {
         self.shared = shared;
     }
 
-    /// The attached cross-controller cache, if any.
-    #[must_use]
-    pub fn shared_cache(&self) -> Option<&Arc<SharedSolveCache>> {
-        self.shared.as_ref()
-    }
-
-    /// The active configuration.
-    #[must_use]
-    pub fn config(&self) -> FastPathConfig {
-        self.config
-    }
-
     /// Lifetime counters (never reset).
     #[must_use]
     pub fn stats(&self) -> FastPathStats {
@@ -394,15 +359,6 @@ impl SolverFastPath {
         let delta = self.stats.minus(self.taken);
         self.taken = self.stats;
         delta
-    }
-
-    /// Drops the cache and the previous-epoch solve (counters survive).
-    /// The controller calls this when the policy or rack layout changes
-    /// wholesale; normal model drift invalidates naturally via
-    /// fingerprints.
-    pub fn invalidate(&mut self) {
-        self.cache.clear();
-        self.last = None;
     }
 
     /// Solves `problem` through the fast path. The returned allocation is
@@ -441,15 +397,14 @@ impl SolverFastPath {
         &mut self,
         problem: &AllocationProblem,
     ) -> Result<(Allocation, SolveEngine), CoreError> {
-        let caching = self.config.cache_capacity > 0;
-        let bucket = budget_bucket(problem.budget(), self.config.budget_quantum);
+        let caching = self.capacity > 0;
         let digest = problem_digest(problem);
         if caching {
             let found = self.cache.iter_mut().find(|e| {
-                e.bucket == bucket && e.digest == digest
+                e.digest == digest
                 // Revalidation: the stored problem (live budget bits and
-                // all) must equal the incoming one; a digest collision or
-                // a same-bucket different-budget neighbor is a miss.
+                // all) must equal the incoming one; a digest collision is
+                // a miss.
                 && e.problem == *problem
                 && e.problem.is_feasible(&e.allocation.per_server)
             });
@@ -470,19 +425,19 @@ impl SolverFastPath {
         let shared_hit = self
             .shared
             .as_ref()
-            .and_then(|shared| shared.lookup(bucket, digest, problem));
+            .and_then(|shared| shared.lookup(digest, problem));
         let (allocation, engine) = match shared_hit {
             Some(hit) => hit,
             None => {
                 let answer = solve_with_engine_scratch(problem, &mut self.scratch)?;
                 if let Some(shared) = &self.shared {
-                    shared.insert(bucket, digest, problem, &answer.0, answer.1);
+                    shared.insert(digest, problem, &answer.0, answer.1);
                 }
                 answer
             }
         };
         if caching {
-            self.remember(bucket, digest, problem, &allocation, engine);
+            self.remember(digest, problem, &allocation, engine);
         }
         Ok((allocation, engine))
     }
@@ -492,13 +447,12 @@ impl SolverFastPath {
     /// engine solves — local state must not see the difference.
     fn remember(
         &mut self,
-        bucket: i64,
         digest: u64,
         problem: &AllocationProblem,
         allocation: &Allocation,
         engine: SolveEngine,
     ) {
-        if self.cache.len() >= self.config.cache_capacity {
+        if self.cache.len() >= self.capacity {
             // Evict the least-recently used entry (smallest stamp).
             if let Some(victim) = self
                 .cache
@@ -513,7 +467,6 @@ impl SolverFastPath {
         }
         self.clock += 1;
         self.cache.push(CacheEntry {
-            bucket,
             digest,
             problem: problem.clone(),
             allocation: allocation.clone(),
@@ -523,15 +476,10 @@ impl SolverFastPath {
     }
 }
 
-/// The cache lookup bucket: budgets quantized to `quantum`-wide bins.
-fn budget_bucket(budget: Watts, quantum: Watts) -> i64 {
-    let q = quantum.value().max(1e-9);
-    (budget.value() / q).floor() as i64
-}
-
-/// FNV-1a digest of the group layout: length, then per group (config,
-/// count, model fingerprint). Budget is deliberately excluded — the
-/// bucket carries it.
+/// FNV-1a digest of the problem: group count, per group (config, count,
+/// model fingerprint), then the budget's bits. Equal problems have equal
+/// digests: adding `0.0` turns a `-0.0` budget into `+0.0`, the two
+/// budgets `==` cannot tell apart.
 fn problem_digest(problem: &AllocationProblem) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     let mut mix = |word: u64| {
@@ -546,6 +494,7 @@ fn problem_digest(problem: &AllocationProblem) -> u64 {
         mix(u64::from(g.count));
         mix(g.model.fingerprint());
     }
+    mix((problem.budget().value() + 0.0).to_bits());
     hash
 }
 
@@ -554,7 +503,7 @@ mod tests {
     use super::*;
     use crate::database::{PerfModel, Quadratic};
     use crate::solver::{solve_with_engine, ServerGroup};
-    use crate::types::{ConfigId, PowerRange};
+    use crate::types::{ConfigId, PowerRange, Watts};
 
     fn group(id: u32, count: u32, idle: f64, peak: f64, m: f64, n: f64) -> ServerGroup {
         ServerGroup::new(
@@ -624,10 +573,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_the_stalest_entry() {
-        let mut fast = SolverFastPath::new(FastPathConfig {
-            cache_capacity: 2,
-            ..FastPathConfig::default()
-        });
+        let mut fast = SolverFastPath::new(2);
         fast.solve(&problem(100.0)).unwrap();
         fast.solve(&problem(300.0)).unwrap();
         fast.solve(&problem(100.0)).unwrap(); // refresh 100's stamp
@@ -643,10 +589,7 @@ mod tests {
     fn disabled_cache_produces_identical_answers() {
         let budgets = [500.0, 505.0, 800.0, 500.0, 505.0, 200.0, 800.0];
         let mut on = SolverFastPath::default();
-        let mut off = SolverFastPath::new(FastPathConfig {
-            cache_capacity: 0,
-            ..FastPathConfig::default()
-        });
+        let mut off = SolverFastPath::new(0);
         for &b in &budgets {
             let p = problem(b);
             let (with_cache, e1) = on.solve(&p).unwrap();
@@ -676,14 +619,22 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_clears_state_but_keeps_counters() {
+    fn equal_budgets_share_a_key_and_others_do_not() {
+        assert_eq!(
+            problem_digest(&problem(0.0)),
+            problem_digest(&problem(-0.0))
+        );
+        assert_ne!(
+            problem_digest(&problem(500.0)),
+            problem_digest(&problem(500.5))
+        );
+        // A budget a hair away is a different problem: a miss, not a hit.
         let mut fast = SolverFastPath::default();
-        fast.solve(&problem(500.0)).unwrap();
-        fast.invalidate();
-        fast.solve(&problem(500.0)).unwrap();
-        // Same problem twice, but the reuse seed was dropped → both cold.
-        assert_eq!(fast.stats().warm_starts, 0);
-        assert_eq!(fast.stats().cache_misses, 2);
+        for budget in [0.0, 500.0, -0.0, 500.0 + 1e-9] {
+            fast.solve(&problem(budget)).unwrap();
+        }
+        assert_eq!(fast.stats().cache_hits, 1);
+        assert_eq!(fast.stats().cache_misses, 3);
     }
 
     /// An allocation as raw bits: every per-server watt value, then the
@@ -777,32 +728,29 @@ mod tests {
         let p1 = problem(500.0);
         let p2 = problem(800.0);
         let (a1, e1) = solve_with_engine(&p1).unwrap();
-        let bucket1 = budget_bucket(p1.budget(), Watts::new(1.0));
-        let digest = problem_digest(&p1); // layout-only: same for p1 and p2
-        shared.insert(bucket1, digest, &p1, &a1, e1);
+        let digest = problem_digest(&p1);
+        shared.insert(digest, &p1, &a1, e1);
         assert_eq!(shared.len(), 1);
 
-        // Same key fields, different problem bits → revalidation miss.
-        assert!(shared.lookup(bucket1, digest, &p2).is_none());
-        // Another bucket → plain miss, not a revalidation miss.
-        assert!(shared.lookup(bucket1 + 1, digest, &p1).is_none());
+        // A colliding digest over different problem bits → revalidation
+        // miss.
+        assert!(shared.lookup(digest, &p2).is_none());
+        // Another digest → plain miss, not a revalidation miss.
+        assert!(shared.lookup(problem_digest(&p2), &p2).is_none());
         let stats = shared.stats();
         assert_eq!(stats.revalidation_misses, 1);
         assert_eq!(stats.misses, 1);
 
         // True hit returns the stored bits.
-        let (hit, engine) = shared
-            .lookup(bucket1, digest, &p1)
-            .expect("revalidated hit");
+        let (hit, engine) = shared.lookup(digest, &p1).expect("revalidated hit");
         assert_eq!(hit, a1);
         assert_eq!(engine, e1);
 
         // A second insert into the same (full) shard evicts the first.
-        let bucket2 = budget_bucket(p2.budget(), Watts::new(1.0));
         let (a2, e2) = solve_with_engine(&p2).unwrap();
-        shared.insert(bucket2, digest, &p2, &a2, e2);
+        shared.insert(digest, &p2, &a2, e2);
         assert_eq!(shared.stats().evictions, 1);
-        assert!(shared.lookup(bucket1, digest, &p1).is_none());
+        assert!(shared.lookup(digest, &p1).is_none());
     }
 
     #[test]
@@ -810,10 +758,9 @@ mod tests {
         let shared = SharedSolveCache::new(64);
         let p = problem(500.0);
         let (a, e) = solve_with_engine(&p).unwrap();
-        let bucket = budget_bucket(p.budget(), Watts::new(1.0));
         let digest = problem_digest(&p);
-        shared.insert(bucket, digest, &p, &a, e);
-        shared.insert(bucket, digest, &p, &a, e);
+        shared.insert(digest, &p, &a, e);
+        shared.insert(digest, &p, &a, e);
         assert_eq!(shared.len(), 1);
         assert_eq!(shared.stats().insertions, 1);
     }

@@ -19,8 +19,7 @@
 //! This is also the machinery behind the **Manual** policy of Table III,
 //! which "statically tries all possible power allocations at a granularity
 //! of 10 %": [`ShareLattice`] walks exactly that simplex, one point at a
-//! time and allocation-free ([`enumerate_shares`] is the materializing
-//! compatibility wrapper).
+//! time and allocation-free.
 //!
 //! The hot loops here are allocation-free by contract (lint rule GH006):
 //! all working memory lives on the stack or in the caller-provided
@@ -355,9 +354,8 @@ fn solve_coordinate_ascent(problem: &AllocationProblem, scratch: &mut SolverScra
 /// `(η, γ, …)` vector with entries in `{0, 1/steps, …, 1}` summing to
 /// exactly 1, visited in the same lexicographic order the old recursive
 /// enumeration produced (callers keep the first best on ties, so order is
-/// part of the contract). Unlike the materializing [`enumerate_shares`],
-/// the lattice holds one point at a time — O(groups) memory for a lattice
-/// that is combinatorial in size.
+/// part of the contract). The lattice holds one point at a time —
+/// O(groups) memory for a lattice that is combinatorial in size.
 ///
 /// # Examples
 ///
@@ -473,30 +471,6 @@ impl ShareLattice {
         self.ticks[last] = freed - 1;
         true
     }
-}
-
-/// Enumerates all share vectors on the `granularity`-step simplex, e.g.
-/// a granularity of 0.1 yields the Manual policy's 10 % lattice: every
-/// `(η, γ, …)` with entries in `{0, 0.1, …, 1}` summing to exactly 1.
-///
-/// This is the materializing compatibility wrapper around
-/// [`ShareLattice`]; hot paths should walk the lattice directly instead
-/// of collecting a combinatorial number of vectors.
-///
-/// # Panics
-///
-/// Panics if `granularity` is zero or `groups` is zero; granularities
-/// below `1/1000` are clamped (see [`ShareLattice::new`]).
-#[must_use]
-pub fn enumerate_shares(groups: usize, granularity: Ratio) -> Vec<Vec<Ratio>> {
-    let mut lattice = ShareLattice::new(groups, granularity);
-    // greenhetero-lint: allow(GH006) compat shim materializes the lattice for small callers
-    let mut out = Vec::new();
-    while let Some(shares) = lattice.advance() {
-        // greenhetero-lint: allow(GH006) compat shim materializes the lattice for small callers
-        out.push(shares.to_vec());
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1093,9 +1067,18 @@ mod tests {
         assert_eq!(alloc.per_server[0], Watts::ZERO);
     }
 
+    /// Every point of `lattice`, in order.
+    fn collect(mut lattice: ShareLattice) -> Vec<Vec<Ratio>> {
+        let mut seen = Vec::new();
+        while let Some(shares) = lattice.advance() {
+            seen.push(shares.to_vec());
+        }
+        seen
+    }
+
     #[test]
-    fn enumerate_shares_ten_percent_two_groups() {
-        let shares = enumerate_shares(2, Ratio::saturating(0.1));
+    fn lattice_ten_percent_two_groups() {
+        let shares = collect(ShareLattice::new(2, Ratio::saturating(0.1)));
         // (0, 1), (0.1, 0.9), …, (1, 0): 11 lattice points.
         assert_eq!(shares.len(), 11);
         for s in &shares {
@@ -1105,33 +1088,29 @@ mod tests {
     }
 
     #[test]
-    fn enumerate_shares_three_groups_counts() {
-        let shares = enumerate_shares(3, Ratio::saturating(0.1));
+    fn lattice_three_groups_counts() {
+        let shares = collect(ShareLattice::new(3, Ratio::saturating(0.1)));
         // Compositions of 10 into 3 parts: C(12, 2) = 66.
         assert_eq!(shares.len(), 66);
     }
 
     #[test]
     #[should_panic(expected = "granularity must be in (0, 1]")]
-    fn enumerate_shares_rejects_zero_granularity() {
-        let _ = enumerate_shares(2, Ratio::saturating(0.0));
+    fn lattice_rejects_zero_granularity() {
+        let _ = ShareLattice::new(2, Ratio::saturating(0.0));
     }
 
     #[test]
     #[should_panic(expected = "at least one group")]
-    fn enumerate_shares_rejects_zero_groups() {
+    fn lattice_rejects_zero_groups() {
         // The old recursion underflowed `groups - 1` here; the contract is
         // now an explicit panic.
-        let _ = enumerate_shares(0, Ratio::saturating(0.1));
+        let _ = ShareLattice::new(0, Ratio::saturating(0.1));
     }
 
     #[test]
     fn lattice_streams_in_the_legacy_recursion_order() {
-        let mut lattice = ShareLattice::new(3, Ratio::saturating(0.5));
-        let mut seen = Vec::new();
-        while let Some(shares) = lattice.advance() {
-            seen.push(shares.to_vec());
-        }
+        let seen = collect(ShareLattice::new(3, Ratio::saturating(0.5)));
         let tick = |t: u32| Ratio::saturating(f64::from(t) / 2.0);
         let expect: Vec<Vec<Ratio>> = [
             [0, 0, 2],
@@ -1165,7 +1144,7 @@ mod tests {
         assert_eq!(one.advance(), None);
         assert_eq!(one.advance(), None);
 
-        let coarse = enumerate_shares(2, Ratio::ONE);
+        let coarse = collect(ShareLattice::new(2, Ratio::ONE));
         assert_eq!(
             coarse,
             vec![vec![Ratio::ZERO, Ratio::ONE], vec![Ratio::ONE, Ratio::ZERO]]

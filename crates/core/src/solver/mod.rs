@@ -26,11 +26,11 @@ mod problem;
 mod scratch;
 
 pub use cache::{
-    FastPathConfig, FastPathStats, SharedSolveCache, SharedSolveStats, SolverFastPath,
+    FastPathStats, SharedSolveCache, SharedSolveStats, SolverFastPath,
     DEFAULT_SHARED_SOLVE_CAPACITY,
 };
 pub use exact::{solve_exact, solve_exact_with, MAX_EXACT_GROUPS};
-pub use grid::{enumerate_shares, solve_grid, solve_grid_with, ShareLattice};
+pub use grid::{solve_grid, solve_grid_with, ShareLattice};
 pub use problem::{Allocation, AllocationProblem, ServerGroup};
 pub use scratch::SolverScratch;
 

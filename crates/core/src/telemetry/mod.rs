@@ -109,7 +109,7 @@ pub mod names {
     /// Shared-solve lookups that found no entry under the key.
     pub const SHARED_SOLVE_MISS: &str = "greenhetero_shared_solve_miss_total";
     /// Shared-solve lookups that found the key but failed full-equality
-    /// revalidation (digest collision or same-bucket budget neighbor).
+    /// revalidation (a digest collision).
     pub const SHARED_SOLVE_REVALIDATION_MISS: &str =
         "greenhetero_shared_solve_revalidation_miss_total";
     /// Shared-solve entries displaced by per-shard LRU eviction.

@@ -14,7 +14,7 @@ use greenhetero_core::predictor::{
 };
 use greenhetero_core::solver::{
     audit_allocation, solve, solve_exact, solve_grid, solve_with_engine, Allocation,
-    AllocationProblem, FastPathConfig, ServerGroup, SolverFastPath,
+    AllocationProblem, ServerGroup, SolverFastPath,
 };
 use greenhetero_core::sources::{
     audit_plan, select_sources, BatteryView, ChargeSource, SourceInputs,
@@ -404,7 +404,7 @@ proptest! {
         );
     }
 
-    /// The quantized allocation cache is a pure accelerator: over any
+    /// The allocation cache is a pure accelerator: over any
     /// drifting problem sequence, decision streams are bit-identical
     /// with the cache disabled, thrash-sized, or default-sized.
     #[test]
@@ -413,14 +413,8 @@ proptest! {
         factors in proptest::collection::vec(0.9..1.1f64, 1..12),
     ) {
         let mut default_cache = SolverFastPath::default();
-        let mut no_cache = SolverFastPath::new(FastPathConfig {
-            cache_capacity: 0,
-            ..FastPathConfig::default()
-        });
-        let mut thrash_cache = SolverFastPath::new(FastPathConfig {
-            cache_capacity: 1,
-            ..FastPathConfig::default()
-        });
+        let mut no_cache = SolverFastPath::new(0);
+        let mut thrash_cache = SolverFastPath::new(1);
         for f in factors {
             let q = AllocationProblem::new(
                 p.groups().to_vec(),

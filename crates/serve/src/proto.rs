@@ -123,44 +123,6 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// Undoes [`json_escape`] (the escapes this module emits, plus `\/`).
-/// Unknown escapes are kept verbatim rather than rejected.
-#[must_use]
-pub fn json_unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('"') => out.push('"'),
-            Some('\\') => out.push('\\'),
-            Some('/') => out.push('/'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                match u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    Some(decoded) => out.push(decoded),
-                    None => {
-                        out.push_str("\\u");
-                        out.push_str(&hex);
-                    }
-                }
-            }
-            Some(other) => {
-                out.push('\\');
-                out.push(other);
-            }
-            None => out.push('\\'),
-        }
-    }
-    out
-}
-
 /// An incrementally built flat JSON object: string, number, and bool
 /// fields only, rendered in insertion order.
 #[derive(Debug, Default)]
@@ -318,9 +280,9 @@ mod tests {
     }
 
     #[test]
-    fn escape_round_trips() {
+    fn escape_covers_quotes_backslashes_and_controls() {
         let nasty = "a\"b\\c\nd\te\r\u{1}f";
-        assert_eq!(json_unescape(&json_escape(nasty)), nasty);
+        assert_eq!(json_escape(nasty), r#"a\"b\\c\nd\te\r\u0001f"#);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! * **Batched solves.** One fleet-wide
 //!   [`SharedSolveCache`] dedups the per-epoch PAR solve across racks:
 //!   controllers facing bit-identical problems (same model fingerprints,
-//!   same budget bucket, full-equality revalidation on hit) pay one cold
+//!   same budget, full-equality revalidation on hit) pay one cold
 //!   solve and reuse the answer. Attaching, detaching, or resizing the
 //!   cache never changes a single output bit (DESIGN.md §14).
 //! * **Lock-step epochs on the scoped executor.** Racks are grouped into

@@ -157,53 +157,6 @@ fn worker_count_from(override_: Option<&str>) -> (usize, Option<String>) {
     }
 }
 
-/// Normalized performance of each policy relative to a baseline policy
-/// (the paper normalizes to Uniform). Returns `(policy, speedup)` pairs.
-///
-/// # Errors
-///
-/// Propagates simulation failures; returns [`CoreError::InvalidConfig`]
-/// if `baseline` is not among `policies`, or if the baseline run produced
-/// zero (or non-finite) mean throughput — a 0-throughput baseline would
-/// make every ratio meaningless, so it is an error rather than a silent
-/// `1.0`.
-pub fn normalized_performance(
-    base: &Scenario,
-    policies: &[PolicyKind],
-    baseline: PolicyKind,
-) -> Result<Vec<(PolicyKind, f64)>, CoreError> {
-    let outcomes = compare_policies(base, policies)?;
-    normalize_outcomes(&outcomes, baseline)
-}
-
-/// Divides every outcome's mean throughput by the baseline's, rejecting a
-/// missing or zero-throughput baseline.
-fn normalize_outcomes(
-    outcomes: &[PolicyOutcome],
-    baseline: PolicyKind,
-) -> Result<Vec<(PolicyKind, f64)>, CoreError> {
-    let base_thr = outcomes
-        .iter()
-        .find(|o| o.policy == baseline)
-        .ok_or_else(|| CoreError::InvalidConfig {
-            reason: format!("baseline {baseline} not among compared policies"),
-        })?
-        .report
-        .mean_throughput()
-        .value();
-    if !base_thr.is_finite() || base_thr <= 0.0 {
-        return Err(CoreError::InvalidConfig {
-            reason: format!(
-                "baseline {baseline} produced mean throughput {base_thr}; cannot normalize"
-            ),
-        });
-    }
-    Ok(outcomes
-        .iter()
-        .map(|o| (o.policy, o.report.mean_throughput().value() / base_thr))
-        .collect())
-}
-
 /// Sweeps the grid power budget (the paper's Fig. 12), running the given
 /// policy at each budget.
 ///
@@ -297,65 +250,6 @@ mod tests {
         assert_eq!(outcomes.len(), 2);
         assert_eq!(outcomes[0].policy, PolicyKind::Uniform);
         assert_eq!(outcomes[1].policy, PolicyKind::GreenHetero);
-    }
-
-    #[test]
-    fn normalized_performance_baseline_is_one() {
-        let rows = normalized_performance(
-            &tiny(PolicyKind::Uniform),
-            &[PolicyKind::Uniform, PolicyKind::GreenHetero],
-            PolicyKind::Uniform,
-        )
-        .unwrap();
-        let uniform = rows
-            .iter()
-            .find(|(p, _)| *p == PolicyKind::Uniform)
-            .unwrap();
-        assert!((uniform.1 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn missing_baseline_is_an_error() {
-        let err = normalized_performance(
-            &tiny(PolicyKind::Uniform),
-            &[PolicyKind::GreenHetero],
-            PolicyKind::Uniform,
-        );
-        assert!(err.is_err());
-    }
-
-    /// An empty report: zero epochs, zero mean throughput.
-    fn empty_report() -> RunReport {
-        RunReport {
-            epochs: Vec::new(),
-            epu: greenhetero_core::metrics::EpuAccumulator::new(),
-            grid_energy: greenhetero_core::types::WattHours::new(0.0),
-            grid_peak: Watts::new(0.0),
-            grid_cost: 0.0,
-            battery_cycles: 0.0,
-            unserved_energy: greenhetero_core::types::WattHours::new(0.0),
-            degraded_epochs: 0,
-            recovery_latency_epochs: None,
-            ledger: greenhetero_core::telemetry::RunLedger::default(),
-        }
-    }
-
-    #[test]
-    fn zero_throughput_baseline_is_an_error() {
-        let outcomes = vec![PolicyOutcome {
-            policy: PolicyKind::Uniform,
-            report: empty_report(),
-        }];
-        let err = normalize_outcomes(&outcomes, PolicyKind::Uniform).unwrap_err();
-        let msg = err.to_string();
-        assert!(
-            msg.contains("Uniform"),
-            "error should name the baseline: {msg}"
-        );
-        assert!(
-            msg.contains("cannot normalize"),
-            "unexpected message: {msg}"
-        );
     }
 
     #[test]

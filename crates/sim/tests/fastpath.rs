@@ -6,7 +6,6 @@
 
 use greenhetero_core::policies::PolicyKind;
 use greenhetero_core::telemetry::names;
-use greenhetero_core::types::Watts;
 use greenhetero_sim::engine::run_scenario;
 use greenhetero_sim::scenario::Scenario;
 
@@ -63,14 +62,6 @@ fn cache_on_and_off_are_bit_identical_under_chaos() {
     let mut no_cache = chaos(PolicyKind::GreenHetero);
     no_cache.controller.solver_cache_capacity = 0;
     assert_identical(base, no_cache, "chaos cache-off");
-}
-
-#[test]
-fn quantum_changes_only_the_hit_rate_never_the_answers() {
-    let base = tiny(PolicyKind::GreenHetero);
-    let mut coarse = tiny(PolicyKind::GreenHetero);
-    coarse.controller.solver_cache_budget_quantum = Watts::new(50.0);
-    assert_identical(base, coarse, "coarse-quantum");
 }
 
 #[test]

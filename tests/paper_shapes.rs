@@ -1,55 +1,36 @@
 //! Reproduction-band regression tests: the headline shapes of the paper's
 //! figures must keep holding as the code evolves. Bands are deliberately
 //! generous — they pin the *shape* (who wins, roughly by how much), not
-//! exact values.
+//! exact values. Each test reads the `greenhetero_bench` computation that
+//! the figure's binary and `all_experiments` print.
 
-use greenhetero::core::metrics::{geometric_mean, EpuAccumulator};
 use greenhetero::core::policies::PolicyKind;
-use greenhetero::core::sources::SupplyCase;
-use greenhetero::core::types::{Ratio, Watts};
 use greenhetero::power::solar::SolarProfile;
-use greenhetero::server::rack::{Combination, Rack};
+use greenhetero::server::rack::Combination;
 use greenhetero::server::workload::WorkloadKind;
-use greenhetero::sim::engine::run_scenario;
-use greenhetero::sim::report::RunReport;
-use greenhetero::sim::runner::compare_policies;
 use greenhetero::sim::scenario::Scenario;
+use greenhetero_bench::{
+    combination_study, greenhetero_gain, CaseStudy, Comparison, GainSpread, RuntimeDay,
+};
 
 /// Fig. 3: the case study's optimum PAR lies near 65 % and beats the
 /// uniform split by roughly 1.5×; uniform EPU sits near 0.86.
 #[test]
 fn fig3_case_study_shape() {
-    let rack = Rack::combination(Combination::Comb1, 1, WorkloadKind::SpecJbb).unwrap();
-    let budget = Watts::new(220.0);
-    let eval = |par: f64| {
-        let a = budget * Ratio::from_percent(par);
-        let m = rack.measure(&[a, budget - a], Ratio::ONE);
-        let mut epu = EpuAccumulator::new();
-        epu.record(m.total_power().min(budget), budget);
-        (epu.epu().value(), m.total_throughput().value())
-    };
-    let (epu_uniform, perf_uniform) = eval(50.0);
+    let case = CaseStudy::default().summary();
+    let epu_uniform = case.uniform_epu;
     assert!(
         (0.80..0.92).contains(&epu_uniform),
         "uniform EPU {epu_uniform}"
     );
-
-    let mut best = (0.0, 0.0f64);
-    for step in 0..=100 {
-        let par = f64::from(step);
-        let (_, perf) = eval(par);
-        if perf > best.1 {
-            best = (par, perf);
-        }
-    }
     assert!(
-        (55.0..=75.0).contains(&best.0),
+        (55.0..=75.0).contains(&case.optimal_par),
         "optimal PAR {} out of the paper's band",
-        best.0
+        case.optimal_par
     );
-    let gain = best.1 / perf_uniform;
+    let gain = case.gain;
     assert!((1.3..=1.8).contains(&gain), "case-study gain {gain}");
-    let (epu_best, _) = eval(best.0);
+    let epu_best = case.optimum_epu;
     assert!(epu_best > 0.95, "EPU at the optimum {epu_best}");
 }
 
@@ -57,42 +38,22 @@ fn fig3_case_study_shape() {
 /// power is insufficient and ≈1× while abundant; mean PAR near 58 %.
 #[test]
 fn fig8_runtime_shape() {
-    let gh = run_scenario(Scenario::paper_runtime(PolicyKind::GreenHetero)).unwrap();
-    let uni = run_scenario(Scenario::paper_runtime(PolicyKind::Uniform)).unwrap();
+    let day = RuntimeDay::run(SolarProfile::High).summary();
 
-    let scarce = gh
-        .mean_throughput_where(|e| e.case != SupplyCase::A)
-        .value()
-        / uni
-            .mean_throughput_where(|e| e.case != SupplyCase::A)
-            .value();
+    let scarce = day.scarce_gain;
     assert!((1.25..=1.9).contains(&scarce), "scarce gain {scarce}");
 
-    let abundant = gh
-        .mean_throughput_where(|e| e.case == SupplyCase::A)
-        .value()
-        / uni
-            .mean_throughput_where(|e| e.case == SupplyCase::A)
-            .value();
+    let abundant = day.abundant_gain;
     assert!(
         (0.95..=1.25).contains(&abundant),
         "abundant gain {abundant}"
     );
 
-    let par = gh.mean_par().unwrap().as_percent();
+    let par = day.mean_par_percent;
     assert!((50.0..=70.0).contains(&par), "mean PAR {par}%");
 
     // The battery carries Case C for a few hours before the grid takes over.
-    let mut longest = 0.0f64;
-    let mut streak = 0.0f64;
-    for e in &gh.epochs {
-        if e.case == SupplyCase::C && e.battery_discharge.value() > 0.0 {
-            streak += 0.25;
-            longest = longest.max(streak);
-        } else {
-            streak = 0.0;
-        }
-    }
+    let longest = day.ride_through_h;
     assert!((3.0..=7.0).contains(&longest), "ride-through {longest} h");
 }
 
@@ -101,14 +62,10 @@ fn fig8_runtime_shape() {
 /// them, and Memcached sits near the bottom.
 #[test]
 fn fig9_workload_ordering_shape() {
-    let gain = |w: WorkloadKind| {
-        let base = Scenario::workload_study(w, PolicyKind::Uniform);
-        let o = compare_policies(&base, &[PolicyKind::Uniform, PolicyKind::GreenHetero]).unwrap();
-        o[1].report.mean_scarce_throughput().value() / o[0].report.mean_scarce_throughput().value()
-    };
-    let stream = gain(WorkloadKind::Streamcluster);
-    let memcached = gain(WorkloadKind::Memcached);
-    let jbb = gain(WorkloadKind::SpecJbb);
+    let study = |w| Scenario::workload_study(w, PolicyKind::Uniform);
+    let stream = greenhetero_gain(&study(WorkloadKind::Streamcluster));
+    let memcached = greenhetero_gain(&study(WorkloadKind::Memcached));
+    let jbb = greenhetero_gain(&study(WorkloadKind::SpecJbb));
     assert!(stream > 1.5, "streamcluster gain {stream}");
     assert!(
         stream > memcached && stream > jbb,
@@ -121,22 +78,6 @@ fn fig9_workload_ordering_shape() {
     assert!(jbb > 1.2, "SPECjbb gain {jbb}");
 }
 
-/// EPU over a run's scarce steady epochs, epoch by epoch, as
-/// `fig10_workload_epu` computes it (the run's EPU when none was scarce).
-fn scarce_epu(report: &RunReport) -> f64 {
-    let mut acc = EpuAccumulator::new();
-    for e in report.epochs.iter().filter(|e| !e.training) {
-        if RunReport::is_scarce(e) {
-            acc.record(e.load.min(e.budget), e.budget);
-        }
-    }
-    if acc.is_empty() {
-        report.epu().value()
-    } else {
-        acc.epu().value()
-    }
-}
-
 /// Fig. 10 on four workloads of the study under all five policies (the
 /// Manual baseline's oracle search included): GreenHetero's scarce-epoch
 /// EPU over Uniform has a geo-mean near the 1.04× of all 12 workloads
@@ -144,7 +85,7 @@ fn scarce_epu(report: &RunReport) -> f64 {
 /// workload gains at least 1.1×.
 #[test]
 fn fig10_workload_epu_shape() {
-    let gains: Vec<f64> = [
+    let gains: Vec<_> = [
         WorkloadKind::WebSearch,
         WorkloadKind::Memcached,
         WorkloadKind::Streamcluster,
@@ -152,15 +93,17 @@ fn fig10_workload_epu_shape() {
     ]
     .into_iter()
     .map(|w| {
-        let base = Scenario::workload_study(w, PolicyKind::Uniform);
-        let o = compare_policies(&base, &PolicyKind::ALL).unwrap();
-        let epu = |p: PolicyKind| scarce_epu(&o.iter().find(|run| run.policy == p).unwrap().report);
-        epu(PolicyKind::GreenHetero) / epu(PolicyKind::Uniform)
+        let runs = Comparison::run(
+            &Scenario::workload_study(w, PolicyKind::Uniform),
+            &PolicyKind::ALL,
+        );
+        (w, runs.epu_gain(PolicyKind::GreenHetero))
     })
     .collect();
-    let mean = geometric_mean(&gains).unwrap();
+    let spread = GainSpread::of(&gains);
+    let mean = spread.geo_mean;
     assert!((0.98..=1.10).contains(&mean), "EPU geo-mean gain {mean}");
-    let best = gains.iter().copied().fold(f64::MIN, f64::max);
+    let best = spread.best.1;
     assert!(best >= 1.1, "best EPU gain {best}");
 }
 
@@ -170,34 +113,21 @@ fn fig10_workload_epu_shape() {
 /// about 1.5 times a day.
 #[test]
 fn fig11_runtime_low_shape() {
-    let low = |p| Scenario {
-        solar_profile: SolarProfile::Low,
-        ..Scenario::paper_runtime(p)
-    };
-    let gh = run_scenario(low(PolicyKind::GreenHetero)).unwrap();
-    let uni = run_scenario(low(PolicyKind::Uniform)).unwrap();
-    let gh_high = run_scenario(Scenario::paper_runtime(PolicyKind::GreenHetero)).unwrap();
+    let low = RuntimeDay::run(SolarProfile::Low).summary();
+    let high = RuntimeDay::run(SolarProfile::High).summary();
 
-    let (low_kwh, high_kwh) = (
-        gh.grid_energy.as_kilowatt_hours(),
-        gh_high.grid_energy.as_kilowatt_hours(),
-    );
+    let (low_kwh, high_kwh) = (low.grid_kwh, high.grid_kwh);
     assert!(
         low_kwh > high_kwh,
         "grid {low_kwh} kWh (Low) vs {high_kwh} kWh (High)"
     );
 
-    let ab = gh
-        .mean_throughput_where(|e| e.case != SupplyCase::C)
-        .value()
-        / uni
-            .mean_throughput_where(|e| e.case != SupplyCase::C)
-            .value();
+    let ab = low.cases_ab_gain;
     assert!((1.3..=1.7).contains(&ab), "Cases A+B gain {ab}");
     assert!(
-        (1.0..=2.0).contains(&gh.battery_cycles),
+        (1.0..=2.0).contains(&low.battery_cycles),
         "battery cycles per day {}",
-        gh.battery_cycles
+        low.battery_cycles
     );
 }
 
@@ -205,18 +135,11 @@ fn fig11_runtime_low_shape() {
 /// clearly heterogeneous gains.
 #[test]
 fn fig13_combination_shape() {
-    let gain = |comb: Combination| {
-        let base = Scenario {
-            combination: comb,
-            ..Scenario::workload_study(WorkloadKind::SpecJbb, PolicyKind::Uniform)
-        };
-        let o = compare_policies(&base, &[PolicyKind::Uniform, PolicyKind::GreenHetero]).unwrap();
-        o[1].report.mean_scarce_throughput().value() / o[0].report.mean_scarce_throughput().value()
-    };
-    let c1 = gain(Combination::Comb1);
-    let c2 = gain(Combination::Comb2);
-    let c4 = gain(Combination::Comb4);
-    let c5 = gain(Combination::Comb5);
+    let jbb = |comb| combination_study(comb, WorkloadKind::SpecJbb);
+    let c1 = greenhetero_gain(&jbb(Combination::Comb1));
+    let c2 = greenhetero_gain(&jbb(Combination::Comb2));
+    let c4 = greenhetero_gain(&jbb(Combination::Comb4));
+    let c5 = greenhetero_gain(&jbb(Combination::Comb5));
     assert!(c2 < c1 && c4 < c1, "near-homogeneous pairs must gain least");
     assert!(c2 < 1.25 && c4 < 1.25, "c2 {c2}, c4 {c4}");
     assert!(c1 > 1.25, "c1 {c1}");
@@ -227,16 +150,9 @@ fn fig13_combination_shape() {
 /// and Cfd the least.
 #[test]
 fn fig14_gpu_shape() {
-    let gain = |w: WorkloadKind| {
-        let base = Scenario {
-            combination: Combination::Comb6,
-            ..Scenario::workload_study(w, PolicyKind::Uniform)
-        };
-        let o = compare_policies(&base, &[PolicyKind::Uniform, PolicyKind::GreenHetero]).unwrap();
-        o[1].report.mean_scarce_throughput().value() / o[0].report.mean_scarce_throughput().value()
-    };
-    let srad = gain(WorkloadKind::SradV1);
-    let cfd = gain(WorkloadKind::Cfd);
+    let gpu = |w| combination_study(Combination::Comb6, w);
+    let srad = greenhetero_gain(&gpu(WorkloadKind::SradV1));
+    let cfd = greenhetero_gain(&gpu(WorkloadKind::Cfd));
     assert!((3.5..=6.0).contains(&srad), "srad gain {srad}");
     assert!(cfd < srad, "cfd {cfd} must gain less than srad {srad}");
     assert!(cfd > 1.2, "cfd still gains: {cfd}");
