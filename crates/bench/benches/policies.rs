@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use greenhetero_core::database::{PerfModel, Quadratic};
 use greenhetero_core::policies::PolicyKind;
-use greenhetero_core::solver::{AllocationProblem, ServerGroup};
+use greenhetero_core::solver::{AllocationProblem, ServerGroup, SolverFastPath};
 use greenhetero_core::types::{ConfigId, PowerRange, Throughput, Watts};
 use std::hint::black_box;
 
@@ -49,11 +49,14 @@ fn bench_policies(c: &mut Criterion) {
     let mut group = c.benchmark_group("policies");
     for kind in PolicyKind::ALL {
         let policy = kind.build();
+        // A fresh fast path per decision: the solver policies pay a cold
+        // solve, not the reuse of the previous iteration's answer.
         group.bench_function(kind.name(), |b| {
             b.iter(|| {
                 policy
-                    .allocate(black_box(&p), Some(&oracle))
+                    .allocate(black_box(&p), Some(&oracle), &mut SolverFastPath::new(0))
                     .unwrap()
+                    .0
                     .projected
             })
         });

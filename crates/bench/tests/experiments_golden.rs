@@ -5,7 +5,9 @@
 //!
 //! `all_experiments` prints the headline number of every paper table and
 //! figure; EXPERIMENTS.md's headline table must carry each of its rows
-//! (`experiments_md_carries_every_headline_row`).
+//! (`experiments_md_carries_every_headline_row`), and the cells it adds
+//! from other binaries must match their fixtures
+//! (`experiments_md_carries_the_figure_cells_all_experiments_omits`).
 //!
 //! The sweeps inside fan out through `runner::run_all`, so CI runs this
 //! test at several `GH_SIM_THREADS` widths: the output must not depend on
@@ -119,16 +121,46 @@ fn cells(line: &str) -> Option<Vec<String>> {
     Some(inner.split('|').map(normalize).collect())
 }
 
-#[test]
-fn experiments_md_carries_every_headline_row() {
-    let fixture = include_str!("fixtures/all_experiments.txt");
+/// The rows of EXPERIMENTS.md's headline table, cells normalized.
+fn headline_rows() -> Vec<Vec<String>> {
     let doc = include_str!("../../../EXPERIMENTS.md");
     let headline = doc
         .split("## Headline table")
         .nth(1)
         .and_then(|rest| rest.split("\n## ").next())
         .expect("EXPERIMENTS.md has a headline table");
-    let doc_rows: Vec<Vec<String>> = headline.lines().filter_map(cells).collect();
+    headline.lines().filter_map(cells).collect()
+}
+
+/// The Measured cell EXPERIMENTS.md's headline table gives `quantity`
+/// of `experiment`.
+fn documented(experiment: &str, quantity: &str) -> String {
+    headline_rows()
+        .into_iter()
+        .find(|row| row.len() >= 4 && row[0] == experiment && row[1] == quantity)
+        .map(|row| row[3].clone())
+        .unwrap_or_else(|| panic!("EXPERIMENTS.md has no `{experiment} | {quantity}` row"))
+}
+
+/// The `column` cell of the table row whose first cell is `row`; the
+/// column is looked up in the nearest header above that row.
+fn table_cell(text: &str, row: &str, column: &str) -> String {
+    let mut index = None;
+    for line in text.lines().filter_map(cells) {
+        if let Some(i) = line.iter().position(|c| c == column) {
+            index = Some(i);
+        } else if line[0] == row {
+            let i = index.unwrap_or_else(|| panic!("no `{column}` column above `{row}`"));
+            return line[i].clone();
+        }
+    }
+    panic!("no `{row}` row")
+}
+
+#[test]
+fn experiments_md_carries_every_headline_row() {
+    let fixture = include_str!("fixtures/all_experiments.txt");
+    let doc_rows = headline_rows();
     let printed: Vec<Vec<String>> = fixture
         .lines()
         .filter_map(cells)
@@ -153,5 +185,42 @@ fn experiments_md_carries_every_headline_row() {
         missing.is_empty(),
         "EXPERIMENTS.md's headline table lacks these all_experiments rows:\n{}",
         missing.join("\n")
+    );
+}
+
+/// The headline cells `all_experiments` does not print, against the
+/// figure binaries that do. Fig 6's "reproduced" is a judgement, not a
+/// number, and stays a manual check.
+#[test]
+fn experiments_md_carries_the_figure_cells_all_experiments_omits() {
+    let gain = table_cell(
+        include_str!("fixtures/fig09_workload_perf.txt"),
+        "Memcached",
+        "GreenHetero",
+    );
+    let worst = documented("Fig 9", "worst workload");
+    assert!(
+        worst.ends_with(&format!("(Memcached {gain})")),
+        "Fig 9's worst-workload cell `{worst}` should end with `(Memcached {gain})`"
+    );
+
+    let fig11 = include_str!("fixtures/fig11_runtime_low.txt");
+    let low = table_cell(fig11, "grid energy (kWh)", "Low trace");
+    let high = table_cell(fig11, "grid energy (kWh)", "High trace");
+    assert_eq!(
+        documented("Fig 11", "Low trace uses more grid than High"),
+        format!("{low} vs {high} kWh"),
+        "Fig 11's grid energies"
+    );
+
+    let share = include_str!("fixtures/fig01_heterogeneity.txt")
+        .lines()
+        .find_map(|line| line.strip_prefix("datacenters with 2–3 configurations: "))
+        .and_then(|rest| rest.split_whitespace().next())
+        .expect("fig01 prints the 2–3 configuration share");
+    assert_eq!(
+        documented("Fig 1", "DCs with 2–3 configurations"),
+        share,
+        "Fig 1's share"
     );
 }

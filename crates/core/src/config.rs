@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
-use crate::types::{Ratio, SimDuration, Watts};
+use crate::types::{SimDuration, Watts};
 
 /// Tunables of the GreenHetero controller, defaulting to the paper's
 /// published settings.
@@ -29,8 +29,6 @@ pub struct ControllerConfig {
     /// Monitor sampling period during training runs (paper: every
     /// 2 minutes → 5 samples per training run).
     pub sample_period: SimDuration,
-    /// Depth-of-discharge limit for the batteries (paper: 40 %).
-    pub dod_limit: Ratio,
     /// Below this, the renewable supply counts as "unavailable" and the
     /// scheduler enters Case C.
     pub renewable_negligible: Watts,
@@ -66,7 +64,6 @@ impl Default for ControllerConfig {
             epoch_len: SimDuration::from_minutes(15),
             training_len: SimDuration::from_minutes(10),
             sample_period: SimDuration::from_minutes(2),
-            dod_limit: Ratio::saturating(0.4),
             renewable_negligible: Watts::new(5.0),
             holt_grid_step: 0.05,
             holt_retrain_epochs: 24,
@@ -152,7 +149,6 @@ mod tests {
         assert_eq!(cfg.epoch_len, SimDuration::from_minutes(15));
         assert_eq!(cfg.training_len, SimDuration::from_minutes(10));
         assert_eq!(cfg.sample_period, SimDuration::from_minutes(2));
-        assert!((cfg.dod_limit.value() - 0.4).abs() < 1e-12);
         assert_eq!(cfg.samples_per_training(), 5);
         assert!(cfg.validate().is_ok());
     }

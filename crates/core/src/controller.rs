@@ -290,17 +290,6 @@ impl ControllerMetrics {
     }
 }
 
-/// The engine label for policies that solve without reporting an engine:
-/// their strategy *is* the engine.
-fn policy_engine_label(kind: PolicyKind) -> &'static str {
-    match kind {
-        PolicyKind::Uniform => "uniform",
-        PolicyKind::Manual => "manual",
-        PolicyKind::GreenHeteroP => "greedy",
-        PolicyKind::GreenHeteroA | PolicyKind::GreenHetero => "solver",
-    }
-}
-
 /// The GreenHetero controller (one per rack, matching the paper's
 /// distributed rack-level deployment).
 pub struct Controller {
@@ -630,24 +619,20 @@ impl Controller {
         let (allocation, solve_level, engine) =
             match self
                 .policy
-                .allocate_traced_fast(&problem, effective_oracle, &mut self.fast)
+                .allocate(&problem, effective_oracle, &mut self.fast)
             {
-                Ok((a, traced)) if allocation_is_sound(&problem, &a) => {
-                    let engine = traced.map_or_else(
-                        || policy_engine_label(self.policy.kind()),
-                        SolveEngine::name,
-                    );
+                Ok((a, engine)) if allocation_is_sound(&problem, &a) => {
                     (a, DegradeLevel::Nominal, engine)
                 }
                 _ => {
                     let grid = solve_grid(&problem);
                     if allocation_is_sound(&problem, &grid) {
-                        (grid, DegradeLevel::FallbackSolve, SolveEngine::Grid.name())
+                        (grid, DegradeLevel::FallbackSolve, SolveEngine::Grid)
                     } else {
                         (
                             solve_uniform(&problem),
                             DegradeLevel::FallbackSolve,
-                            SolveEngine::Uniform.name(),
+                            SolveEngine::Uniform,
                         )
                     }
                 }
@@ -664,7 +649,7 @@ impl Controller {
             "source plan budget exceeds what the sources can jointly supply"
         );
         let level = level.max(solve_level);
-        self.note_decision(level, engine);
+        self.note_decision(level, engine.name());
 
         // Expand back to one entry per rack group (zero for powered-off
         // groups) so enforcement stays positional.
@@ -1187,7 +1172,8 @@ mod tests {
                 &self,
                 _problem: &AllocationProblem,
                 _oracle: Option<&dyn AllocationOracle>,
-            ) -> Result<Allocation, CoreError> {
+                _fast: &mut SolverFastPath,
+            ) -> Result<(Allocation, SolveEngine), CoreError> {
                 Err(CoreError::EmptyProblem)
             }
         }

@@ -18,8 +18,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
 use crate::solver::{
-    solve, solve_uniform, solve_with_engine, Allocation, AllocationProblem, ShareLattice,
-    SolveEngine, SolverFastPath,
+    solve_uniform, Allocation, AllocationProblem, ShareLattice, SolveEngine, SolverFastPath,
 };
 use crate::types::{Ratio, Throughput, Watts};
 
@@ -44,60 +43,29 @@ pub trait AllocationPolicy: fmt::Debug + Send {
     /// Which of the five named policies this is.
     fn kind(&self) -> PolicyKind;
 
-    /// Computes the allocation for this epoch.
+    /// Computes the allocation for this epoch and names the engine that
+    /// produced it.
     ///
     /// `oracle` is available only to measurement-driven policies (Manual);
-    /// model-driven policies must not rely on it being present.
+    /// model-driven policies must not rely on it being present. `fast` is
+    /// the caller's [`SolverFastPath`] (reuse of the last answer plus the
+    /// allocation cache): the solver policies answer through it, bit for
+    /// bit what a cold solve returns; the others ignore it.
     ///
     /// # Errors
     ///
-    /// Propagates solver errors; policies that need the oracle return
-    /// [`CoreError::InvalidConfig`] when invoked without one.
+    /// Propagates solver errors.
     fn allocate(
         &self,
         problem: &AllocationProblem,
         oracle: Option<&dyn AllocationOracle>,
-    ) -> Result<Allocation, CoreError>;
+        fast: &mut SolverFastPath,
+    ) -> Result<(Allocation, SolveEngine), CoreError>;
 
     /// `true` if the controller should keep refitting the database with
     /// epoch feedback while running this policy (only full GreenHetero).
     fn updates_database(&self) -> bool {
         false
-    }
-
-    /// Like [`allocate`](AllocationPolicy::allocate), but also reports
-    /// which solver engine produced the answer, when the policy knows.
-    /// The default delegates to `allocate` and reports `None` — correct
-    /// for policies that do not run a solver engine.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`allocate`](AllocationPolicy::allocate).
-    fn allocate_traced(
-        &self,
-        problem: &AllocationProblem,
-        oracle: Option<&dyn AllocationOracle>,
-    ) -> Result<(Allocation, Option<SolveEngine>), CoreError> {
-        self.allocate(problem, oracle).map(|a| (a, None))
-    }
-
-    /// Like [`allocate_traced`](AllocationPolicy::allocate_traced), but
-    /// with access to the caller's [`SolverFastPath`] (reuse of the last
-    /// answer plus the allocation cache). The default ignores the fast path and
-    /// delegates — correct for policies that do not run a solver engine;
-    /// the solver-backed policies override it. Answers are bit-identical
-    /// to `allocate_traced` by the fast path's purity contract.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`allocate`](AllocationPolicy::allocate).
-    fn allocate_traced_fast(
-        &self,
-        problem: &AllocationProblem,
-        oracle: Option<&dyn AllocationOracle>,
-        _fast: &mut SolverFastPath,
-    ) -> Result<(Allocation, Option<SolveEngine>), CoreError> {
-        self.allocate_traced(problem, oracle)
     }
 }
 
@@ -165,7 +133,7 @@ impl PolicyKind {
     pub fn build(self) -> Box<dyn AllocationPolicy> {
         match self {
             PolicyKind::Uniform => Box::new(Uniform),
-            PolicyKind::Manual => Box::new(Manual::default()),
+            PolicyKind::Manual => Box::new(Manual),
             PolicyKind::GreenHeteroP => Box::new(GreenHeteroP),
             PolicyKind::GreenHeteroA => Box::new(GreenHeteroA),
             PolicyKind::GreenHetero => Box::new(GreenHetero),
@@ -192,35 +160,21 @@ impl AllocationPolicy for Uniform {
         &self,
         problem: &AllocationProblem,
         _oracle: Option<&dyn AllocationOracle>,
-    ) -> Result<Allocation, CoreError> {
-        Ok(solve_uniform(problem))
-    }
-
-    fn allocate_traced(
-        &self,
-        problem: &AllocationProblem,
-        _oracle: Option<&dyn AllocationOracle>,
-    ) -> Result<(Allocation, Option<SolveEngine>), CoreError> {
-        Ok((solve_uniform(problem), Some(SolveEngine::Uniform)))
+        _fast: &mut SolverFastPath,
+    ) -> Result<(Allocation, SolveEngine), CoreError> {
+        Ok((solve_uniform(problem), SolveEngine::Uniform))
     }
 }
+
+/// The Manual policy's lattice step: the paper tries every allocation at
+/// a granularity of 10 %.
+const MANUAL_STEP: f64 = 0.1;
 
 /// The Manual policy: exhaustively tries the 10 % PAR lattice, evaluating
 /// each point with the oracle (measured throughput) when available, or the
 /// database projections otherwise.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Manual {
-    /// Lattice granularity; the paper uses 0.1 (10 %).
-    pub granularity: Ratio,
-}
-
-impl Default for Manual {
-    fn default() -> Self {
-        Manual {
-            granularity: Ratio::saturating(0.1),
-        }
-    }
-}
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Manual;
 
 impl AllocationPolicy for Manual {
     fn kind(&self) -> PolicyKind {
@@ -231,7 +185,8 @@ impl AllocationPolicy for Manual {
         &self,
         problem: &AllocationProblem,
         oracle: Option<&dyn AllocationOracle>,
-    ) -> Result<Allocation, CoreError> {
+        _fast: &mut SolverFastPath,
+    ) -> Result<(Allocation, SolveEngine), CoreError> {
         let mut best_assignment = vec![Watts::ZERO; problem.groups().len()];
         let mut best_value = evaluate(problem, oracle, &best_assignment);
         let mut assignment = best_assignment.clone();
@@ -239,7 +194,7 @@ impl AllocationPolicy for Manual {
         // Stream the lattice instead of materializing every point: two
         // buffers total, swapped on improvement, rather than one fresh
         // Vec per lattice point.
-        let mut lattice = ShareLattice::new(problem.groups().len(), self.granularity);
+        let mut lattice = ShareLattice::new(problem.groups().len(), Ratio::saturating(MANUAL_STEP));
         while let Some(shares) = lattice.advance() {
             for ((slot, g), &s) in assignment.iter_mut().zip(problem.groups()).zip(shares) {
                 *slot = problem.budget() * s / f64::from(g.count);
@@ -250,7 +205,10 @@ impl AllocationPolicy for Manual {
                 std::mem::swap(&mut best_assignment, &mut assignment);
             }
         }
-        Ok(Allocation::from_assignment(problem, best_assignment))
+        Ok((
+            Allocation::from_assignment(problem, best_assignment),
+            SolveEngine::Manual,
+        ))
     }
 }
 
@@ -283,7 +241,8 @@ impl AllocationPolicy for GreenHeteroP {
         &self,
         problem: &AllocationProblem,
         _oracle: Option<&dyn AllocationOracle>,
-    ) -> Result<Allocation, CoreError> {
+        _fast: &mut SolverFastPath,
+    ) -> Result<(Allocation, SolveEngine), CoreError> {
         let mut order: Vec<usize> = (0..problem.groups().len()).collect();
         order.sort_by(|&a, &b| {
             let ea = problem.groups()[a].model.peak_efficiency();
@@ -303,7 +262,10 @@ impl AllocationPolicy for GreenHeteroP {
             assignment[i] = grant / f64::from(g.count);
             left -= grant;
         }
-        Ok(Allocation::from_assignment(problem, assignment))
+        Ok((
+            Allocation::from_assignment(problem, assignment),
+            SolveEngine::Greedy,
+        ))
     }
 }
 
@@ -321,30 +283,15 @@ impl AllocationPolicy for GreenHeteroA {
         &self,
         problem: &AllocationProblem,
         _oracle: Option<&dyn AllocationOracle>,
-    ) -> Result<Allocation, CoreError> {
-        solve(problem)
-    }
-
-    fn allocate_traced(
-        &self,
-        problem: &AllocationProblem,
-        _oracle: Option<&dyn AllocationOracle>,
-    ) -> Result<(Allocation, Option<SolveEngine>), CoreError> {
-        solve_with_engine(problem).map(|(a, e)| (a, Some(e)))
-    }
-
-    fn allocate_traced_fast(
-        &self,
-        problem: &AllocationProblem,
-        _oracle: Option<&dyn AllocationOracle>,
         fast: &mut SolverFastPath,
-    ) -> Result<(Allocation, Option<SolveEngine>), CoreError> {
-        fast.solve(problem).map(|(a, e)| (a, Some(e)))
+    ) -> Result<(Allocation, SolveEngine), CoreError> {
+        fast.solve(problem)
     }
 }
 
 /// Full GreenHetero: the Solver, with the controller refitting the
-/// database from epoch feedback (Algorithm 1 lines 7–10).
+/// database from epoch feedback (Algorithm 1 lines 7–10). Refits change
+/// the models, which the fast path's reuse check and memo keys see.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GreenHetero;
 
@@ -357,27 +304,9 @@ impl AllocationPolicy for GreenHetero {
         &self,
         problem: &AllocationProblem,
         _oracle: Option<&dyn AllocationOracle>,
-    ) -> Result<Allocation, CoreError> {
-        solve(problem)
-    }
-
-    fn allocate_traced(
-        &self,
-        problem: &AllocationProblem,
-        _oracle: Option<&dyn AllocationOracle>,
-    ) -> Result<(Allocation, Option<SolveEngine>), CoreError> {
-        solve_with_engine(problem).map(|(a, e)| (a, Some(e)))
-    }
-
-    fn allocate_traced_fast(
-        &self,
-        problem: &AllocationProblem,
-        _oracle: Option<&dyn AllocationOracle>,
         fast: &mut SolverFastPath,
-    ) -> Result<(Allocation, Option<SolveEngine>), CoreError> {
-        // Online refits change model fingerprints, which the fast path's
-        // reuse check and cache keys detect — no special handling needed.
-        fast.solve(problem).map(|(a, e)| (a, Some(e)))
+    ) -> Result<(Allocation, SolveEngine), CoreError> {
+        fast.solve(problem)
     }
 
     fn updates_database(&self) -> bool {
@@ -433,10 +362,22 @@ mod tests {
         AllocationProblem::new(vec![xeon, i5], Watts::new(budget)).unwrap()
     }
 
+    /// One cold decision: a fresh fast path, the engine label dropped.
+    fn decide(
+        policy: &dyn AllocationPolicy,
+        p: &AllocationProblem,
+        oracle: Option<&dyn AllocationOracle>,
+    ) -> Allocation {
+        policy
+            .allocate(p, oracle, &mut SolverFastPath::default())
+            .unwrap()
+            .0
+    }
+
     #[test]
     fn uniform_gives_equal_watts_per_server() {
         let p = case_study(220.0);
-        let alloc = Uniform.allocate(&p, None).unwrap();
+        let alloc = decide(&Uniform, &p, None);
         assert_eq!(alloc.per_server[0], Watts::new(110.0));
         assert_eq!(alloc.per_server[1], Watts::new(110.0));
     }
@@ -466,7 +407,7 @@ mod tests {
             },
         );
         let p = AllocationProblem::new(vec![a, b], Watts::new(400.0)).unwrap();
-        let alloc = Uniform.allocate(&p, None).unwrap();
+        let alloc = decide(&Uniform, &p, None);
         // 4 servers × 100 W each.
         assert_eq!(alloc.per_server[0], Watts::new(100.0));
         assert_eq!(alloc.per_server[1], Watts::new(100.0));
@@ -475,8 +416,8 @@ mod tests {
     #[test]
     fn manual_beats_uniform_on_heterogeneous_pair() {
         let p = case_study(220.0);
-        let manual = Manual::default().allocate(&p, None).unwrap();
-        let uniform = Uniform.allocate(&p, None).unwrap();
+        let manual = decide(&Manual, &p, None);
+        let uniform = decide(&Uniform, &p, None);
         assert!(manual.projected > uniform.projected);
     }
 
@@ -486,7 +427,7 @@ mod tests {
         // An adversarial oracle that loves giving everything to group 1.
         let oracle =
             |per_server: &[Watts]| Throughput::new(per_server[1].value() - per_server[0].value());
-        let alloc = Manual::default().allocate(&p, Some(&oracle)).unwrap();
+        let alloc = decide(&Manual, &p, Some(&oracle));
         assert_eq!(alloc.per_server[0], Watts::ZERO);
         assert_eq!(alloc.per_server[1], Watts::new(220.0));
     }
@@ -494,8 +435,8 @@ mod tests {
     #[test]
     fn manual_lattice_is_coarser_than_solver() {
         let p = case_study(220.0);
-        let manual = Manual::default().allocate(&p, None).unwrap();
-        let full = GreenHetero.allocate(&p, None).unwrap();
+        let manual = decide(&Manual, &p, None);
+        let full = decide(&GreenHetero, &p, None);
         // The 10 % lattice can at best tie the continuous solver.
         assert!(full.projected >= manual.projected);
         // Manual shares land on the 10 % lattice.
@@ -515,7 +456,7 @@ mod tests {
         let eff_xeon = p.groups()[0].model.peak_efficiency();
         let eff_i5 = p.groups()[1].model.peak_efficiency();
         assert!(eff_i5 > eff_xeon, "test premise: i5 more efficient");
-        let alloc = GreenHeteroP.allocate(&p, None).unwrap();
+        let alloc = decide(&GreenHeteroP, &p, None);
         // i5 runs at its peak; the Xeon takes the remainder.
         assert_eq!(alloc.per_server[1], Watts::new(81.0));
         assert_eq!(alloc.per_server[0], Watts::new(139.0));
@@ -526,7 +467,7 @@ mod tests {
         // Tight budget: after filling the efficient server, the rest cannot
         // power on the big one → stranded watts (the Streamcluster effect).
         let p = case_study(120.0);
-        let alloc = GreenHeteroP.allocate(&p, None).unwrap();
+        let alloc = decide(&GreenHeteroP, &p, None);
         assert_eq!(alloc.per_server[1], Watts::new(81.0));
         let leftover = alloc.per_server[0];
         assert!(
@@ -534,7 +475,7 @@ mod tests {
             "leftover {leftover} below Xeon idle"
         );
         // The full solver avoids the stranding.
-        let full = GreenHetero.allocate(&p, None).unwrap();
+        let full = decide(&GreenHetero, &p, None);
         assert!(full.projected > alloc.projected);
     }
 
@@ -542,9 +483,9 @@ mod tests {
     fn solver_policies_beat_or_match_everything_on_models() {
         for budget in [120.0, 180.0, 220.0, 300.0] {
             let p = case_study(budget);
-            let full = GreenHetero.allocate(&p, None).unwrap().projected;
+            let full = decide(&GreenHetero, &p, None).projected;
             for kind in PolicyKind::ALL {
-                let alloc = kind.build().allocate(&p, None).unwrap();
+                let alloc = decide(kind.build().as_ref(), &p, None);
                 assert!(
                     full.value() >= alloc.projected.value() - 1e-6,
                     "{kind} beat GreenHetero at budget {budget}"
@@ -572,27 +513,45 @@ mod tests {
     }
 
     #[test]
-    fn fast_allocation_matches_traced_bit_for_bit() {
+    fn a_warm_fast_path_answers_like_a_cold_one_bit_for_bit() {
         let mut fast = SolverFastPath::default();
         for kind in PolicyKind::ALL {
             let policy = kind.build();
             for budget in [220.0, 224.0, 300.0, 220.0] {
                 let p = case_study(budget);
-                let (slow, slow_engine) = policy.allocate_traced(&p, None).unwrap();
-                let (quick, quick_engine) =
-                    policy.allocate_traced_fast(&p, None, &mut fast).unwrap();
-                assert_eq!(slow, quick, "{kind} at {budget}");
-                assert_eq!(slow_engine, quick_engine, "{kind} at {budget}");
+                let cold = policy
+                    .allocate(&p, None, &mut SolverFastPath::default())
+                    .unwrap();
+                let warm = policy.allocate(&p, None, &mut fast).unwrap();
+                assert_eq!(cold, warm, "{kind} at {budget}");
             }
         }
         assert!(fast.stats().warm_starts > 0);
     }
 
     #[test]
+    fn each_policy_names_its_engine() {
+        let p = case_study(220.0);
+        for (kind, engine) in [
+            (PolicyKind::Uniform, "uniform"),
+            (PolicyKind::Manual, "manual"),
+            (PolicyKind::GreenHeteroP, "greedy"),
+            (PolicyKind::GreenHeteroA, "exact"),
+            (PolicyKind::GreenHetero, "exact"),
+        ] {
+            let (_, answered) = kind
+                .build()
+                .allocate(&p, None, &mut SolverFastPath::default())
+                .unwrap();
+            assert_eq!(answered.name(), engine, "{kind}");
+        }
+    }
+
+    #[test]
     fn zero_budget_allocations_are_all_zero() {
         let p = case_study(0.0);
         for kind in PolicyKind::ALL {
-            let alloc = kind.build().allocate(&p, None).unwrap();
+            let alloc = decide(kind.build().as_ref(), &p, None);
             assert!(
                 alloc.per_server.iter().all(|w| w.is_zero()),
                 "{kind} allocated from an empty budget"

@@ -47,6 +47,10 @@ pub enum SolveEngine {
     Grid,
     /// The even per-server split ([`solve_uniform`]).
     Uniform,
+    /// GreenHetero-p's efficiency-ordered greedy fill.
+    Greedy,
+    /// The Manual policy's measured 10 % lattice search.
+    Manual,
 }
 
 impl SolveEngine {
@@ -57,6 +61,8 @@ impl SolveEngine {
             SolveEngine::Exact => "exact",
             SolveEngine::Grid => "grid",
             SolveEngine::Uniform => "uniform",
+            SolveEngine::Greedy => "greedy",
+            SolveEngine::Manual => "manual",
         }
     }
 }

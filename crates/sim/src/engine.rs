@@ -9,14 +9,17 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use greenhetero_core::controller::{Controller, EpochDecision, GroupFeedback, RackSpec};
+use greenhetero_core::controller::{
+    Controller, EpochDecision, EpochResilience, GroupFeedback, RackSpec,
+};
 use greenhetero_core::database::{PerfDatabase, ProfileSample};
 use greenhetero_core::error::CoreError;
 use greenhetero_core::metrics::EpuAccumulator;
-use greenhetero_core::policies::PolicyKind;
+use greenhetero_core::policies::{AllocationOracle, PolicyKind};
 use greenhetero_core::solver::SharedSolveCache;
+use greenhetero_core::sources::ChargeSource;
 use greenhetero_core::telemetry::{names, EpochEvent, Histogram, SpanRecord, Telemetry};
-use greenhetero_core::types::{Ratio, SimTime, Throughput, WattHours, Watts};
+use greenhetero_core::types::{ConfigId, Ratio, SimTime, Throughput, WattHours, Watts, WorkloadId};
 use greenhetero_power::battery::BatteryBank;
 use greenhetero_power::gauges::FlowGauges;
 use greenhetero_power::grid::GridFeed;
@@ -24,7 +27,7 @@ use greenhetero_power::meter::PowerMeter;
 use greenhetero_power::pdu::{Pdu, PowerFlows};
 use greenhetero_power::solar::synthesize_shared;
 use greenhetero_power::trace::PowerTrace;
-use greenhetero_server::rack::Rack;
+use greenhetero_server::rack::{Rack, RackMeasurement};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -186,7 +189,7 @@ impl Simulation {
         let mut epu = EpuAccumulator::new();
 
         for _ in 0..epochs_total {
-            self.step_epoch(&mut records, &mut epu)?;
+            records.push(self.step_epoch_record(&mut epu)?);
         }
 
         Ok(self.finish(records, epu))
@@ -231,21 +234,8 @@ impl Simulation {
         }
     }
 
-    /// Steps one epoch and appends its record to `records` — the
-    /// record-accumulating form of [`Self::step_epoch_record`] used by
-    /// batch runs and the replayable stepper.
-    pub(crate) fn step_epoch(
-        &mut self,
-        records: &mut Vec<EpochRecord>,
-        epu: &mut EpuAccumulator,
-    ) -> Result<(), CoreError> {
-        let record = self.step_epoch_record(epu)?;
-        records.push(record);
-        Ok(())
-    }
-
-    /// Steps one epoch and *returns* its record instead of storing it,
-    /// so fleet-scale callers can fold the record into streaming
+    /// Steps one epoch and returns its record. Batch runs and the stepper
+    /// keep every record; fleet-scale callers fold each into streaming
     /// accumulators and drop it — O(racks) transient state instead of
     /// O(racks × epochs) resident record vectors.
     pub(crate) fn step_epoch_record(
@@ -316,214 +306,110 @@ impl Simulation {
         let rack = &self.rack;
         let oracle_fn =
             |per_server: &[Watts]| rack.measured_throughput_active(per_server, &online, intensity);
-        let oracle: Option<&dyn greenhetero_core::policies::AllocationOracle> =
-            if self.scenario.policy == PolicyKind::Manual {
-                Some(&oracle_fn)
-            } else {
-                None
-            };
+        let oracle: Option<&dyn AllocationOracle> = if self.scenario.policy == PolicyKind::Manual {
+            Some(&oracle_fn)
+        } else {
+            None
+        };
 
         let decision = self
             .controller
             .begin_epoch(&spec, &view, grid_budget, oracle)?;
 
         let epoch_id = self.controller.epoch();
-        let (record, flows, enforce) = match decision {
+        // A training epoch runs the rack unconstrained: every group at its
+        // workload peak, nothing shed, no PAR. Both kinds of epoch then
+        // take one path to the plant.
+        let training = matches!(decision, EpochDecision::Train { .. });
+        let (plan, per_server, par, resilience) = match decision {
             EpochDecision::Train { pairs, plan } => {
-                // Training run: ondemand governor with ample power. Every
-                // group gets its full workload envelope. A telemetry outage
-                // makes the sweep unreadable: the controller will simply
-                // ask again next epoch.
+                // A telemetry outage makes the sweeps unreadable: the
+                // controller will simply ask again next epoch.
                 if !faults.telemetry_out {
-                    let sample_count = self.controller.config().samples_per_training() as usize;
-                    for (config, workload) in &pairs {
-                        let group_idx = self
-                            .rack
-                            .groups()
-                            .iter()
-                            .position(|g| {
-                                g.platform.id() == *config && g.workload.id() == *workload
-                            })
-                            .ok_or_else(|| CoreError::InvalidConfig {
-                                reason: format!("training requested for unknown pair {config}"),
-                            })?;
-                        let envelope = self.rack.groups()[group_idx].server().truth().envelope();
-                        let sweep = self.rack.training_sweep(group_idx, sample_count, intensity);
-                        let samples: Vec<ProfileSample> = sweep
-                            .iter()
-                            .enumerate()
-                            .map(|(i, s)| {
-                                ProfileSample::new(
-                                    self.meter.read(s.power),
-                                    self.noisy_perf(s.throughput),
-                                    self.time + self.controller.config().sample_period * i as u64,
-                                )
-                            })
-                            .collect();
-                        self.controller
-                            .complete_training(*config, *workload, envelope, &samples)?;
-                    }
+                    self.train(&pairs, intensity)?;
                 }
-
-                // The rack itself runs unconstrained during training.
-                let full: Vec<Watts> = self
+                let full = self
                     .rack
                     .groups()
                     .iter()
                     .map(|g| g.server().truth().envelope().peak())
                     .collect();
-                let enforce_started = Instant::now();
-                let m = self.rack.measure_active(&full, &online, intensity);
-                let flows = self.pdu.dispatch(
-                    &plan,
-                    actual_solar,
-                    m.total_power(),
-                    &mut self.bank,
-                    &mut self.grid,
-                    epoch_len,
-                );
-                let enforce = enforce_started.elapsed();
-                let demand = self.rack.demand_at_active(&online, intensity);
-                let supplied = plan.budget().min(demand);
-                epu.record(m.total_power().min(supplied), supplied);
-                if faults.telemetry_out {
-                    self.controller.end_epoch_stale();
-                } else {
-                    self.controller.end_epoch(actual_solar, demand, &[]);
-                }
-                let unserved = flows.unserved();
-                let record = EpochRecord {
-                    epoch: epoch_id,
-                    time: self.time,
-                    training: true,
-                    case: plan.case,
-                    budget: plan.budget(),
-                    demand,
-                    solar: actual_solar,
-                    load: m.total_power(),
-                    battery_discharge: flows.from_battery,
-                    battery_charge: flows.charging,
-                    grid_load: flows.from_grid,
-                    grid_charge: if flows.charge_source
-                        == Some(greenhetero_core::sources::ChargeSource::Grid)
-                    {
-                        flows.charging
-                    } else {
-                        Watts::ZERO
-                    },
-                    soc: self.bank.soc(),
-                    intensity,
-                    throughput: m.total_throughput(),
-                    par: None,
-                    unserved,
-                    shed_servers: 0,
-                    offline_servers,
-                    degraded: faults.telemetry_out || unserved.value() > 1e-6,
-                };
-                (record, flows, enforce)
+                (plan, full, None, EpochResilience::nominal(online.len()))
             }
             EpochDecision::Run {
                 plan,
                 allocation,
                 resilience,
             } => {
-                // Shed servers come out of the online population.
-                let active: Vec<u32> = online
-                    .iter()
-                    .zip(&resilience.shed)
-                    .map(|(&o, &s)| o.saturating_sub(s))
-                    .collect();
-                let enforce_started = Instant::now();
-                let m = self
-                    .rack
-                    .measure_active(&allocation.per_server, &active, intensity);
-                let flows = self.pdu.dispatch(
-                    &plan,
-                    actual_solar,
-                    m.total_power(),
-                    &mut self.bank,
-                    &mut self.grid,
-                    epoch_len,
-                );
-                let enforce = enforce_started.elapsed();
-                // EPU (Eq. 1): of the power genuinely offered for compute
-                // (never more than the surviving rack could demand), how
-                // much was productively consumed.
-                let demand = self.rack.demand_at_active(&online, intensity);
-                let supplied = plan.budget().min(demand);
-                epu.record(m.total_power().min(supplied), supplied);
-
-                if faults.telemetry_out {
-                    // Meters dark: the controller holds its predictors and
-                    // models, only the epoch clock advances.
-                    self.controller.end_epoch_stale();
-                } else {
-                    // Monitor feedback: only on-curve observations from
-                    // groups with live servers (a stranded, powered-off
-                    // server is not a point of Perf = f(Power)).
-                    let raw: Vec<_> = self
-                        .rack
-                        .groups()
-                        .iter()
-                        .zip(m.groups.iter().zip(&active))
-                        .filter(|(g, (gm, a))| {
-                            **a > 0 && gm.sample.power >= g.server().truth().envelope().idle()
-                        })
-                        .map(|(g, (gm, _))| {
-                            (
-                                g.platform.id(),
-                                g.workload.id(),
-                                gm.sample.power,
-                                gm.sample.throughput,
-                            )
-                        })
-                        .collect();
-                    let feedback: Vec<GroupFeedback> = raw
-                        .into_iter()
-                        .map(|(config, workload, power, perf)| GroupFeedback {
-                            config,
-                            workload,
-                            per_server_power: self.meter.read(power),
-                            per_server_perf: self.noisy_perf(perf),
-                            at: self.time,
-                        })
-                        .collect();
-                    self.controller.end_epoch(actual_solar, demand, &feedback);
-                }
-
-                let unserved = flows.unserved();
-                let record = EpochRecord {
-                    epoch: epoch_id,
-                    time: self.time,
-                    training: false,
-                    case: plan.case,
-                    budget: plan.budget(),
-                    demand,
-                    solar: actual_solar,
-                    load: m.total_power(),
-                    battery_discharge: flows.from_battery,
-                    battery_charge: flows.charging,
-                    grid_load: flows.from_grid,
-                    grid_charge: if flows.charge_source
-                        == Some(greenhetero_core::sources::ChargeSource::Grid)
-                    {
-                        flows.charging
-                    } else {
-                        Watts::ZERO
-                    },
-                    soc: self.bank.soc(),
-                    intensity,
-                    throughput: m.total_throughput(),
-                    par: allocation.shares.first().copied(),
-                    unserved,
-                    shed_servers: resilience.shed_total(),
-                    offline_servers,
-                    degraded: resilience.is_degraded()
-                        || faults.telemetry_out
-                        || unserved.value() > 1e-6,
-                };
-                (record, flows, enforce)
+                let par = allocation.shares.first().copied();
+                (plan, allocation.per_server, par, resilience)
             }
+        };
+
+        // Shed servers come out of the online population.
+        let active: Vec<u32> = online
+            .iter()
+            .zip(&resilience.shed)
+            .map(|(&o, &s)| o.saturating_sub(s))
+            .collect();
+        let enforce_started = Instant::now();
+        let m = self.rack.measure_active(&per_server, &active, intensity);
+        let flows = self.pdu.dispatch(
+            &plan,
+            actual_solar,
+            m.total_power(),
+            &mut self.bank,
+            &mut self.grid,
+            epoch_len,
+        );
+        let enforce = enforce_started.elapsed();
+        // EPU (Eq. 1): of the power genuinely offered for compute (never
+        // more than the surviving rack could demand), how much was
+        // productively consumed.
+        let demand = self.rack.demand_at_active(&online, intensity);
+        let supplied = plan.budget().min(demand);
+        epu.record(m.total_power().min(supplied), supplied);
+
+        if faults.telemetry_out {
+            // Meters dark: the controller holds its predictors and models,
+            // only the epoch clock advances.
+            self.controller.end_epoch_stale();
+        } else {
+            // A training epoch's samples already went in with its sweeps.
+            let feedback = if training {
+                Vec::new()
+            } else {
+                self.feedback(&m, &active)
+            };
+            self.controller.end_epoch(actual_solar, demand, &feedback);
+        }
+
+        let unserved = flows.unserved();
+        let record = EpochRecord {
+            epoch: epoch_id,
+            time: self.time,
+            training,
+            case: plan.case,
+            budget: plan.budget(),
+            demand,
+            solar: actual_solar,
+            load: m.total_power(),
+            battery_discharge: flows.from_battery,
+            battery_charge: flows.charging,
+            grid_load: flows.from_grid,
+            grid_charge: if flows.charge_source == Some(ChargeSource::Grid) {
+                flows.charging
+            } else {
+                Watts::ZERO
+            },
+            soc: self.bank.soc(),
+            intensity,
+            throughput: m.total_throughput(),
+            par,
+            unserved,
+            shed_servers: resilience.shed_total(),
+            offline_servers,
+            degraded: resilience.is_degraded() || faults.telemetry_out || unserved.value() > 1e-6,
         };
 
         self.enforce_seconds.record_duration(enforce);
@@ -536,6 +422,66 @@ impl Simulation {
 
         self.time += epoch_len;
         Ok(record)
+    }
+
+    /// Runs the training sweep of each requested pair (Algorithm 1,
+    /// lines 4–5): the ondemand governor with ample power, read through
+    /// the meters, stored in the controller's database.
+    fn train(
+        &mut self,
+        pairs: &[(ConfigId, WorkloadId)],
+        intensity: Ratio,
+    ) -> Result<(), CoreError> {
+        let sample_count = self.controller.config().samples_per_training() as usize;
+        for (config, workload) in pairs {
+            let group_idx = self
+                .rack
+                .groups()
+                .iter()
+                .position(|g| g.platform.id() == *config && g.workload.id() == *workload)
+                .ok_or_else(|| CoreError::InvalidConfig {
+                    reason: format!("training requested for unknown pair {config}"),
+                })?;
+            let envelope = self.rack.groups()[group_idx].server().truth().envelope();
+            let sweep = self.rack.training_sweep(group_idx, sample_count, intensity);
+            let samples: Vec<ProfileSample> = sweep
+                .iter()
+                .enumerate()
+                .map(|(i, s)| {
+                    ProfileSample::new(
+                        self.meter.read(s.power),
+                        noisy_perf(&mut self.perf_rng, self.scenario.perf_noise, s.throughput),
+                        self.time + self.controller.config().sample_period * i as u64,
+                    )
+                })
+                .collect();
+            self.controller
+                .complete_training(*config, *workload, envelope, &samples)?;
+        }
+        Ok(())
+    }
+
+    /// The monitor's feedback from a run epoch: one metered, noisy
+    /// observation per group with live servers drawing at least idle
+    /// power (a stranded, powered-off server is not a point of
+    /// Perf = f(Power)).
+    fn feedback(&mut self, m: &RackMeasurement, active: &[u32]) -> Vec<GroupFeedback> {
+        let noise = self.scenario.perf_noise;
+        self.rack
+            .groups()
+            .iter()
+            .zip(m.groups.iter().zip(active))
+            .filter(|(g, (gm, a))| {
+                **a > 0 && gm.sample.power >= g.server().truth().envelope().idle()
+            })
+            .map(|(g, (gm, _))| GroupFeedback {
+                config: g.platform.id(),
+                workload: g.workload.id(),
+                per_server_power: self.meter.read(gm.sample.power),
+                per_server_perf: noisy_perf(&mut self.perf_rng, noise, gm.sample.throughput),
+                at: self.time,
+            })
+            .collect()
     }
 
     /// Builds and sends the epoch's event (and the enforcement span).
@@ -587,15 +533,15 @@ impl Simulation {
             warm_starts: trace.warm_starts,
         });
     }
+}
 
-    /// Applies relative gaussian noise to a throughput counter.
-    fn noisy_perf(&mut self, value: Throughput) -> Throughput {
-        if self.scenario.perf_noise <= 0.0 {
-            return value;
-        }
-        let n = standard_normal(&mut self.perf_rng) * self.scenario.perf_noise;
-        Throughput::new((value.value() * (1.0 + n)).max(0.0))
+/// Applies relative gaussian noise of `sigma` to a throughput counter.
+fn noisy_perf(rng: &mut StdRng, sigma: f64, value: Throughput) -> Throughput {
+    if sigma <= 0.0 {
+        return value;
     }
+    let n = standard_normal(rng) * sigma;
+    Throughput::new((value.value() * (1.0 + n)).max(0.0))
 }
 
 fn standard_normal(rng: &mut StdRng) -> f64 {
@@ -667,7 +613,8 @@ impl Stepper {
         if self.cursor() >= self.epochs_total {
             return Ok(None);
         }
-        self.sim.step_epoch(&mut self.records, &mut self.epu)?;
+        let record = self.sim.step_epoch_record(&mut self.epu)?;
+        self.records.push(record);
         Ok(self.records.last())
     }
 

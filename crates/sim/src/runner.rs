@@ -11,7 +11,6 @@ use std::time::Instant;
 
 use greenhetero_core::error::CoreError;
 use greenhetero_core::policies::PolicyKind;
-use greenhetero_core::types::Watts;
 
 use crate::engine::Simulation;
 use crate::report::RunReport;
@@ -157,27 +156,6 @@ fn worker_count_from(override_: Option<&str>) -> (usize, Option<String>) {
     }
 }
 
-/// Sweeps the grid power budget (the paper's Fig. 12), running the given
-/// policy at each budget.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn sweep_grid_budget(
-    base: &Scenario,
-    budgets: &[Watts],
-) -> Result<Vec<(Watts, RunReport)>, CoreError> {
-    let scenarios: Vec<Scenario> = budgets
-        .iter()
-        .map(|&grid_budget| Scenario {
-            grid_budget,
-            ..base.clone()
-        })
-        .collect();
-    let reports = run_all(scenarios)?;
-    Ok(budgets.iter().copied().zip(reports).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,17 +260,5 @@ mod tests {
             err.to_string().contains("day"),
             "expected the earlier (days=0) failure, got: {err}"
         );
-    }
-
-    #[test]
-    fn grid_budget_sweep_monotone_budgets() {
-        let rows = sweep_grid_budget(
-            &tiny(PolicyKind::GreenHetero),
-            &[Watts::new(200.0), Watts::new(800.0)],
-        )
-        .unwrap();
-        assert_eq!(rows.len(), 2);
-        // More grid budget never hurts throughput.
-        assert!(rows[1].1.mean_throughput().value() >= rows[0].1.mean_throughput().value() - 1e-6);
     }
 }

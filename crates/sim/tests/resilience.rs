@@ -144,3 +144,46 @@ fn telemetry_outage_epochs_are_flagged_degraded() {
         );
     }
 }
+
+#[test]
+fn faults_during_training_epochs_degrade_and_recover() {
+    // Both faults strike at t = 0, while the database is still empty: a
+    // 30-minute telemetry outage (epochs 0–1) and a 45-minute one-server
+    // crash on group 0 (epochs 0–2). Training epochs measure, dispatch
+    // and report through the same tail as run epochs, so these epochs
+    // carry the faults' marks too.
+    let outage = FaultWindow {
+        start: SimTime::ZERO,
+        len: SimDuration::from_minutes(30),
+        kind: FaultKind::TelemetryOutage,
+    };
+    let crash = FaultWindow {
+        start: SimTime::ZERO,
+        len: SimDuration::from_minutes(45),
+        kind: FaultKind::ServerCrash { group: 0, count: 1 },
+    };
+    for policy in PolicyKind::ALL {
+        let report = run_scenario(Scenario {
+            faults: FaultSchedule::new(vec![outage, crash]),
+            ..fault_free(policy)
+        })
+        .unwrap_or_else(|e| panic!("{policy}: {e}"));
+        let e = &report.epochs;
+        // The outage hides the training sweeps, so the controller asks
+        // again each epoch until the meters come back.
+        for epoch in &e[..2] {
+            assert!(epoch.training, "{policy}: {:?} trains", epoch.epoch);
+            assert!(epoch.degraded, "{policy}: {:?} is degraded", epoch.epoch);
+            assert_eq!(epoch.offline_servers, 1, "{policy}: {:?}", epoch.epoch);
+            assert_eq!(epoch.par, None, "{policy}: {:?}", epoch.epoch);
+        }
+        assert!(e[2].training, "{policy}: epoch 2 trains");
+        assert!(!e[2].degraded, "{policy}: epoch 2 reads its meters");
+        assert_eq!(e[2].offline_servers, 1, "{policy}: epoch 2");
+        assert!(!e[3].training, "{policy}: epoch 3 runs");
+        assert!(e[3].par.is_some(), "{policy}: epoch 3 enforces a PAR");
+        assert_eq!(e[3].offline_servers, 0, "{policy}: epoch 3");
+        assert_eq!(report.degraded_epochs, 2, "{policy}");
+        assert_eq!(report.recovery_latency_epochs, Some(0), "{policy}");
+    }
+}

@@ -9,7 +9,7 @@ use greenhetero::server::rack::Combination;
 use greenhetero::server::workload::WorkloadKind;
 use greenhetero::sim::engine::run_scenario;
 use greenhetero::sim::report::RunReport;
-use greenhetero::sim::runner::{compare_policies, sweep_grid_budget};
+use greenhetero::sim::runner::{compare_policies, run_all};
 use greenhetero::sim::scenario::Scenario;
 
 fn small(policy: PolicyKind) -> Scenario {
@@ -130,14 +130,19 @@ fn runs_are_deterministic_per_seed_and_diverge_across_seeds() {
 
 #[test]
 fn more_grid_budget_never_hurts() {
-    let rows = sweep_grid_budget(
-        &small(PolicyKind::GreenHetero),
-        &[Watts::new(400.0), Watts::new(800.0), Watts::new(1200.0)],
+    let reports = run_all(
+        [400.0, 800.0, 1200.0]
+            .into_iter()
+            .map(|w| Scenario {
+                grid_budget: Watts::new(w),
+                ..small(PolicyKind::GreenHetero)
+            })
+            .collect(),
     )
     .expect("sweep");
-    for pair in rows.windows(2) {
+    for pair in reports.windows(2) {
         assert!(
-            pair[1].1.mean_throughput().value() >= pair[0].1.mean_throughput().value() - 1e-6,
+            pair[1].mean_throughput().value() >= pair[0].mean_throughput().value() - 1e-6,
             "throughput decreased when the grid budget grew"
         );
     }
