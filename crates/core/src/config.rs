@@ -39,10 +39,6 @@ pub struct ControllerConfig {
     pub holt_retrain_epochs: u64,
     /// How many past observations the predictor trainer looks at.
     pub holt_history: usize,
-    /// Solver allocation-cache capacity in entries; 0 disables the cache.
-    /// The cache only accelerates lookups — seeded runs are bit-identical
-    /// with it on or off (DESIGN.md §11).
-    pub solver_cache_capacity: usize,
     /// Serve daemon: epoch-step panics a session survives before it is
     /// quarantined. `0` quarantines on the first panic.
     pub serve_restart_budget: u32,
@@ -68,7 +64,6 @@ impl Default for ControllerConfig {
             holt_grid_step: 0.05,
             holt_retrain_epochs: 24,
             holt_history: 192,
-            solver_cache_capacity: 64,
             serve_restart_budget: 3,
             serve_backoff_base_ms: 50,
             serve_backoff_cap_ms: 2_000,
@@ -151,12 +146,6 @@ mod tests {
         assert_eq!(cfg.sample_period, SimDuration::from_minutes(2));
         assert_eq!(cfg.samples_per_training(), 5);
         assert!(cfg.validate().is_ok());
-    }
-
-    #[test]
-    fn solver_fast_path_defaults() {
-        let cfg = ControllerConfig::default();
-        assert_eq!(cfg.solver_cache_capacity, 64);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::config::ControllerConfig;
-use crate::database::{CowDatabase, PerfDatabase, PerfModel, ProfileSample};
+use crate::database::{PerfDatabase, PerfModel, ProfileSample};
 use crate::error::CoreError;
 use crate::policies::{AllocationOracle, AllocationPolicy, PolicyKind};
 use crate::predictor::{train_or_default, HoltParams, Predictor};
@@ -75,15 +75,6 @@ impl RackSpec {
         self.groups
             .iter()
             .map(|g| g.envelope.peak() * f64::from(g.count))
-            .sum()
-    }
-
-    /// Power needed to merely keep every server powered on.
-    #[must_use]
-    pub fn idle_demand(&self) -> Watts {
-        self.groups
-            .iter()
-            .map(|g| g.envelope.idle() * f64::from(g.count))
             .sum()
     }
 }
@@ -217,12 +208,12 @@ pub struct EpochTrace {
     pub quarantines: u32,
     /// Successful database refits this epoch.
     pub refits: u32,
-    /// Allocation-cache hits the solver fast path served this epoch.
+    /// Always 0: the fast path keeps no per-controller cache. The event
+    /// schema still carries the field.
     pub cache_hits: u32,
-    /// Allocation-cache misses (solves that consulted the cache and ran
-    /// an engine).
+    /// Solves reuse did not answer: a shared-cache hit or an engine run.
     pub cache_misses: u32,
-    /// Allocation-cache entries evicted this epoch.
+    /// Always 0, like [`cache_hits`](Self::cache_hits).
     pub cache_evictions: u32,
     /// Solves answered by reusing the previous solve's answer this epoch.
     pub warm_starts: u32,
@@ -237,9 +228,7 @@ struct ControllerMetrics {
     profile_quarantined: Arc<Counter>,
     solver_exact_wins: Arc<Counter>,
     solver_grid_wins: Arc<Counter>,
-    solver_cache_hit: Arc<Counter>,
     solver_cache_miss: Arc<Counter>,
-    solver_cache_evict: Arc<Counter>,
     solver_warm_start: Arc<Counter>,
     training_runs: Arc<Counter>,
     predict_seconds: Arc<Histogram>,
@@ -251,11 +240,13 @@ struct ControllerMetrics {
 impl ControllerMetrics {
     fn new(telemetry: &Telemetry) -> Self {
         let r = telemetry.registry();
-        // One exact engine leaves nothing to cross-check; the two counters
-        // stay registered, at 0, because run ledgers and dashboards read
-        // them.
+        // One exact engine leaves nothing to cross-check, and no
+        // per-controller cache hits or evicts; these counters stay
+        // registered, at 0, because run ledgers and dashboards read them.
         let _ = r.counter(names::SOLVER_CROSS_CHECK);
         let _ = r.counter(names::SOLVER_CROSS_CHECK_GRID_WIN);
+        let _ = r.counter(names::SOLVER_CACHE_HIT);
+        let _ = r.counter(names::SOLVER_CACHE_EVICT);
         ControllerMetrics {
             degrade_to: [
                 r.counter(names::DEGRADE_TO_NOMINAL),
@@ -267,9 +258,7 @@ impl ControllerMetrics {
             profile_quarantined: r.counter(names::PROFILE_QUARANTINED),
             solver_exact_wins: r.counter(names::SOLVER_EXACT_WINS),
             solver_grid_wins: r.counter(names::SOLVER_GRID_WINS),
-            solver_cache_hit: r.counter(names::SOLVER_CACHE_HIT),
             solver_cache_miss: r.counter(names::SOLVER_CACHE_MISS),
-            solver_cache_evict: r.counter(names::SOLVER_CACHE_EVICT),
             solver_warm_start: r.counter(names::SOLVER_WARM_START),
             training_runs: r.counter(names::TRAINING_RUNS),
             predict_seconds: r.histogram(names::PREDICT_SECONDS),
@@ -295,7 +284,7 @@ impl ControllerMetrics {
 pub struct Controller {
     config: ControllerConfig,
     policy: Box<dyn AllocationPolicy>,
-    db: CowDatabase,
+    db: PerfDatabase,
     renewable: PredictorLane,
     demand: PredictorLane,
     epoch: EpochId,
@@ -377,11 +366,10 @@ impl Controller {
         config.validate()?;
         let telemetry = Telemetry::default();
         let metrics = ControllerMetrics::new(&telemetry);
-        let fast = SolverFastPath::new(config.solver_cache_capacity);
         Ok(Controller {
             config,
             policy: policy.build(),
-            db: CowDatabase::new(),
+            db: PerfDatabase::new(),
             renewable: PredictorLane::new(),
             demand: PredictorLane::new(),
             epoch: EpochId::FIRST,
@@ -389,7 +377,7 @@ impl Controller {
             metrics,
             trace: EpochTrace::default(),
             last_level: DegradeLevel::Nominal,
-            fast,
+            fast: SolverFastPath::new(),
         })
     }
 
@@ -418,17 +406,17 @@ impl Controller {
 
     /// The performance-power database (read access for diagnostics).
     #[must_use]
-    pub fn database(&self) -> &CowDatabase {
+    pub fn database(&self) -> &PerfDatabase {
         &self.db
     }
 
-    /// Points the profiling database at a shared pretrained base (fleet
-    /// runs share one curve store across thousands of controllers; see
-    /// [`CowDatabase`]). Reads fall through to the base; this
-    /// controller's own refits copy single entries into its private
-    /// overlay.
+    /// Replaces the profiling database with a clone of a shared pretrained
+    /// base (fleet runs share one curve store across thousands of
+    /// controllers). The clone shares every entry with the base; this
+    /// controller's own refits and retraining runs replace single
+    /// entries (see [`PerfDatabase`]).
     pub fn set_profile_base(&mut self, base: Arc<PerfDatabase>) {
-        self.db.set_base(base);
+        self.db = PerfDatabase::clone(&base);
     }
 
     /// Attaches a cross-controller [`SharedSolveCache`]: racks (or serve
@@ -763,13 +751,9 @@ impl Controller {
     fn note_fast_path(&mut self) {
         let stats = self.fast.take_stats();
         let narrow = |v: u64| u32::try_from(v).unwrap_or(u32::MAX);
-        self.trace.cache_hits = narrow(stats.cache_hits);
         self.trace.cache_misses = narrow(stats.cache_misses);
-        self.trace.cache_evictions = narrow(stats.cache_evictions);
         self.trace.warm_starts = narrow(stats.warm_starts);
-        self.metrics.solver_cache_hit.add(stats.cache_hits);
         self.metrics.solver_cache_miss.add(stats.cache_misses);
-        self.metrics.solver_cache_evict.add(stats.cache_evictions);
         self.metrics.solver_warm_start.add(stats.warm_starts);
     }
 
@@ -1307,7 +1291,6 @@ mod tests {
         assert!(RackSpec::new(vec![]).is_err());
         let r = rack();
         assert_eq!(r.peak_demand(), Watts::new(228.0));
-        assert_eq!(r.idle_demand(), Watts::new(135.0));
     }
 
     #[test]

@@ -12,12 +12,10 @@
 //!    PAR, then **record the observed feedback** and refit with old + new
 //!    samples.
 
-mod cow;
 mod fit;
 mod model;
 mod store;
 
-pub use cow::CowDatabase;
 pub use fit::{fit_quadratic, FitResult, Quadratic};
 pub use model::PerfModel;
 pub use store::{PerfDatabase, ProfileEntry, ProfileSample};

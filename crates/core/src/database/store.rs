@@ -7,8 +7,15 @@
 //! monitor records five 2-minute samples) and thereafter **updated online**
 //! each epoch with the observed (power, performance) feedback
 //! (Algorithm 1, lines 7–10).
+//!
+//! Entries sit behind `Arc`s, so a clone of a database shares every entry
+//! with the original. Fleet runs pretrain one database and start each
+//! rack's controller from a clone of it; a rack's first write to an entry
+//! copies that one entry, so memory grows with how far racks diverge from
+//! the shared curves, not with the fleet size.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -133,7 +140,7 @@ impl ProfileEntry {
 pub struct PerfDatabase {
     // Ordered map on purpose: `iter()` feeds checkpoint/report paths, and a
     // hash map's seeded order would make those outputs differ across runs.
-    entries: BTreeMap<(ConfigId, WorkloadId), ProfileEntry>,
+    entries: BTreeMap<(ConfigId, WorkloadId), Arc<ProfileEntry>>,
     max_samples: usize,
 }
 
@@ -213,8 +220,7 @@ impl PerfDatabase {
     /// Returns [`CoreError::ProfileMissing`] when no training run has been
     /// performed for the pair yet.
     pub fn model(&self, config: ConfigId, workload: WorkloadId) -> Result<&PerfModel, CoreError> {
-        self.entries
-            .get(&(config, workload))
+        self.entry(config, workload)
             .map(ProfileEntry::model)
             .ok_or(CoreError::ProfileMissing { config, workload })
     }
@@ -222,11 +228,12 @@ impl PerfDatabase {
     /// Full entry access (samples, refit count) for diagnostics.
     #[must_use]
     pub fn entry(&self, config: ConfigId, workload: WorkloadId) -> Option<&ProfileEntry> {
-        self.entries.get(&(config, workload))
+        self.entries.get(&(config, workload)).map(Arc::as_ref)
     }
 
     /// Inserts the samples of a completed training run and fits the initial
-    /// projection (Algorithm 1, lines 4–5). Replaces any existing entry.
+    /// projection (Algorithm 1, lines 4–5). Replaces any existing entry,
+    /// shared or not.
     ///
     /// `range` is the server's productive power envelope for this workload
     /// (idle power .. workload peak draw), which bounds the projection.
@@ -246,7 +253,7 @@ impl PerfDatabase {
             samples.iter().map(|s| s.perf.value().abs()).sum::<f64>() / samples.len() as f64;
         self.entries.insert(
             (config, workload),
-            ProfileEntry {
+            Arc::new(ProfileEntry {
                 samples: samples.to_vec(),
                 model: PerfModel::new(fit.curve, range),
                 refits: 0,
@@ -254,13 +261,14 @@ impl PerfDatabase {
                 baseline_rmse: fit.rmse.max(RESIDUAL_SIGMA_FLOOR * mean_abs_perf),
                 diverging_refits: 0,
                 quarantined: false,
-            },
+            }),
         );
         Ok(fit)
     }
 
     /// Records epoch feedback and refits the projection with both the new
-    /// and old profiling data (Algorithm 1, lines 8–10).
+    /// and old profiling data (Algorithm 1, lines 8–10). An entry still
+    /// shared with another database is copied first, and only that entry.
     ///
     /// The `GreenHetero-a` policy simply never calls this, which is exactly
     /// the "without optimizations" ablation of Table III.
@@ -283,6 +291,7 @@ impl PerfDatabase {
             .get_mut(&(config, workload))
             .filter(|e| !e.quarantined)
             .ok_or(CoreError::ProfileMissing { config, workload })?;
+        let entry = Arc::make_mut(entry);
 
         entry.samples.push(sample);
         // Evict the oldest *feedback* sample once over cap; training
@@ -311,22 +320,9 @@ impl PerfDatabase {
 
     /// Iterates over all `((config, workload), entry)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&(ConfigId, WorkloadId), &ProfileEntry)> {
-        self.entries.iter()
-    }
-
-    /// Inserts a pre-built entry verbatim, replacing any existing one —
-    /// the copy-on-write adoption hook ([`CowDatabase`] clones a shared
-    /// base entry into its private overlay the first time a rack writes
-    /// to it).
-    ///
-    /// [`CowDatabase`]: crate::database::CowDatabase
-    pub(crate) fn adopt_entry(
-        &mut self,
-        config: ConfigId,
-        workload: WorkloadId,
-        entry: ProfileEntry,
-    ) {
-        self.entries.insert((config, workload), entry);
+        self.entries
+            .iter()
+            .map(|(key, entry)| (key, entry.as_ref()))
     }
 
     fn fit(samples: &[ProfileSample]) -> Result<FitResult, CoreError> {
@@ -572,6 +568,98 @@ mod tests {
         // A perfect fit still reports the floor, not zero.
         let sigma = db.entry(c, w).unwrap().residual_sigma();
         assert!(sigma.value() > 0.0);
+    }
+
+    fn feedback(p: f64, at: u64) -> ProfileSample {
+        ProfileSample::new(
+            Watts::new(p),
+            Throughput::new(40.0 * p - 0.2 * p * p),
+            SimTime::from_secs(at),
+        )
+    }
+
+    fn trained(pairs: &[(ConfigId, WorkloadId)]) -> PerfDatabase {
+        let mut db = PerfDatabase::new();
+        for &(c, w) in pairs {
+            db.insert_training(c, w, range(), &training_samples())
+                .unwrap();
+        }
+        db
+    }
+
+    /// `true` when both databases hold the very same entry for the pair.
+    fn shared(a: &PerfDatabase, b: &PerfDatabase, (c, w): (ConfigId, WorkloadId)) -> bool {
+        std::ptr::eq(a.entry(c, w).unwrap(), b.entry(c, w).unwrap())
+    }
+
+    #[test]
+    fn clones_of_one_database_diverge_independently() {
+        let (c, w) = ids();
+        let base = trained(&[(c, w)]);
+        let mut a = base.clone();
+        let mut b = base.clone();
+        assert!(shared(&a, &base, (c, w)) && shared(&b, &base, (c, w)));
+        a.record_feedback(c, w, feedback(62.0, 900)).unwrap();
+        a.record_feedback(c, w, feedback(75.0, 1800)).unwrap();
+        b.record_feedback(c, w, feedback(55.0, 900)).unwrap();
+        assert_eq!(a.entry(c, w).map(ProfileEntry::refit_count), Some(2));
+        assert_eq!(b.entry(c, w).map(ProfileEntry::refit_count), Some(1));
+        assert_eq!(base.entry(c, w).map(ProfileEntry::refit_count), Some(0));
+    }
+
+    #[test]
+    fn feedback_copies_only_the_entry_it_writes() {
+        let (c, w) = ids();
+        let untouched = (ConfigId::new(7), w);
+        let base = trained(&[(c, w), untouched]);
+        let mut rack = base.clone();
+        rack.record_feedback(c, w, feedback(70.0, 900)).unwrap();
+        assert!(!shared(&rack, &base, (c, w)));
+        assert!(shared(&rack, &base, untouched));
+        assert_eq!(rack.len(), 2);
+    }
+
+    #[test]
+    fn rejected_feedback_copies_nothing() {
+        let (c, w) = ids();
+        let mut base = trained(&[(c, w)]);
+        // Alternating ±2000 feedback quarantines the entry.
+        for i in 0u32..10 {
+            let p = 55.0 + f64::from(i) * 2.0;
+            let noise = if i % 2 == 0 { 2000.0 } else { -2000.0 };
+            let sample = ProfileSample::new(
+                Watts::new(p),
+                Throughput::new(40.0 * p - 0.2 * p * p + noise),
+                SimTime::from_secs(1000 + u64::from(i) * 900),
+            );
+            if base.record_feedback(c, w, sample).is_err() {
+                break;
+            }
+        }
+        assert!(base.entry(c, w).is_some_and(ProfileEntry::is_quarantined));
+        let mut rack = base.clone();
+        let missing = (ConfigId::new(9), WorkloadId::new(9));
+        for (config, workload) in [(c, w), missing] {
+            assert!(matches!(
+                rack.record_feedback(config, workload, feedback(60.0, 99_000)),
+                Err(CoreError::ProfileMissing { .. })
+            ));
+        }
+        assert!(shared(&rack, &base, (c, w)));
+        assert_eq!(rack.len(), 1);
+    }
+
+    #[test]
+    fn training_replaces_a_shared_entry() {
+        let (c, w) = ids();
+        let mut base = trained(&[(c, w)]);
+        base.record_feedback(c, w, feedback(70.0, 900)).unwrap();
+        let mut rack = base.clone();
+        rack.insert_training(c, w, range(), &training_samples())
+            .unwrap();
+        assert!(!shared(&rack, &base, (c, w)));
+        assert_eq!(rack.entry(c, w).map(ProfileEntry::refit_count), Some(0));
+        assert_eq!(base.entry(c, w).map(ProfileEntry::refit_count), Some(1));
     }
 
     #[test]

@@ -1,20 +1,18 @@
 //! The Enforcer (§IV-A, §IV-B4): turning scheduler decisions into
 //! actionable commands.
 //!
-//! Two components mirror the paper's design:
-//!
-//! * the **Power Source Controller** ([`Psc`]) issues switching commands
-//!   implementing a [`SourcePlan`] on the PDU/ATS;
-//! * the **Server Power Controller** ([`Spc`]) translates a per-server
-//!   power value into a concrete power state (a DVFS frequency level or a
-//!   low-power state) using the paper's linear mapping: "we set the minimum
-//!   and maximum values of the power range, and any value between the power
-//!   limits is linearly scaled to a position in the state set `S_N`".
+//! The **Server Power Controller** ([`Spc`]) translates a per-server power
+//! value into a concrete power state (a DVFS frequency level or a
+//! low-power state) using the paper's linear mapping: "we set the minimum
+//! and maximum values of the power range, and any value between the power
+//! limits is linearly scaled to a position in the state set `S_N`". The
+//! paper's other Enforcer component, the Power Source Controller, is the
+//! PDU's source switch (`greenhetero_power::pdu::Pdu::dispatch`), which
+//! applies a [`SourcePlan`](crate::sources::SourcePlan) directly.
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
-use crate::sources::SourcePlan;
 use crate::types::Watts;
 
 /// One entry of a server's ordered power-state set `S_N`.
@@ -149,64 +147,9 @@ impl Spc {
     }
 }
 
-/// A switching command for the PDU/ATS, produced by the PSC.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum PscCommand {
-    /// Route this many watts of renewable supply to the load bus.
-    RenewableToLoad(Watts),
-    /// Discharge the battery into the load bus at this power.
-    BatteryToLoad(Watts),
-    /// Draw this much grid power onto the load bus.
-    GridToLoad(Watts),
-    /// Charge the battery from the renewable surplus at this power.
-    ChargeFromRenewable(Watts),
-    /// Charge the battery from the grid at this power.
-    ChargeFromGrid(Watts),
-}
-
-/// The Power Source Controller: compiles a [`SourcePlan`] into an ordered
-/// list of switching commands.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Psc;
-
-impl Psc {
-    /// Creates a PSC.
-    #[must_use]
-    pub fn new() -> Self {
-        Psc
-    }
-
-    /// Compiles the plan. Zero-watt routes are omitted.
-    #[must_use]
-    pub fn commands(&self, plan: &SourcePlan) -> Vec<PscCommand> {
-        use crate::sources::ChargeSource;
-        let mut out = Vec::with_capacity(4);
-        if plan.renewable_to_load > Watts::ZERO {
-            out.push(PscCommand::RenewableToLoad(plan.renewable_to_load));
-        }
-        if plan.battery_to_load > Watts::ZERO {
-            out.push(PscCommand::BatteryToLoad(plan.battery_to_load));
-        }
-        if plan.grid_to_load > Watts::ZERO {
-            out.push(PscCommand::GridToLoad(plan.grid_to_load));
-        }
-        match plan.charge {
-            Some((ChargeSource::Renewable, w)) if w > Watts::ZERO => {
-                out.push(PscCommand::ChargeFromRenewable(w));
-            }
-            Some((ChargeSource::Grid, w)) if w > Watts::ZERO => {
-                out.push(PscCommand::ChargeFromGrid(w));
-            }
-            _ => {}
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sources::{select_sources, BatteryView, SourceInputs};
 
     fn ladder() -> PowerStateSet {
         PowerStateSet::new(
@@ -300,46 +243,5 @@ mod tests {
         assert_eq!(s.index_for_power(Watts::new(999.0)), 0);
         assert_eq!(s.highest_state_within(Watts::new(42.0)), Some(0));
         assert_eq!(s.highest_state_within(Watts::new(41.0)), None);
-    }
-
-    #[test]
-    fn psc_compiles_case_b_plan() {
-        let plan = select_sources(&SourceInputs {
-            predicted_renewable: Watts::new(600.0),
-            predicted_demand: Watts::new(1000.0),
-            battery: BatteryView {
-                max_discharge: Watts::new(100.0),
-                max_charge: Watts::new(400.0),
-                needs_recharge: false,
-            },
-            grid_budget: Watts::new(1000.0),
-            renewable_negligible: Watts::new(5.0),
-        });
-        let cmds = Psc::new().commands(&plan);
-        assert_eq!(
-            cmds,
-            vec![
-                PscCommand::RenewableToLoad(Watts::new(600.0)),
-                PscCommand::BatteryToLoad(Watts::new(100.0)),
-                PscCommand::GridToLoad(Watts::new(300.0)),
-            ]
-        );
-    }
-
-    #[test]
-    fn psc_emits_charging_command() {
-        let plan = select_sources(&SourceInputs {
-            predicted_renewable: Watts::new(1500.0),
-            predicted_demand: Watts::new(1000.0),
-            battery: BatteryView {
-                max_discharge: Watts::new(800.0),
-                max_charge: Watts::new(300.0),
-                needs_recharge: false,
-            },
-            grid_budget: Watts::new(1000.0),
-            renewable_negligible: Watts::new(5.0),
-        });
-        let cmds = Psc::new().commands(&plan);
-        assert!(cmds.contains(&PscCommand::ChargeFromRenewable(Watts::new(300.0))));
     }
 }

@@ -1,5 +1,5 @@
-//! The solver fast path: reuse of the last answer and a revalidated
-//! memo (DESIGN.md §11).
+//! The solver fast path: reuse of the last answer, then the fleet's
+//! shared solve cache (DESIGN.md §11).
 //!
 //! Consecutive scheduling epochs differ only slightly — solar ramps a few
 //! percent per 15-minute epoch and the fitted curves change only on the
@@ -9,33 +9,25 @@
 //!
 //! 1. **Reuse** — a problem bit-identical to the previous solve's returns
 //!    the previous allocation outright;
-//! 2. **Memo** — solves are remembered in a small LRU keyed by a digest
-//!    of the group layout and the budget; a hit revalidates the stored
-//!    problem bit-for-bit against the live one and falls back to a solve
-//!    on any mismatch, so a hit is always bit-identical to the solve it
-//!    replaced.
+//! 2. **Shared cache** — when one is attached, a [`SharedSolveCache`]
+//!    answers problems another controller already solved. It is a
+//!    sharded, thread-safe store keyed by a digest of the group layout and
+//!    the budget; a hit revalidates the stored problem bit for bit against
+//!    the live one and falls back to a solve on any mismatch. Racks in a
+//!    fleet that face bit-identical problems — common once noise is low
+//!    and models converge — pay one solve and N bit-identical reuses per
+//!    epoch (DESIGN.md §14).
 //!
-//! The memo can reach past one controller: [`SharedSolveCache`] is a
-//! sharded, thread-safe store keyed the same way with the same
-//! full-equality revalidation on hit, consulted after a local miss.
-//! Racks in a fleet that face bit-identical problems — common once noise
-//! is low and models converge — pay one solve and N bit-identical reuses
-//! per epoch (DESIGN.md §14). A shared hit stands in for the engine call
-//! the local miss committed to, and is remembered locally exactly as that
-//! solve would have been.
-//!
-//! Every layer returns the bits
+//! Anything else runs the engine. Every layer returns the bits
 //! [`solve_with_engine`](crate::solver::solve_with_engine) computes for
 //! the same problem, and every counter is a pure function of the *problem
 //! sequence* — never of shared-cache occupancy — which is why seeded runs
-//! are bit-identical with either cache on, off or resized
-//! (`crates/sim/tests/fastpath.rs` and `crates/sim/tests/fleet.rs` prove
-//! it).
+//! are bit-identical with the shared cache on, off or resized
+//! (`crates/sim/tests/fleet.rs` proves it).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use crate::config::ControllerConfig;
 use crate::error::CoreError;
 use crate::solver::problem::{Allocation, AllocationProblem};
 use crate::solver::scratch::SolverScratch;
@@ -46,12 +38,8 @@ use crate::solver::{solve_with_engine_scratch, SolveEngine};
 /// [`take_stats`](SolverFastPath::take_stats).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FastPathStats {
-    /// Cache lookups that returned a revalidated stored allocation.
-    pub cache_hits: u64,
-    /// Solves that consulted the cache and missed.
+    /// Solves reuse did not answer: a shared-cache hit or an engine run.
     pub cache_misses: u64,
-    /// Entries displaced by LRU eviction.
-    pub cache_evictions: u64,
     /// Solves answered by reusing the previous solve's answer.
     pub warm_starts: u64,
 }
@@ -59,9 +47,7 @@ pub struct FastPathStats {
 impl FastPathStats {
     fn minus(self, earlier: FastPathStats) -> FastPathStats {
         FastPathStats {
-            cache_hits: self.cache_hits - earlier.cache_hits,
             cache_misses: self.cache_misses - earlier.cache_misses,
-            cache_evictions: self.cache_evictions - earlier.cache_evictions,
             warm_starts: self.warm_starts - earlier.warm_starts,
         }
     }
@@ -75,18 +61,6 @@ struct LastSolve {
     engine: SolveEngine,
 }
 
-/// One cached solve. `problem` is kept whole: the digest narrows the
-/// lookup, equality on the full problem (budget bits included) is what
-/// authorizes reuse.
-#[derive(Debug, Clone)]
-struct CacheEntry {
-    digest: u64,
-    problem: AllocationProblem,
-    allocation: Allocation,
-    engine: SolveEngine,
-    stamp: u64,
-}
-
 /// Default capacity (entries) of a fleet- or daemon-wide
 /// [`SharedSolveCache`].
 pub const DEFAULT_SHARED_SOLVE_CAPACITY: usize = 1024;
@@ -96,8 +70,8 @@ pub const DEFAULT_SHARED_SOLVE_CAPACITY: usize = 1024;
 /// never contend.
 const SHARED_SHARDS: usize = 16;
 
-/// One shared solve. Like the local cache, the full problem is kept:
-/// the digest narrows the lookup, bit-for-bit equality authorizes reuse.
+/// One shared solve. The full problem is kept: the digest narrows the
+/// lookup, bit-for-bit equality authorizes reuse.
 #[derive(Debug)]
 struct SharedEntry {
     digest: u64,
@@ -146,10 +120,10 @@ impl SharedSolveStats {
 }
 
 /// A thread-safe solve cache shared across controllers — the fleet-wide
-/// batched-solve substrate. Keyed exactly like the local LRU (a digest
-/// over configs, counts, model fingerprints and the budget) and
-/// revalidated by full problem equality on every hit, so a hit is
-/// bit-identical to the engine call it replaces.
+/// batched-solve substrate. Keyed by a digest over configs, counts, model
+/// fingerprints and the budget, and revalidated by full problem equality
+/// on every hit, so a hit is bit-identical to the engine call it
+/// replaces.
 ///
 /// Attaching or resizing this cache never changes any controller's output:
 /// it only substitutes bit-identical answers for redundant engine calls.
@@ -302,47 +276,27 @@ impl SharedSolveCache {
 }
 
 /// The stateful solver front-end the controller holds across epochs.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SolverFastPath {
-    capacity: usize,
     scratch: SolverScratch,
-    cache: Vec<CacheEntry>,
     last: Option<LastSolve>,
     shared: Option<Arc<SharedSolveCache>>,
     stats: FastPathStats,
     taken: FastPathStats,
-    clock: u64,
-}
-
-impl Default for SolverFastPath {
-    /// The memo capacity of [`ControllerConfig::default`].
-    fn default() -> Self {
-        SolverFastPath::new(ControllerConfig::default().solver_cache_capacity)
-    }
 }
 
 impl SolverFastPath {
-    /// A fast path with an empty memo of `capacity` entries (0 disables
-    /// it) and no previous solve.
+    /// A fast path with no previous solve and no shared cache.
     #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        SolverFastPath {
-            capacity,
-            scratch: SolverScratch::new(),
-            cache: Vec::with_capacity(capacity),
-            last: None,
-            shared: None,
-            stats: FastPathStats::default(),
-            taken: FastPathStats::default(),
-            clock: 0,
-        }
+    pub fn new() -> Self {
+        SolverFastPath::default()
     }
 
     /// Attaches (or detaches, with `None`) a cross-controller
     /// [`SharedSolveCache`]. Purely an acceleration: every answer returned
     /// through the shared layer is bit-identical to the engine call it
-    /// replaces, and the local cache and counters evolve exactly as if the
-    /// shared layer were absent.
+    /// replaces, and the counters evolve exactly as if the shared layer
+    /// were absent.
     pub fn set_shared_cache(&mut self, shared: Option<Arc<SharedSolveCache>>) {
         self.shared = shared;
     }
@@ -365,7 +319,7 @@ impl SolverFastPath {
     /// always bit-identical to
     /// [`solve_with_engine`](crate::solver::solve_with_engine)'s answer:
     /// reuse needs the previous problem to equal this one bit for bit, and
-    /// memo hits are revalidated bit-for-bit before reuse.
+    /// shared-cache hits are revalidated bit-for-bit before reuse.
     ///
     /// # Errors
     ///
@@ -382,7 +336,8 @@ impl SolverFastPath {
                 return Ok((last.allocation.clone(), last.engine));
             }
         }
-        let (allocation, engine) = self.memo_solve(problem)?;
+        self.stats.cache_misses += 1;
+        let (allocation, engine) = self.shared_or_engine(problem)?;
         self.last = Some(LastSolve {
             problem: problem.clone(),
             allocation: allocation.clone(),
@@ -391,88 +346,22 @@ impl SolverFastPath {
         Ok((allocation, engine))
     }
 
-    /// The memo: consult the local LRU, then the shared cache, else solve
-    /// and remember the answer.
-    fn memo_solve(
+    /// The shared cache's answer when one is attached and holds the
+    /// problem, else an engine run, published to the shared cache.
+    fn shared_or_engine(
         &mut self,
         problem: &AllocationProblem,
     ) -> Result<(Allocation, SolveEngine), CoreError> {
-        let caching = self.capacity > 0;
-        let digest = problem_digest(problem);
-        if caching {
-            let found = self.cache.iter_mut().find(|e| {
-                e.digest == digest
-                // Revalidation: the stored problem (live budget bits and
-                // all) must equal the incoming one; a digest collision is
-                // a miss.
-                && e.problem == *problem
-                && e.problem.is_feasible(&e.allocation.per_server)
-            });
-            if let Some(entry) = found {
-                self.stats.cache_hits += 1;
-                self.clock += 1;
-                entry.stamp = self.clock;
-                return Ok((entry.allocation.clone(), entry.engine));
-            }
-            self.stats.cache_misses += 1;
-        }
-
-        // Cross-controller layer: a shared hit stands in for the engine
-        // call below and is remembered locally exactly as that solve would
-        // have been, so the local LRU state, counters, and every future
-        // decision evolve bit-identically with the shared cache attached,
-        // detached, or resized.
-        let shared_hit = self
-            .shared
-            .as_ref()
-            .and_then(|shared| shared.lookup(digest, problem));
-        let (allocation, engine) = match shared_hit {
-            Some(hit) => hit,
-            None => {
-                let answer = solve_with_engine_scratch(problem, &mut self.scratch)?;
-                if let Some(shared) = &self.shared {
-                    shared.insert(digest, problem, &answer.0, answer.1);
-                }
-                answer
-            }
+        let Some(shared) = &self.shared else {
+            return solve_with_engine_scratch(problem, &mut self.scratch);
         };
-        if caching {
-            self.remember(digest, problem, &allocation, engine);
+        let digest = problem_digest(problem);
+        if let Some(hit) = shared.lookup(digest, problem) {
+            return Ok(hit);
         }
-        Ok((allocation, engine))
-    }
-
-    /// Stores an answer in the local LRU, evicting the stalest entry
-    /// at capacity. Shared-cache hits go through the same door as real
-    /// engine solves — local state must not see the difference.
-    fn remember(
-        &mut self,
-        digest: u64,
-        problem: &AllocationProblem,
-        allocation: &Allocation,
-        engine: SolveEngine,
-    ) {
-        if self.cache.len() >= self.capacity {
-            // Evict the least-recently used entry (smallest stamp).
-            if let Some(victim) = self
-                .cache
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(i, _)| i)
-            {
-                self.cache.swap_remove(victim);
-                self.stats.cache_evictions += 1;
-            }
-        }
-        self.clock += 1;
-        self.cache.push(CacheEntry {
-            digest,
-            problem: problem.clone(),
-            allocation: allocation.clone(),
-            engine,
-            stamp: self.clock,
-        });
+        let answer = solve_with_engine_scratch(problem, &mut self.scratch)?;
+        shared.insert(digest, problem, &answer.0, answer.1);
+        Ok(answer)
     }
 }
 
@@ -559,53 +448,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_hits_return_the_stored_answer() {
-        let mut fast = SolverFastPath::default();
-        let a = problem(500.0);
-        let b = problem(800.0); // in between, so reuse cannot answer
-        let (first_a, _) = fast.solve(&a).unwrap();
-        fast.solve(&b).unwrap();
-        let (again_a, _) = fast.solve(&a).unwrap();
-        assert_eq!(first_a, again_a);
-        assert_eq!(fast.stats().cache_hits, 1);
-        assert_eq!(fast.stats().cache_misses, 2);
-    }
-
-    #[test]
-    fn lru_evicts_the_stalest_entry() {
-        let mut fast = SolverFastPath::new(2);
-        fast.solve(&problem(100.0)).unwrap();
-        fast.solve(&problem(300.0)).unwrap();
-        fast.solve(&problem(100.0)).unwrap(); // refresh 100's stamp
-        fast.solve(&problem(600.0)).unwrap(); // evicts 300
-        assert_eq!(fast.stats().cache_evictions, 1);
-        fast.solve(&problem(100.0)).unwrap(); // still cached
-        assert_eq!(fast.stats().cache_hits, 2);
-        fast.solve(&problem(300.0)).unwrap(); // was evicted → miss
-        assert_eq!(fast.stats().cache_hits, 2);
-    }
-
-    #[test]
-    fn disabled_cache_produces_identical_answers() {
-        let budgets = [500.0, 505.0, 800.0, 500.0, 505.0, 200.0, 800.0];
-        let mut on = SolverFastPath::default();
-        let mut off = SolverFastPath::new(0);
-        for &b in &budgets {
-            let p = problem(b);
-            let (with_cache, e1) = on.solve(&p).unwrap();
-            let (without, e2) = off.solve(&p).unwrap();
-            assert_eq!(with_cache, without, "budget {b}");
-            assert_eq!(e1, e2, "budget {b}");
-        }
-        assert!(
-            on.stats().cache_hits > 0,
-            "sequence never exercised the cache"
-        );
-        assert_eq!(off.stats().cache_hits, 0);
-        assert_eq!(off.stats().cache_misses + off.stats().cache_hits, 0);
-    }
-
-    #[test]
     fn take_stats_returns_per_interval_deltas() {
         let mut fast = SolverFastPath::default();
         fast.solve(&problem(500.0)).unwrap();
@@ -616,6 +458,17 @@ mod tests {
         assert_eq!(d2.cache_misses, 0);
         assert_eq!(d2.warm_starts, 1);
         assert_eq!(fast.stats().cache_misses, 1);
+    }
+
+    /// Two fast paths on one shared cache, the way a fleet's racks share
+    /// solves.
+    fn sharing_pair() -> (Arc<SharedSolveCache>, SolverFastPath, SolverFastPath) {
+        let shared = Arc::new(SharedSolveCache::new(64));
+        let mut first = SolverFastPath::default();
+        first.set_shared_cache(Some(Arc::clone(&shared)));
+        let mut second = SolverFastPath::default();
+        second.set_shared_cache(Some(Arc::clone(&shared)));
+        (shared, first, second)
     }
 
     #[test]
@@ -629,12 +482,15 @@ mod tests {
             problem_digest(&problem(500.5))
         );
         // A budget a hair away is a different problem: a miss, not a hit.
-        let mut fast = SolverFastPath::default();
-        for budget in [0.0, 500.0, -0.0, 500.0 + 1e-9] {
-            fast.solve(&problem(budget)).unwrap();
+        let (shared, mut first, mut second) = sharing_pair();
+        for budget in [0.0, 500.0] {
+            first.solve(&problem(budget)).unwrap();
         }
-        assert_eq!(fast.stats().cache_hits, 1);
-        assert_eq!(fast.stats().cache_misses, 3);
+        for budget in [-0.0, 500.0 + 1e-9] {
+            second.solve(&problem(budget)).unwrap();
+        }
+        assert_eq!(shared.stats().hits, 1);
+        assert_eq!(shared.stats().misses, 3);
     }
 
     /// An allocation as raw bits: every per-server watt value, then the
@@ -647,22 +503,31 @@ mod tests {
     #[test]
     fn every_answer_is_solve_with_engine_bit_for_bit() {
         // Two groups (the exact engine) and one past MAX_EXACT_GROUPS
-        // (the grid), each over budgets that drift, repeat and revisit.
+        // (the grid), each over budgets that drift, repeat and revisit,
+        // walked by one fast path and then by a second one that reads
+        // the first one's solves from the shared cache.
         let many: Vec<ServerGroup> = (0..=crate::solver::MAX_EXACT_GROUPS as u32)
             .map(|i| group(i, 1, 20.0, 60.0, 10.0 + f64::from(i), -0.02))
             .collect();
         let layouts = [problem(0.0).groups().to_vec(), many];
         for groups in layouts {
-            let mut fast = SolverFastPath::default();
-            for budget in [300.0, 306.0, 306.0, 500.0, 300.0, 306.0, 120.0] {
-                let p = AllocationProblem::new(groups.clone(), Watts::new(budget)).unwrap();
-                let (answer, engine) = fast.solve(&p).unwrap();
-                let (expect, expect_engine) = solve_with_engine(&p).unwrap();
-                assert_eq!(bits(&answer), bits(&expect), "budget {budget}");
-                assert_eq!(engine, expect_engine, "budget {budget}");
+            let (shared, mut first, mut second) = sharing_pair();
+            let mut walks = 0;
+            for fast in [&mut first, &mut second] {
+                for budget in [300.0, 306.0, 306.0, 500.0, 300.0, 306.0, 120.0] {
+                    let p = AllocationProblem::new(groups.clone(), Watts::new(budget)).unwrap();
+                    let (answer, engine) = fast.solve(&p).unwrap();
+                    let (expect, expect_engine) = solve_with_engine(&p).unwrap();
+                    assert_eq!(bits(&answer), bits(&expect), "budget {budget}");
+                    assert_eq!(engine, expect_engine, "budget {budget}");
+                }
+                walks += 1;
+                assert_eq!(fast.stats().warm_starts, 1, "walk {walks}");
             }
-            assert_eq!(fast.stats().warm_starts, 1);
-            assert_eq!(fast.stats().cache_hits, 2);
+            // The first walk revisits 300 and 306 once each; the second
+            // finds all six of its non-reused solves in the shared cache.
+            assert_eq!(shared.stats().hits, 2 + 6);
+            assert_eq!(shared.stats().insertions, 4);
         }
     }
 
@@ -696,11 +561,7 @@ mod tests {
     #[test]
     fn second_controller_reuses_the_first_ones_solves() {
         let budgets = [500.0, 505.0, 800.0, 200.0];
-        let shared = Arc::new(SharedSolveCache::new(64));
-        let mut first = SolverFastPath::default();
-        first.set_shared_cache(Some(Arc::clone(&shared)));
-        let mut second = SolverFastPath::default();
-        second.set_shared_cache(Some(Arc::clone(&shared)));
+        let (shared, mut first, mut second) = sharing_pair();
         let mut reference = SolverFastPath::default();
 
         for &b in &budgets {

@@ -367,8 +367,10 @@ mod tests {
     fn case_b_grid_is_last_resort() {
         // Battery can only give 100 W of a 400 W shortfall.
         let plan = select_sources(&inputs(600.0, 1000.0, battery(100.0, 400.0, false), 1000.0));
+        assert_eq!(plan.renewable_to_load, Watts::new(600.0));
         assert_eq!(plan.battery_to_load, Watts::new(100.0));
         assert_eq!(plan.grid_to_load, Watts::new(300.0));
+        assert_eq!(plan.charge, None);
         assert_eq!(plan.budget(), Watts::new(1000.0));
     }
 

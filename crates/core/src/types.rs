@@ -845,12 +845,6 @@ impl EpochId {
     pub fn next(self) -> EpochId {
         EpochId(self.0 + 1)
     }
-
-    /// Start time of this epoch given the epoch length.
-    #[must_use]
-    pub fn start_time(self, epoch_len: SimDuration) -> SimTime {
-        SimTime::from_secs(self.0 * epoch_len.as_secs())
-    }
 }
 
 impl fmt::Display for EpochId {
@@ -916,25 +910,6 @@ impl PowerRange {
     #[must_use]
     pub fn clamp(self, power: Watts) -> Watts {
         power.clamp(self.idle, self.peak)
-    }
-
-    /// Scales both endpoints by `factor` (used when a workload only ever
-    /// draws a fraction of nameplate peak power).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is negative or not finite.
-    #[must_use]
-    pub fn scale_peak(self, factor: f64) -> PowerRange {
-        assert!(
-            factor.is_finite() && factor >= 0.0,
-            "scale factor must be finite and non-negative"
-        );
-        let peak = (self.peak * factor).max(self.idle);
-        PowerRange {
-            idle: self.idle,
-            peak,
-        }
     }
 }
 
@@ -1071,13 +1046,8 @@ mod tests {
     }
 
     #[test]
-    fn epoch_id_start_time() {
-        let e = EpochId::new(4);
-        assert_eq!(
-            e.start_time(SimDuration::from_minutes(15)),
-            SimTime::from_secs(3600)
-        );
-        assert_eq!(e.next(), EpochId::new(5));
+    fn epoch_id_next() {
+        assert_eq!(EpochId::new(4).next(), EpochId::new(5));
     }
 
     #[test]
@@ -1095,14 +1065,6 @@ mod tests {
         assert_eq!(r.clamp(Watts::new(200.0)), Watts::new(100.0));
         assert_eq!(r.clamp(Watts::new(10.0)), Watts::new(50.0));
         assert_eq!(r.dynamic(), Watts::new(50.0));
-    }
-
-    #[test]
-    fn power_range_scale_peak_never_below_idle() {
-        let r = PowerRange::new(Watts::new(50.0), Watts::new(100.0)).unwrap();
-        let scaled = r.scale_peak(0.1);
-        assert_eq!(scaled.peak(), Watts::new(50.0));
-        assert_eq!(scaled.idle(), Watts::new(50.0));
     }
 
     #[test]

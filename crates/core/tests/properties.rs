@@ -4,6 +4,8 @@
 // allow-*-in-tests clippy knobs do not reach; panicking is fine here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use std::sync::Arc;
+
 use greenhetero_core::database::{fit_quadratic, FitResult, PerfModel, Quadratic};
 use greenhetero_core::enforcer::{PowerState, PowerStateSet, Spc};
 use greenhetero_core::error::CoreError;
@@ -14,7 +16,8 @@ use greenhetero_core::predictor::{
 };
 use greenhetero_core::solver::{
     audit_allocation, solve, solve_exact, solve_grid, solve_with_engine, Allocation,
-    AllocationProblem, ServerGroup, SolverFastPath,
+    AllocationProblem, ServerGroup, SharedSolveCache, SolverFastPath,
+    DEFAULT_SHARED_SOLVE_CAPACITY,
 };
 use greenhetero_core::sources::{
     audit_plan, select_sources, BatteryView, ChargeSource, SourceInputs,
@@ -404,39 +407,16 @@ proptest! {
         );
     }
 
-    /// The allocation cache is a pure accelerator: over any
-    /// drifting problem sequence, decision streams are bit-identical
-    /// with the cache disabled, thrash-sized, or default-sized.
-    #[test]
-    fn fast_path_cache_is_bit_identical(
-        p in arb_monotone_problem(),
-        factors in proptest::collection::vec(0.9..1.1f64, 1..12),
-    ) {
-        let mut default_cache = SolverFastPath::default();
-        let mut no_cache = SolverFastPath::new(0);
-        let mut thrash_cache = SolverFastPath::new(1);
-        for f in factors {
-            let q = AllocationProblem::new(
-                p.groups().to_vec(),
-                Watts::new(p.budget().value() * f),
-            ).unwrap();
-            let a = default_cache.solve(&q).unwrap();
-            let b = no_cache.solve(&q).unwrap();
-            let c = thrash_cache.solve(&q).unwrap();
-            prop_assert_eq!(&a, &b, "cache on/off diverged");
-            prop_assert_eq!(&a, &c, "cache sizing diverged");
-        }
-    }
-
     /// Every fast-path answer is `solve_with_engine`'s, bit for bit, on
-    /// drifting budget sequences that also stand still and revisit: reuse
-    /// and the memo only ever return what a solve would.
+    /// drifting budget sequences that also stand still: reuse and the
+    /// shared cache only ever return what a solve would. A second fast
+    /// path walks the sequence after the first, on the same shared cache.
     #[test]
     fn fast_path_answers_equal_solve_with_engine(
         p in arb_quadratic_problem(),
         steps in proptest::collection::vec((any::<bool>(), 0.98..1.02f64), 2..10),
     ) {
-        let mut budgets = Vec::with_capacity(2 * steps.len());
+        let mut budgets = Vec::with_capacity(steps.len());
         let mut budget = p.budget().value();
         for (still, factor) in steps {
             if !still {
@@ -444,20 +424,25 @@ proptest! {
             }
             budgets.push(budget);
         }
-        let half = budgets.len() as u64;
-        budgets.extend_from_within(..);
-        let mut fast = SolverFastPath::default();
-        for budget in budgets {
-            let q = AllocationProblem::new(p.groups().to_vec(), Watts::new(budget)).unwrap();
-            let (answer, engine) = fast.solve(&q).unwrap();
-            let (expect, expect_engine) = solve_with_engine(&q).unwrap();
-            prop_assert_eq!(bits(&answer), bits(&expect), "budget {}", budget);
-            prop_assert_eq!(engine, expect_engine);
+        let shared = Arc::new(SharedSolveCache::new(DEFAULT_SHARED_SOLVE_CAPACITY));
+        let (mut hits_before_walk, mut reused) = (0, 0);
+        for _walk in 0..2 {
+            hits_before_walk = shared.stats().hits;
+            let mut fast = SolverFastPath::default();
+            fast.set_shared_cache(Some(Arc::clone(&shared)));
+            for &budget in &budgets {
+                let q = AllocationProblem::new(p.groups().to_vec(), Watts::new(budget)).unwrap();
+                let (answer, engine) = fast.solve(&q).unwrap();
+                let (expect, expect_engine) = solve_with_engine(&q).unwrap();
+                prop_assert_eq!(bits(&answer), bits(&expect), "budget {}", budget);
+                prop_assert_eq!(engine, expect_engine);
+            }
+            reused = fast.stats().warm_starts;
         }
-        // The replayed half revisits every budget: reuse or the memo
-        // answers it.
-        let stats = fast.stats();
-        prop_assert!(stats.cache_hits + stats.warm_starts >= half);
+        // The second walk revisits every budget: reuse or the shared
+        // cache answers it.
+        let second_hits = shared.stats().hits - hits_before_walk;
+        prop_assert_eq!(second_hits + reused, budgets.len() as u64);
     }
 
     /// Ratio::saturating is the identity on [0, 1] and clamps elsewhere.

@@ -305,14 +305,6 @@ impl BatteryBank {
         );
     }
 
-    /// Resets to full charge, clearing cycle accounting. For experiment
-    /// setup ("we initialize the battery capacity to its maximal state").
-    pub fn reset_full(&mut self) {
-        self.energy = self.spec.capacity;
-        self.total_discharged = WattHours::ZERO;
-        self.recharging = false;
-    }
-
     /// Permanently derates the bank to `surviving` of its current size —
     /// a battery string failing open, or capacity fade discovered by a
     /// maintenance check. Capacity, stored energy and both C-rate limits
@@ -490,9 +482,6 @@ mod tests {
         let _ = b.discharge(Watts::new(4000.0), SimDuration::from_hours(2));
         assert!((b.cycles() - 1.0).abs() < 1e-6);
         assert!((b.lifetime_used().value() - 1.0 / 1300.0).abs() < 1e-9);
-        b.reset_full();
-        assert_eq!(b.cycles(), 0.0);
-        assert_eq!(b.soc(), Ratio::ONE);
     }
 
     #[test]

@@ -119,12 +119,6 @@ impl GridFeed {
         self.peak_draw.value() / 1000.0 * self.tariff.peak_price_per_kw
             + self.energy.as_kilowatt_hours() * self.tariff.energy_price_per_kwh
     }
-
-    /// Clears the billing accumulators (new billing period).
-    pub fn reset_billing(&mut self) {
-        self.energy = WattHours::ZERO;
-        self.peak_draw = Watts::ZERO;
-    }
 }
 
 #[cfg(test)]
@@ -189,9 +183,6 @@ mod tests {
         let _ = g.draw(Watts::new(1000.0), SimDuration::from_hours(10));
         // 1 kW peak → $13.61; 10 kWh → $1.00.
         assert!((g.cost() - (13.61 + 1.0)).abs() < 1e-9);
-        g.reset_billing();
-        assert_eq!(g.cost(), 0.0);
-        assert_eq!(g.peak_draw(), Watts::ZERO);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! is curtailed.
 
 use greenhetero_core::sources::{ChargeSource, SourcePlan};
-use greenhetero_core::types::{Ratio, SimDuration, WattHours, Watts};
+use greenhetero_core::types::{Ratio, SimDuration, Watts};
 use serde::{Deserialize, Serialize};
 
 use crate::battery::BatteryBank;
@@ -46,12 +46,6 @@ impl PowerFlows {
         } else {
             Ratio::saturating((self.from_renewable + self.from_battery).value() / total)
         }
-    }
-
-    /// Energy delivered to the load over `duration`.
-    #[must_use]
-    pub fn load_energy(&self, duration: SimDuration) -> WattHours {
-        self.to_load * duration
     }
 
     /// Load power that went unserved this epoch — the resilience ledger's
@@ -363,23 +357,5 @@ mod tests {
             flows.to_load
         );
         assert_eq!(flows.to_load + flows.unserved(), Watts::new(950.0));
-    }
-
-    #[test]
-    fn load_energy_accounting() {
-        let flows = PowerFlows {
-            to_load: Watts::new(800.0),
-            from_renewable: Watts::new(800.0),
-            from_battery: Watts::ZERO,
-            from_grid: Watts::ZERO,
-            charging: Watts::ZERO,
-            charge_source: None,
-            curtailed: Watts::ZERO,
-            shortfall: Watts::ZERO,
-        };
-        assert_eq!(
-            flows.load_energy(SimDuration::from_minutes(30)),
-            WattHours::new(400.0)
-        );
     }
 }

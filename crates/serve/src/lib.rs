@@ -3,8 +3,9 @@
 //!
 //! A [`Daemon`] hosts N *rack sessions*, each an epoch-ticking control
 //! loop ([`greenhetero_sim::engine::Stepper`]) over the fleet substrate:
-//! one shared `Arc<Rack>`, the memoized solar trace, and (optionally)
-//! one pretrained profile database read through a `CowDatabase`. The
+//! one shared `Arc<Rack>`, the memoized solar trace, (optionally) one
+//! pretrained profile database whose entries every session's clone
+//! shares until it writes one, and one solve cache per substrate. The
 //! robustness core is the session [`Supervisor`]:
 //!
 //! * **panic isolation** — every epoch step runs under

@@ -2,8 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use greenhetero_core::error::CoreError;
-use greenhetero_core::types::{ConfigId, MegaHertz, PowerRange, Watts};
+use greenhetero_core::types::{ConfigId, MegaHertz, Watts};
 
 /// CPU vs. accelerator platforms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -162,16 +161,6 @@ impl std::fmt::Display for PlatformKind {
 }
 
 impl PlatformSpec {
-    /// The nameplate power envelope `[idle, peak]`.
-    ///
-    /// # Errors
-    ///
-    /// Never fails for the built-in Table II rows; kept fallible for
-    /// user-constructed specs.
-    pub fn nameplate_range(&self) -> Result<PowerRange, CoreError> {
-        PowerRange::new(self.idle, self.peak)
-    }
-
     /// Nameplate dynamic power span (`peak − idle`).
     #[must_use]
     pub fn dynamic_span(&self) -> Watts {
@@ -182,6 +171,7 @@ impl PlatformSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use greenhetero_core::types::PowerRange;
 
     #[test]
     fn table_two_rows_match_the_paper() {
@@ -214,7 +204,7 @@ mod tests {
     fn all_envelopes_are_valid() {
         for p in PlatformKind::ALL {
             let spec = p.spec();
-            let range = spec.nameplate_range().unwrap();
+            let range = PowerRange::new(spec.idle, spec.peak).unwrap();
             assert!(range.peak() > range.idle(), "{p}");
             assert!(spec.dynamic_span().value() > 0.0);
             assert!(spec.ipc_factor > 0.0);

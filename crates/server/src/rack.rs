@@ -273,12 +273,6 @@ impl Rack {
         &self.groups
     }
 
-    /// Total number of servers.
-    #[must_use]
-    pub fn server_count(&self) -> u32 {
-        self.groups.iter().map(|g| g.count).sum()
-    }
-
     /// The controller-facing description of this rack (configuration ids,
     /// counts and power envelopes — no ground truth leaks through).
     ///
@@ -492,7 +486,7 @@ mod tests {
     #[test]
     fn server_counts() {
         let r = Rack::combination(Combination::Comb5, 5, WorkloadKind::SpecJbb).unwrap();
-        assert_eq!(r.server_count(), 15);
+        assert_eq!(r.groups().iter().map(|g| g.count).sum::<u32>(), 15);
         assert_eq!(r.groups().len(), 3);
     }
 

@@ -630,12 +630,6 @@ impl Stepper {
         self.epochs_total
     }
 
-    /// `true` once every epoch has been stepped.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.cursor() >= self.epochs_total
-    }
-
     /// The records stepped so far, oldest first.
     #[must_use]
     pub fn records(&self) -> &[EpochRecord] {
@@ -693,7 +687,7 @@ mod tests {
             stepped += 1;
             assert_eq!(stepper.cursor(), stepped);
         }
-        assert!(stepper.is_complete());
+        assert_eq!(stepper.cursor(), stepper.epochs_total());
         assert_eq!(stepped, 96);
         let report = stepper.finish();
         assert_eq!(report.epochs, batch.epochs);

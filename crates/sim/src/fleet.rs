@@ -10,14 +10,14 @@
 //!   [`PowerTrace`] (synthesized once from the base scenario, scaled
 //!   per-rack by a deterministic factor), and — when pretraining is on —
 //!   one [`PerfDatabase`] of profiling curves, all behind `Arc`s. Each
-//!   controller reads the curve store through a
-//!   [`CowDatabase`](greenhetero_core::database::CowDatabase): its own
-//!   refits copy single entries into a private overlay, so memory stays
-//!   flat in N until a rack actually diverges.
+//!   controller starts from a clone of the curve store, which shares its
+//!   `Arc`'d entries: a rack's own refits copy single entries, so memory
+//!   stays flat in N until a rack actually diverges.
 //! * **Owned per-rack state.** Battery, grid feed, meter/perf RNGs,
-//!   solver scratch and cache are constructed per rack from a seed mixed
-//!   from the base seed and the rack id — never from worker identity —
-//!   so a fleet run is bit-identical at any worker count, including 1.
+//!   solver scratch and last solve are constructed per rack from a seed
+//!   mixed from the base seed and the rack id — never from worker
+//!   identity — so a fleet run is bit-identical at any worker count,
+//!   including 1.
 //! * **Batched solves.** One fleet-wide
 //!   [`SharedSolveCache`] dedups the per-epoch PAR solve across racks:
 //!   controllers facing bit-identical problems (same model fingerprints,
@@ -579,9 +579,8 @@ fn rack_solar_scale(spread: f64, base_seed: u64, rack_id: u32) -> f64 {
 /// per distinct (configuration, workload) pair in the rack, exactly the
 /// sweep the engine's training epoch would run, minus meter noise.
 ///
-/// Public so the serve daemon can pretrain once and share the result
-/// across sessions through a `CowDatabase`, the same way the fleet loop
-/// does.
+/// Public so the serve daemon can pretrain once and share the result's
+/// entries across sessions, the same way the fleet loop does.
 ///
 /// # Errors
 ///
