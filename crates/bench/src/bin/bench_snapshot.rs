@@ -32,8 +32,8 @@
 //! * the daemon point: `--sessions N` (default 1,000) serve sessions
 //!   hosted in-process on the bounded session pool — wall time plus the
 //!   peak daemon-attributable OS thread count against the structural
-//!   `cores + 4` cap (pool workers + accept + spawner + watchdog, with
-//!   one thread of slack), proving thread count does not grow with
+//!   `cores + 3` cap (pool workers + accept + watchdog, with one
+//!   thread of slack), proving thread count does not grow with
 //!   session count;
 //! * the memory point: a homogeneous zero-noise `--racks100k N`
 //!   (default 100,000) fleet run last, so the process's `VmHWM`
@@ -440,13 +440,12 @@ fn process_threads() -> f64 {
 /// daemon-attributable thread count. Returns
 /// `(secs, peak_threads, thread_cap)` where `peak_threads` is the
 /// thread high-water delta over the pre-daemon baseline and the cap is
-/// the structural `cores + 4` bill (pool workers + accept + spawner +
-/// watchdog, with one thread of slack).
+/// the structural `cores + 3` bill (pool workers + accept + watchdog,
+/// with one thread of slack).
 fn bench_sessions(args: &Args, cores: usize) -> (f64, f64, f64) {
     let threads_before = process_threads();
     let daemon = Daemon::start(ServeConfig {
         max_sessions: args.sessions as usize,
-        admission_queue_depth: 64,
         drain_deadline_ms: 600_000,
         ..ServeConfig::default()
     })
@@ -460,14 +459,8 @@ fn bench_sessions(args: &Args, cores: usize) -> (f64, f64, f64) {
         if let Some(secs) = args.epoch_secs {
             spec.controller.epoch_len = SimDuration::from_secs(secs);
         }
-        loop {
-            match supervisor.submit(spec.clone()) {
-                Ok(_) => break,
-                Err(("backpressure", _)) => {
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
-                Err((reason, msg)) => panic!("bench session rejected: {reason}: {msg}"),
-            }
+        if let Err((reason, msg)) = supervisor.submit(spec) {
+            panic!("bench session rejected: {reason}: {msg}");
         }
     }
     let mut peak_threads = process_threads();
@@ -488,10 +481,10 @@ fn bench_sessions(args: &Args, cores: usize) -> (f64, f64, f64) {
     let report = daemon.drain();
     assert_eq!(report.leaked, 0, "bench drain must not leak sessions");
     let peak_delta = (peak_threads - threads_before).max(0.0);
-    let cap = cores as f64 + 4.0;
+    let cap = cores as f64 + 3.0;
     println!(
         "sessions: {} sessions finished in {secs:.2} s on {} daemon threads \
-         (cap {cap:.0}: {cores} pool workers + accept + spawner + watchdog + slack)",
+         (cap {cap:.0}: {cores} pool workers + accept + watchdog + slack)",
         args.sessions, peak_delta
     );
     (secs, peak_delta, cap)

@@ -88,29 +88,6 @@ impl PerfModel {
         }
     }
 
-    /// Marginal throughput per extra watt at `power`, clamped into the
-    /// productive envelope. Zero outside it.
-    #[must_use]
-    // greenhetero-lint: allow(GH002) throughput-per-watt has no newtype; used only for ordering
-    pub fn marginal(&self, power: Watts) -> f64 {
-        if power < self.range.idle() || power > self.range.peak() {
-            0.0
-        } else {
-            self.curve.derivative(power.value()).max(0.0)
-        }
-    }
-
-    /// `true` if the fitted curve is monotone non-decreasing over the whole
-    /// productive envelope — the physically sensible shape. A violated
-    /// check signals a poor fit (e.g. noisy training samples).
-    #[must_use]
-    pub fn is_monotone_over_range(&self) -> bool {
-        // A quadratic is monotone on an interval iff its derivative does not
-        // change sign there; check the endpoints.
-        self.curve.derivative(self.range.idle().value()) >= 0.0
-            && self.curve.derivative(self.range.peak().value()) >= 0.0
-    }
-
     /// A 64-bit digest of the model's exact parameter bits (curve
     /// coefficients plus the power envelope), used by the solver fast path
     /// to detect model drift between epochs without comparing five floats
@@ -200,14 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn marginal_zero_outside_range() {
-        let m = model();
-        assert_eq!(m.marginal(Watts::new(30.0)), 0.0);
-        assert_eq!(m.marginal(Watts::new(100.0)), 0.0);
-        assert!(m.marginal(Watts::new(60.0)) > 0.0);
-    }
-
-    #[test]
     fn fingerprint_tracks_parameter_bits() {
         let m = model();
         assert_eq!(m.fingerprint(), model().fingerprint());
@@ -225,19 +194,5 @@ mod tests {
             PowerRange::new(Watts::new(47.0), Watts::new(82.0)).unwrap(),
         );
         assert_ne!(m.fingerprint(), wider.fingerprint());
-    }
-
-    #[test]
-    fn monotonicity_check() {
-        assert!(model().is_monotone_over_range());
-        let bad = PerfModel::new(
-            Quadratic {
-                l: 0.0,
-                m: 10.0,
-                n: -0.1, // vertex at 50, inside [40, 90] → not monotone
-            },
-            PowerRange::new(Watts::new(40.0), Watts::new(90.0)).unwrap(),
-        );
-        assert!(!bad.is_monotone_over_range());
     }
 }

@@ -201,12 +201,6 @@ impl PerfDatabase {
         self.entries.len()
     }
 
-    /// Number of entries currently quarantined (awaiting retraining).
-    #[must_use]
-    pub fn quarantined_len(&self) -> usize {
-        self.entries.values().filter(|e| e.quarantined).count()
-    }
-
     /// `true` if the database has no entries.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -520,7 +514,6 @@ mod tests {
         assert!(entry.is_quarantined());
         // A quarantined pair reads as missing → Algorithm 1 retrains it.
         assert!(!db.contains(c, w));
-        assert_eq!(db.quarantined_len(), 1);
         let s = ProfileSample::new(Watts::new(60.0), Throughput::new(1000.0), SimTime::ZERO);
         assert!(matches!(
             db.record_feedback(c, w, s),
@@ -530,7 +523,7 @@ mod tests {
         db.insert_training(c, w, range(), &training_samples())
             .unwrap();
         assert!(db.contains(c, w));
-        assert_eq!(db.quarantined_len(), 0);
+        assert!(!db.entry(c, w).unwrap().is_quarantined());
     }
 
     #[test]
@@ -556,7 +549,7 @@ mod tests {
             .unwrap();
         }
         assert!(db.contains(c, w));
-        assert_eq!(db.quarantined_len(), 0);
+        assert!(!db.entry(c, w).unwrap().is_quarantined());
     }
 
     #[test]

@@ -129,11 +129,6 @@ impl HoltPredictor {
             State::Running { level, trend, .. } => Ok(level + f64::from(steps) * trend),
         }
     }
-
-    /// Resets the predictor to its pristine state, keeping α and β.
-    pub fn reset(&mut self) {
-        self.state = State::Empty;
-    }
 }
 
 impl Predictor for HoltPredictor {
@@ -267,17 +262,5 @@ mod tests {
             holt_err < naive_err,
             "holt {holt_err} should beat naive {naive_err}"
         );
-    }
-
-    #[test]
-    fn reset_clears_state_but_keeps_parameters() {
-        let mut p = HoltPredictor::new(0.6, 0.2).unwrap();
-        p.observe(1.0);
-        p.observe(2.0);
-        p.reset();
-        assert!(p.is_empty());
-        assert_eq!(p.alpha(), 0.6);
-        assert_eq!(p.beta(), 0.2);
-        assert_eq!(p.predict(), Err(CoreError::NoObservations));
     }
 }

@@ -53,8 +53,8 @@ impl FastPathStats {
     }
 }
 
-/// The previous solve, kept for reuse.
-#[derive(Debug, Clone)]
+/// The previous solve, kept for reuse and overwritten in place.
+#[derive(Debug)]
 struct LastSolve {
     problem: AllocationProblem,
     allocation: Allocation,
@@ -338,11 +338,20 @@ impl SolverFastPath {
         }
         self.stats.cache_misses += 1;
         let (allocation, engine) = self.shared_or_engine(problem)?;
-        self.last = Some(LastSolve {
-            problem: problem.clone(),
-            allocation: allocation.clone(),
-            engine,
-        });
+        match &mut self.last {
+            Some(last) => {
+                last.problem.clone_from(problem);
+                last.allocation.clone_from(&allocation);
+                last.engine = engine;
+            }
+            None => {
+                self.last = Some(LastSolve {
+                    problem: problem.clone(),
+                    allocation: allocation.clone(),
+                    engine,
+                });
+            }
+        }
         Ok((allocation, engine))
     }
 

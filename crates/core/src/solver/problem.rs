@@ -60,10 +60,26 @@ impl ServerGroup {
 
 /// The optimization problem of one scheduling epoch: split `budget` watts
 /// across the groups to maximize total projected throughput.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct AllocationProblem {
     groups: Vec<ServerGroup>,
     budget: Watts,
+}
+
+impl Clone for AllocationProblem {
+    fn clone(&self) -> Self {
+        AllocationProblem {
+            groups: self.groups.clone(),
+            budget: self.budget,
+        }
+    }
+
+    /// Copies `source` into the existing group buffer (no allocation
+    /// when it is large enough).
+    fn clone_from(&mut self, source: &Self) {
+        self.groups.clone_from(&source.groups);
+        self.budget = source.budget;
+    }
 }
 
 impl AllocationProblem {
@@ -105,12 +121,6 @@ impl AllocationProblem {
         self.groups.iter().map(ServerGroup::group_peak).sum()
     }
 
-    /// Total watts needed to merely power on every server.
-    #[must_use]
-    pub fn total_idle(&self) -> Watts {
-        self.groups.iter().map(ServerGroup::group_idle).sum()
-    }
-
     /// Evaluates the projected total throughput of a per-server power
     /// assignment (one entry per group, in group order).
     ///
@@ -150,7 +160,7 @@ impl AllocationProblem {
 }
 
 /// The solver's answer: per-server watts for each group plus the PAR view.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct Allocation {
     /// Watts assigned to each individual server, one entry per group.
     pub per_server: Vec<Watts>,
@@ -159,6 +169,24 @@ pub struct Allocation {
     pub shares: Vec<Ratio>,
     /// Projected total throughput under the database models.
     pub projected: Throughput,
+}
+
+impl Clone for Allocation {
+    fn clone(&self) -> Self {
+        Allocation {
+            per_server: self.per_server.clone(),
+            shares: self.shares.clone(),
+            projected: self.projected,
+        }
+    }
+
+    /// Copies `source` into the existing buffers (no allocation when
+    /// they are large enough).
+    fn clone_from(&mut self, source: &Self) {
+        self.per_server.clone_from(&source.per_server);
+        self.shares.clone_from(&source.shares);
+        self.projected = source.projected;
+    }
 }
 
 impl Allocation {
@@ -252,7 +280,6 @@ mod tests {
     #[test]
     fn totals() {
         let p = two_group_problem();
-        assert_eq!(p.total_idle(), Watts::new(135.0));
         assert_eq!(p.total_peak(), Watts::new(228.0));
     }
 

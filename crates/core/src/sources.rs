@@ -20,7 +20,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::types::{Ratio, Watts};
+use crate::types::Watts;
 
 /// The three supply regimes of Fig. 6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -117,17 +117,6 @@ impl SourcePlan {
             _ => Watts::ZERO,
         };
         self.grid_to_load + charging
-    }
-
-    /// The share of green power (renewable + battery) in the budget.
-    #[must_use]
-    pub fn green_fraction(&self) -> Ratio {
-        let budget = self.budget().value();
-        if budget <= 0.0 {
-            Ratio::ZERO
-        } else {
-            Ratio::saturating((self.renewable_to_load + self.battery_to_load).value() / budget)
-        }
     }
 }
 
@@ -342,7 +331,8 @@ mod tests {
             Some((ChargeSource::Renewable, Watts::new(400.0)))
         );
         assert_eq!(plan.curtailed, Watts::new(100.0));
-        assert!((plan.green_fraction().value() - 1.0).abs() < 1e-12);
+        // The whole budget is green.
+        assert_eq!(plan.renewable_to_load, plan.budget());
     }
 
     #[test]
@@ -438,9 +428,10 @@ mod tests {
     }
 
     #[test]
-    fn green_fraction_zero_budget() {
+    fn zero_inputs_plan_no_green_power() {
         let plan = select_sources(&inputs(0.0, 0.0, BatteryView::inert(), 0.0));
-        assert_eq!(plan.green_fraction(), Ratio::ZERO);
+        assert_eq!(plan.budget(), Watts::ZERO);
+        assert_eq!(plan.renewable_to_load + plan.battery_to_load, Watts::ZERO);
     }
 
     #[test]

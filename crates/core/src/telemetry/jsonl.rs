@@ -1,8 +1,10 @@
-//! The JSONL event-log sink, and the reader that replays such a log back
-//! into counter totals.
+//! Flat JSON: the one writer ([`JsonObject`]) and the one reader
+//! ([`EventLine`]), the JSONL event-log sink, and the replay of such a
+//! log back into counter totals.
 //!
 //! One [`EpochEvent`](crate::telemetry::EpochEvent) becomes one line of
-//! flat JSON (see [`EpochEvent::to_json_line`]); the reader side parses
+//! flat JSON (see [`EpochEvent::to_json_line`]), and the serve wire
+//! protocol's frames are rendered the same way. The reader side parses
 //! those lines without any external JSON dependency (the schema is flat:
 //! no nested objects or arrays) and recomputes the totals the live
 //! counters accumulated, which is how tests prove the exported log is a
@@ -10,6 +12,7 @@
 //!
 //! [`EpochEvent::to_json_line`]: crate::telemetry::EpochEvent::to_json_line
 
+use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -63,6 +66,103 @@ impl TelemetrySink for JsonlSink {
         let mut out = self.out.lock().unwrap_or_else(PoisonError::into_inner);
         let _ = writeln!(out, "{line}");
         let _ = out.flush();
+    }
+}
+
+/// An incrementally built flat JSON object: string, number, bool and
+/// null fields only, rendered in insertion order without whitespace.
+#[derive(Debug, Default)]
+pub struct JsonObject {
+    buf: String,
+}
+
+impl JsonObject {
+    /// An empty object.
+    #[must_use]
+    pub fn new() -> Self {
+        JsonObject::default()
+    }
+
+    /// An empty object whose buffer holds `bytes` before it grows.
+    #[must_use]
+    pub fn with_capacity(bytes: usize) -> Self {
+        JsonObject {
+            buf: String::with_capacity(bytes),
+        }
+    }
+
+    /// Opens the next field (separator and quoted key) and returns the
+    /// buffer its value goes into.
+    fn key(&mut self, key: &str) -> &mut String {
+        self.buf.push(if self.buf.is_empty() { '{' } else { ',' });
+        self.buf.push('"');
+        self.buf.push_str(key);
+        self.buf.push_str("\":");
+        &mut self.buf
+    }
+
+    /// Adds a string field, escaped.
+    pub fn str(&mut self, key: &str, value: &str) -> &mut Self {
+        let buf = self.key(key);
+        buf.push('"');
+        for c in value.chars() {
+            match c {
+                '"' => buf.push_str("\\\""),
+                '\\' => buf.push_str("\\\\"),
+                '\n' => buf.push_str("\\n"),
+                '\r' => buf.push_str("\\r"),
+                '\t' => buf.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(buf, "\\u{:04x}", c as u32);
+                }
+                c => buf.push(c),
+            }
+        }
+        buf.push('"');
+        self
+    }
+
+    /// Adds an unsigned integer field.
+    pub fn u64(&mut self, key: &str, value: u64) -> &mut Self {
+        let _ = write!(self.key(key), "{value}");
+        self
+    }
+
+    /// Adds a float field with full-precision `Display` rendering
+    /// (shortest round-trip, so byte equality is bit equality);
+    /// non-finite values render as `null`, which JSON cannot otherwise
+    /// represent.
+    // greenhetero-lint: allow(GH002) JSON numbers are untyped by nature; callers unwrap their quantity
+    pub fn f64(&mut self, key: &str, value: f64) -> &mut Self {
+        let buf = self.key(key);
+        if value.is_finite() {
+            let _ = write!(buf, "{value}");
+        } else {
+            buf.push_str("null");
+        }
+        self
+    }
+
+    /// Adds a boolean field.
+    pub fn bool(&mut self, key: &str, value: bool) -> &mut Self {
+        self.key(key).push_str(if value { "true" } else { "false" });
+        self
+    }
+
+    /// Adds an explicit `null` field.
+    pub fn null(&mut self, key: &str) -> &mut Self {
+        self.key(key).push_str("null");
+        self
+    }
+
+    /// Renders the object.
+    #[must_use]
+    pub fn finish(mut self) -> String {
+        if self.buf.is_empty() {
+            self.buf.push('{');
+        }
+        self.buf.push('}');
+        self.buf
     }
 }
 
@@ -364,6 +464,32 @@ mod tests {
         assert_eq!(parsed.num("cache_hits"), Some(1.0));
         assert_eq!(parsed.num("warm_starts"), Some(1.0));
         assert_eq!(parsed.fields().len(), 33);
+    }
+
+    #[test]
+    fn json_object_renders_flat() {
+        let mut o = JsonObject::new();
+        o.bool("ok", true)
+            .str("name", "s\"1")
+            .u64("cursor", 42)
+            .f64("soc", 0.5)
+            .f64("bad", f64::NAN)
+            .null("par");
+        assert_eq!(
+            o.finish(),
+            r#"{"ok":true,"name":"s\"1","cursor":42,"soc":0.5,"bad":null,"par":null}"#
+        );
+        assert_eq!(JsonObject::new().finish(), "{}");
+    }
+
+    #[test]
+    fn json_object_escapes_quotes_backslashes_and_controls() {
+        let nasty = "a\"b\\c\nd\te\r\u{1}f";
+        let mut o = JsonObject::new();
+        o.str("s", nasty);
+        let line = o.finish();
+        assert_eq!(line, r#"{"s":"a\"b\\c\nd\te\r\u0001f"}"#);
+        assert_eq!(EventLine::parse(&line).unwrap().text("s"), Some(nasty));
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod sink;
 
 use std::sync::Arc;
 
-pub use jsonl::{replay_totals, EventLine, JsonValue, JsonlSink, ReplayTotals};
+pub use jsonl::{replay_totals, EventLine, JsonObject, JsonValue, JsonlSink, ReplayTotals};
 pub use ledger::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot, RunLedger};
 pub use registry::{Counter, Gauge, Histogram, Registry};
 pub use sink::{CollectingSink, EpochEvent, NoopSink, SpanRecord, TelemetrySink};
@@ -123,8 +123,9 @@ pub mod names {
     pub const SESSION_EVICTED: &str = "greenhetero_session_evicted_total";
     /// Serve sessions that ran their full epoch horizon to completion.
     pub const SESSION_COMPLETED: &str = "greenhetero_session_completed_total";
-    /// Serve requests rejected with a reason because a bounded queue was
-    /// full (admission or tick backpressure) or the session cap was hit.
+    /// Serve requests refused with a reason: a full tick queue
+    /// (backpressure), the session or connection cap, a duplicate name,
+    /// an invalid spec or substrate, or a draining daemon.
     pub const SERVE_REJECTED: &str = "greenhetero_serve_rejected_total";
     /// Wire frames rejected as malformed (bad length, bad UTF-8, bad
     /// JSON); each closes only the offending connection.

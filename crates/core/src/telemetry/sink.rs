@@ -7,12 +7,12 @@
 //! records entirely (the hot path stays allocation-free), the JSONL sink
 //! streams them to disk, and [`CollectingSink`] buffers them for tests.
 
-use std::fmt::Write as _;
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use crate::controller::DegradeLevel;
 use crate::sources::SupplyCase;
+use crate::telemetry::jsonl::JsonObject;
 use crate::types::{EpochId, Ratio, SimTime, Throughput, Watts};
 
 /// One timed phase of one epoch.
@@ -112,16 +112,6 @@ pub struct EpochEvent {
     pub warm_starts: u32,
 }
 
-/// Appends `value` as a JSON number (`null` for non-finite values,
-/// which JSON cannot represent).
-fn push_num(out: &mut String, value: f64) {
-    if value.is_finite() {
-        let _ = write!(out, "{value}");
-    } else {
-        out.push_str("null");
-    }
-}
-
 impl EpochEvent {
     /// The supply-case letter used in the JSON schema.
     #[must_use]
@@ -137,56 +127,42 @@ impl EpochEvent {
     /// JSONL schema documented in DESIGN.md §10. Key order is fixed.
     #[must_use]
     pub fn to_json_line(&self) -> String {
-        let mut out = String::with_capacity(512);
-        let _ = write!(
-            out,
-            "{{\"epoch\":{},\"rack_id\":{},\"time_s\":{},\"training\":{},\"case\":\"{}\",\"degrade\":\"{}\",\"engine\":\"{}\"",
-            self.epoch.raw(),
-            self.rack_id,
-            self.time.as_secs(),
-            self.training,
-            self.case_name(),
-            self.degrade.name(),
-            self.engine,
-        );
-        let _ = write!(
-            out,
-            ",\"predict_us\":{},\"sources_us\":{},\"solve_us\":{},\"enforce_us\":{},\"epoch_us\":{}",
-            self.predict.as_micros(),
-            self.sources.as_micros(),
-            self.solve.as_micros(),
-            self.enforce.as_micros(),
-            self.epoch_wall.as_micros(),
-        );
-        for (key, value) in [
-            ("budget_w", self.budget.value()),
-            ("demand_w", self.demand.value()),
-            ("solar_w", self.solar.value()),
-            ("load_w", self.load.value()),
-            ("renewable_w", self.renewable_to_load.value()),
-            ("battery_w", self.battery_to_load.value()),
-            ("grid_w", self.grid_to_load.value()),
-            ("charge_w", self.charging.value()),
-            ("curtailed_w", self.curtailed.value()),
-            ("unserved_w", self.unserved.value()),
-            ("soc", self.soc.value()),
-            ("intensity", self.intensity.value()),
-            ("throughput", self.throughput.value()),
-        ] {
-            let _ = write!(out, ",\"{key}\":");
-            push_num(&mut out, value);
-        }
-        let _ = write!(
-            out,
-            ",\"shed\":{},\"offline\":{},\"rejected_feedback\":{},\"quarantines\":{}",
-            self.shed, self.offline, self.rejected_feedback, self.quarantines,
-        );
-        let _ = write!(
-            out,
-            ",\"cache_hits\":{},\"cache_misses\":{},\"cache_evicts\":{},\"warm_starts\":{}}}",
-            self.cache_hits, self.cache_misses, self.cache_evicts, self.warm_starts,
-        );
-        out
+        let us = |d: Duration| u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
+        let mut o = JsonObject::with_capacity(512);
+        o.u64("epoch", self.epoch.raw())
+            .u64("rack_id", u64::from(self.rack_id))
+            .u64("time_s", self.time.as_secs())
+            .bool("training", self.training)
+            .str("case", self.case_name())
+            .str("degrade", self.degrade.name())
+            .str("engine", self.engine)
+            .u64("predict_us", us(self.predict))
+            .u64("sources_us", us(self.sources))
+            .u64("solve_us", us(self.solve))
+            .u64("enforce_us", us(self.enforce))
+            .u64("epoch_us", us(self.epoch_wall))
+            .f64("budget_w", self.budget.value())
+            .f64("demand_w", self.demand.value())
+            .f64("solar_w", self.solar.value())
+            .f64("load_w", self.load.value())
+            .f64("renewable_w", self.renewable_to_load.value())
+            .f64("battery_w", self.battery_to_load.value())
+            .f64("grid_w", self.grid_to_load.value())
+            .f64("charge_w", self.charging.value())
+            .f64("curtailed_w", self.curtailed.value())
+            .f64("unserved_w", self.unserved.value())
+            .f64("soc", self.soc.value())
+            .f64("intensity", self.intensity.value())
+            .f64("throughput", self.throughput.value())
+            .u64("shed", u64::from(self.shed))
+            .u64("offline", u64::from(self.offline))
+            .u64("rejected_feedback", u64::from(self.rejected_feedback))
+            .u64("quarantines", u64::from(self.quarantines))
+            .u64("cache_hits", u64::from(self.cache_hits))
+            .u64("cache_misses", u64::from(self.cache_misses))
+            .u64("cache_evicts", u64::from(self.cache_evicts))
+            .u64("warm_starts", u64::from(self.warm_starts));
+        o.finish()
     }
 }
 

@@ -63,24 +63,6 @@ impl Watts {
         Watts(value)
     }
 
-    /// Creates a power value, returning an error on non-finite or negative
-    /// input. Use this at validation boundaries (config parsing, trace I/O).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidQuantity`] if `value` is not a finite,
-    /// non-negative number.
-    pub fn try_non_negative(value: f64) -> Result<Self, CoreError> {
-        if value.is_finite() && value >= 0.0 {
-            Ok(Watts(value))
-        } else {
-            Err(CoreError::InvalidQuantity {
-                quantity: "watts",
-                value,
-            })
-        }
-    }
-
     /// The raw value in watts.
     #[must_use]
     pub fn value(self) -> f64 {
@@ -480,16 +462,6 @@ impl MegaHertz {
     pub fn value(self) -> f64 {
         self.0
     }
-
-    /// Fraction of `max` that this frequency represents, clamped to `[0,1]`.
-    #[must_use]
-    pub fn fraction_of(self, max: MegaHertz) -> Ratio {
-        if max.0 <= 0.0 {
-            Ratio::ZERO
-        } else {
-            Ratio::saturating(self.0 / max.0)
-        }
-    }
 }
 
 impl fmt::Display for MegaHertz {
@@ -641,13 +613,6 @@ impl SimTime {
     #[must_use]
     pub fn day(self) -> u64 {
         self.0 / 86_400
-    }
-
-    /// Time elapsed since `earlier`, saturating to zero if `earlier` is in
-    /// the future.
-    #[must_use]
-    pub fn duration_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
     }
 }
 
@@ -964,14 +929,6 @@ mod tests {
     }
 
     #[test]
-    fn watts_try_non_negative() {
-        assert!(Watts::try_non_negative(1.0).is_ok());
-        assert!(Watts::try_non_negative(0.0).is_ok());
-        assert!(Watts::try_non_negative(-0.1).is_err());
-        assert!(Watts::try_non_negative(f64::INFINITY).is_err());
-    }
-
-    #[test]
     fn energy_from_power_times_time() {
         let e = Watts::new(200.0) * SimDuration::from_minutes(30);
         assert!((e.value() - 100.0).abs() < 1e-9);
@@ -1016,27 +973,11 @@ mod tests {
     }
 
     #[test]
-    fn frequency_fraction() {
-        let f = MegaHertz::from_ghz(1.0);
-        let fmax = MegaHertz::from_ghz(2.0);
-        assert!((f.fraction_of(fmax).value() - 0.5).abs() < 1e-12);
-        assert_eq!(f.fraction_of(MegaHertz::new(0.0)), Ratio::ZERO);
-    }
-
-    #[test]
     fn sim_time_day_and_hour() {
         let t = SimTime::from_secs(86_400 + 3 * 3600 + 1800);
         assert_eq!(t.day(), 1);
         assert!((t.hour_of_day() - 3.5).abs() < 1e-12);
         assert_eq!(format!("{t}"), "27:30:00");
-    }
-
-    #[test]
-    fn sim_time_duration_since_saturates() {
-        let a = SimTime::from_secs(100);
-        let b = SimTime::from_secs(300);
-        assert_eq!(b.duration_since(a), SimDuration::from_secs(200));
-        assert_eq!(a.duration_since(b), SimDuration::ZERO);
     }
 
     #[test]

@@ -192,7 +192,8 @@ pub fn is_bounded_channel_scope(path: &str) -> bool {
 /// `true` for the files allowed to create OS threads directly (GH012):
 /// the scheduler (the work-stealing pool and the scoped lock-step
 /// executor that fleets and sweeps run on) and the serve layer's fixed
-/// supervision threads (accept loop, spawner, watchdog). All other
+/// supervision threads (accept loop, watchdog) and per-connection
+/// handlers. All other
 /// library code must hand its work to one of the two executors, so the
 /// process thread count stays a structural invariant instead of a
 /// function of load.

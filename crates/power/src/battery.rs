@@ -169,12 +169,6 @@ impl BatteryBank {
         self.spec.capacity.saturating_sub(self.energy)
     }
 
-    /// `true` while the bank is in its post-DoD recharge phase.
-    #[must_use]
-    pub fn is_recharging(&self) -> bool {
-        self.recharging
-    }
-
     /// Equivalent full-DoD cycles consumed so far.
     #[must_use]
     // greenhetero-lint: allow(GH002) equivalent-cycle count is a dimensionless wear metric
@@ -185,12 +179,6 @@ impl BatteryBank {
         } else {
             self.total_discharged.value() / per_cycle
         }
-    }
-
-    /// Fraction of rated lifetime consumed.
-    #[must_use]
-    pub fn lifetime_used(&self) -> Ratio {
-        Ratio::saturating(self.cycles() / self.spec.rated_cycles)
     }
 
     /// The controller-facing capability view for an epoch of length
@@ -337,6 +325,11 @@ mod tests {
         BatteryBank::new(BatterySpec::paper_rack_bank()).unwrap()
     }
 
+    /// `true` while the bank is in its post-DoD recharge phase.
+    fn recharging(b: &BatteryBank) -> bool {
+        b.view(SimDuration::from_minutes(15)).needs_recharge
+    }
+
     #[test]
     fn paper_bank_parameters() {
         let b = bank();
@@ -374,7 +367,7 @@ mod tests {
         }
         assert!((delivered_hours - 4800.0).abs() < 1.0);
         assert!((b.soc().value() - 0.6).abs() < 1e-6);
-        assert!(b.is_recharging());
+        assert!(recharging(&b));
         // Further discharge refused.
         assert_eq!(
             b.discharge(Watts::new(100.0), SimDuration::from_minutes(15)),
@@ -406,7 +399,7 @@ mod tests {
         let mut b = bank();
         // Empty the usable band first.
         let _ = b.discharge(Watts::new(4000.0), SimDuration::from_hours(2));
-        assert!(b.is_recharging());
+        assert!(recharging(&b));
         let before = b.energy();
         let drawn = b.charge(Watts::new(1000.0), SimDuration::from_hours(1));
         assert_eq!(drawn, Watts::new(1000.0));
@@ -418,11 +411,11 @@ mod tests {
     fn recharge_phase_ends_at_the_hysteresis_target() {
         let mut b = bank();
         let _ = b.discharge(Watts::new(4000.0), SimDuration::from_hours(2));
-        assert!(b.is_recharging());
+        assert!(recharging(&b));
         // Partially recharge (60 % → 73 %): still below the 90 % target,
         // so the bank stays offline as a source.
         let _ = b.charge(Watts::new(2000.0), SimDuration::from_hours(1));
-        assert!(b.is_recharging());
+        assert!(recharging(&b));
         assert_eq!(
             b.view(SimDuration::from_minutes(15)).max_discharge,
             Watts::ZERO
@@ -432,7 +425,7 @@ mod tests {
             let _ = b.charge(Watts::new(2400.0), SimDuration::from_hours(1));
         }
         assert!(b.soc().value() >= 0.9);
-        assert!(!b.is_recharging());
+        assert!(!recharging(&b));
         assert!(b.view(SimDuration::from_minutes(15)).max_discharge > Watts::ZERO);
         // And charging may continue all the way to full.
         for _ in 0..10 {
@@ -481,7 +474,6 @@ mod tests {
         // One full DoD swing = 4.8 kWh discharged = 1 cycle.
         let _ = b.discharge(Watts::new(4000.0), SimDuration::from_hours(2));
         assert!((b.cycles() - 1.0).abs() < 1e-6);
-        assert!((b.lifetime_used().value() - 1.0 / 1300.0).abs() < 1e-9);
     }
 
     #[test]
@@ -497,7 +489,7 @@ mod tests {
             }
         }
         assert!((b.cycles() - 2.0).abs() < 1e-6);
-        assert!(b.lifetime_used().value() < 0.002);
+        assert!(b.cycles() / b.spec().rated_cycles < 0.002);
     }
 
     #[test]
@@ -527,16 +519,16 @@ mod tests {
         // the usable band halves along with everything else.
         assert!((b.soc().value() - soc_before.value()).abs() < 1e-9);
         assert!((b.usable().value() - 100.0).abs() < 1e-6);
-        assert!(!b.is_recharging());
+        assert!(!recharging(&b));
     }
 
     #[test]
     fn derate_while_recharging_stays_offline_as_a_source() {
         let mut b = bank();
         let _ = b.discharge(Watts::new(4000.0), SimDuration::from_hours(2));
-        assert!(b.is_recharging());
+        assert!(recharging(&b));
         b.derate(Ratio::saturating(0.9));
-        assert!(b.is_recharging());
+        assert!(recharging(&b));
         assert_eq!(
             b.view(SimDuration::from_minutes(15)).max_discharge,
             Watts::ZERO

@@ -46,12 +46,6 @@ impl PowerMeter {
         }
     }
 
-    /// An ideal (noise-free) meter.
-    #[must_use]
-    pub fn ideal() -> Self {
-        PowerMeter::new(Watts::ZERO, 0)
-    }
-
     /// The configured noise level.
     #[must_use]
     pub fn noise_std(&self) -> Watts {
@@ -87,7 +81,7 @@ mod tests {
 
     #[test]
     fn ideal_meter_is_exact() {
-        let mut m = PowerMeter::ideal();
+        let mut m = PowerMeter::new(Watts::ZERO, 0);
         assert_eq!(m.read(Watts::new(123.4)), Watts::new(123.4));
         assert_eq!(m.read(Watts::new(-3.0)), Watts::ZERO);
     }

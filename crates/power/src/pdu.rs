@@ -8,7 +8,7 @@
 //! is curtailed.
 
 use greenhetero_core::sources::{ChargeSource, SourcePlan};
-use greenhetero_core::types::{Ratio, SimDuration, Watts};
+use greenhetero_core::types::{SimDuration, Watts};
 use serde::{Deserialize, Serialize};
 
 use crate::battery::BatteryBank;
@@ -37,17 +37,6 @@ pub struct PowerFlows {
 }
 
 impl PowerFlows {
-    /// Green (renewable + battery) fraction of the delivered load power.
-    #[must_use]
-    pub fn green_fraction(&self) -> Ratio {
-        let total = self.to_load.value();
-        if total <= 0.0 {
-            Ratio::ZERO
-        } else {
-            Ratio::saturating((self.from_renewable + self.from_battery).value() / total)
-        }
-    }
-
     /// Load power that went unserved this epoch — the resilience ledger's
     /// name for [`shortfall`](PowerFlows::shortfall): what the servers
     /// wanted (within plan) but no source could deliver. Conservation
@@ -71,28 +60,16 @@ impl Pdu {
     }
 
     /// Executes `plan` for one epoch of length `duration`, given the
-    /// actual average solar availability, mutating the battery and grid.
-    /// The load is assumed to draw the plan's full budget; use
-    /// [`dispatch`](Pdu::dispatch) when the realized load differs.
+    /// actual average solar availability and the *realized* load draw,
+    /// mutating the battery and grid. Servers draw their caps exactly,
+    /// so the load falls below the budget only by the allocation's
+    /// surplus and by stranded below-idle allocations, which draw
+    /// nothing.
     ///
     /// Guarantees:
     /// * the battery never charges and discharges in the same epoch;
     /// * total grid draw stays within the feed's budget;
     /// * delivered load power never exceeds the plan's budget.
-    pub fn apply(
-        &self,
-        plan: &SourcePlan,
-        actual_solar: Watts,
-        battery: &mut BatteryBank,
-        grid: &mut GridFeed,
-        duration: SimDuration,
-    ) -> PowerFlows {
-        self.dispatch(plan, actual_solar, plan.budget(), battery, grid, duration)
-    }
-
-    /// Like [`apply`](Pdu::apply), but with the *realized* load draw —
-    /// servers under quantized DVFS caps usually draw a little less than
-    /// the budget, and stranded below-idle allocations draw nothing.
     #[allow(clippy::too_many_arguments)]
     pub fn dispatch(
         &self,
@@ -232,7 +209,8 @@ mod tests {
         assert_eq!(flows.shortfall, Watts::ZERO);
         assert!(flows.charging > Watts::ZERO);
         assert_eq!(flows.charge_source, Some(ChargeSource::Renewable));
-        assert!((flows.green_fraction().value() - 1.0).abs() < 1e-12);
+        // All of the delivered load is green.
+        assert_eq!(flows.from_renewable + flows.from_battery, flows.to_load);
     }
 
     #[test]
@@ -241,7 +219,14 @@ mod tests {
         let mut g = grid(1000.0);
         // Plan expected 800 W of sun; only 500 W materialized.
         let p = plan(800.0, 1000.0, &bank, 1000.0);
-        let flows = Pdu::new().apply(&p, Watts::new(500.0), &mut bank, &mut g, epoch());
+        let flows = Pdu::new().dispatch(
+            &p,
+            Watts::new(500.0),
+            p.budget(),
+            &mut bank,
+            &mut g,
+            epoch(),
+        );
         assert_eq!(flows.from_renewable, Watts::new(500.0));
         // Battery covers planned 200 W + 300 W makeup.
         assert_eq!(flows.from_battery, Watts::new(500.0));
@@ -256,7 +241,7 @@ mod tests {
         let mut g = grid(300.0);
         let p = plan(0.0, 1000.0, &bank, 300.0);
         assert_eq!(p.case, SupplyCase::C);
-        let flows = Pdu::new().apply(&p, Watts::ZERO, &mut bank, &mut g, epoch());
+        let flows = Pdu::new().dispatch(&p, Watts::ZERO, p.budget(), &mut bank, &mut g, epoch());
         assert_eq!(flows.from_battery, Watts::ZERO);
         assert_eq!(flows.from_grid, Watts::new(300.0));
         // The plan itself only budgeted 300 W of load (source selection saw
@@ -270,10 +255,10 @@ mod tests {
     fn grid_charges_drained_battery_with_spare_budget() {
         let mut bank = battery();
         let _ = bank.discharge(Watts::new(4000.0), SimDuration::from_hours(2));
-        assert!(bank.is_recharging());
+        assert!(bank.view(epoch()).needs_recharge);
         let mut g = grid(1000.0);
         let p = plan(0.0, 600.0, &bank, 1000.0);
-        let flows = Pdu::new().apply(&p, Watts::ZERO, &mut bank, &mut g, epoch());
+        let flows = Pdu::new().dispatch(&p, Watts::ZERO, p.budget(), &mut bank, &mut g, epoch());
         assert_eq!(flows.from_grid, Watts::new(600.0));
         assert_eq!(flows.charge_source, Some(ChargeSource::Grid));
         assert!((flows.charging.value() - 400.0).abs() < 1e-6);
@@ -288,7 +273,14 @@ mod tests {
         let mut g = grid(1000.0);
         // Case B: battery discharges; even with headroom, no charging.
         let p = plan(600.0, 1000.0, &bank, 1000.0);
-        let flows = Pdu::new().apply(&p, Watts::new(600.0), &mut bank, &mut g, epoch());
+        let flows = Pdu::new().dispatch(
+            &p,
+            Watts::new(600.0),
+            p.budget(),
+            &mut bank,
+            &mut g,
+            epoch(),
+        );
         assert!(flows.from_battery > Watts::ZERO);
         assert_eq!(flows.charging, Watts::ZERO);
         assert_eq!(flows.charge_source, None);
@@ -324,7 +316,7 @@ mod tests {
         let mut drained = battery();
         let _ = drained.discharge(Watts::new(4000.0), SimDuration::from_hours(2));
         let mut g = grid(300.0);
-        let flows = Pdu::new().apply(&p, Watts::ZERO, &mut drained, &mut g, epoch());
+        let flows = Pdu::new().dispatch(&p, Watts::ZERO, p.budget(), &mut drained, &mut g, epoch());
 
         assert_eq!(flows.from_battery, Watts::ZERO);
         assert_eq!(flows.from_grid, Watts::new(300.0));

@@ -53,13 +53,6 @@ impl PvArray {
     pub fn output(&self, irradiance_w_per_m2: f64) -> Watts {
         Watts::new((irradiance_w_per_m2.max(0.0)) * self.area_m2 * self.efficiency.value())
     }
-
-    /// Output at standard test conditions (1000 W/m²) — the array's
-    /// nameplate rating.
-    #[must_use]
-    pub fn nameplate(&self) -> Watts {
-        self.output(1000.0)
-    }
 }
 
 /// Weather regimes matching the paper's two NREL traces.
@@ -313,7 +306,6 @@ mod tests {
         assert!(PvArray::new(f64::NAN, Ratio::saturating(0.2)).is_err());
         let pv = PvArray::new(10.0, Ratio::saturating(0.2)).unwrap();
         assert_eq!(pv.output(1000.0), Watts::new(2000.0));
-        assert_eq!(pv.nameplate(), Watts::new(2000.0));
         assert_eq!(pv.output(-50.0), Watts::ZERO);
     }
 

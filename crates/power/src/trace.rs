@@ -141,22 +141,6 @@ impl PowerTrace {
         Watts::new(sum / self.values.len() as f64)
     }
 
-    /// Returns a copy with every sample multiplied by `factor` — e.g. to
-    /// size a solar trace to a rack's demand.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not finite.
-    #[must_use]
-    // greenhetero-lint: allow(GH002) scale factor may exceed 1, so Ratio cannot represent it
-    pub fn scaled(&self, factor: f64) -> PowerTrace {
-        assert!(factor.is_finite(), "scale factor must be finite");
-        PowerTrace {
-            interval: self.interval,
-            values: self.values.iter().map(|w| *w * factor).collect(),
-        }
-    }
-
     /// Extracts the sub-trace for day `day` (zero-based). Wraps like
     /// [`at`](PowerTrace::at) if the trace is shorter.
     #[must_use]
@@ -352,12 +336,6 @@ mod tests {
         assert_eq!(t.mean(), Watts::new(150.0));
         assert_eq!(t.duration(), SimDuration::from_minutes(60));
         assert_eq!(t.len(), 4);
-    }
-
-    #[test]
-    fn scaling() {
-        let t = trace().scaled(2.0);
-        assert_eq!(t.max(), Watts::new(600.0));
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The TCP daemon: a non-blocking accept loop, per-connection handler
 //! threads, and the flat-JSON command dispatch.
 //!
-//! The accept loop never blocks on session work: admission and ticks go
-//! through the supervisor's bounded queues, and a full queue answers
+//! The accept loop never blocks on session work: each connection has
+//! its own handler thread, a submit hands the session to the bounded
+//! pool, and a tick to a full tick queue answers
 //! `{"ok":false,"reason":"backpressure",...}` instead of stalling the
 //! socket. A malformed frame bumps
 //! [`names::SERVE_MALFORMED_FRAMES`] and closes *only* the offending
@@ -17,12 +18,12 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use greenhetero_core::error::CoreError;
-use greenhetero_core::telemetry::{names, EventLine, Telemetry};
+use greenhetero_core::telemetry::{names, EventLine, JsonObject, Telemetry};
 use greenhetero_power::solar;
 
-use crate::proto::{error_frame, read_frame, write_frame, FrameError, JsonObject};
+use crate::proto::{error_frame, read_frame, write_frame, FrameError};
 use crate::spec::SessionSpec;
-use crate::supervisor::{DrainReport, Supervisor, SupervisorLimits};
+use crate::supervisor::{DrainReport, Supervisor};
 use crate::ServeClock;
 
 /// Daemon sizing, pacing, and timeout knobs.
@@ -33,8 +34,6 @@ pub struct ServeConfig {
     pub addr: String,
     /// Non-terminal sessions hosted at once.
     pub max_sessions: usize,
-    /// Depth of the bounded admission queue.
-    pub admission_queue_depth: usize,
     /// Depth of each session's bounded tick channel.
     pub tick_queue_depth: usize,
     /// Concurrent client connections; excess connects are rejected.
@@ -64,7 +63,6 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".into(),
             max_sessions: 64,
-            admission_queue_depth: 16,
             tick_queue_depth: 8,
             max_connections: 32,
             max_frame_len: crate::proto::DEFAULT_MAX_FRAME_LEN,
@@ -101,8 +99,8 @@ impl std::fmt::Debug for Daemon {
 }
 
 impl Daemon {
-    /// Binds the listener and starts the accept, spawner, and watchdog
-    /// threads.
+    /// Binds the listener, starts the session pool, and starts the
+    /// accept and watchdog threads.
     ///
     /// # Errors
     ///
@@ -137,16 +135,8 @@ impl Daemon {
             let _ = telemetry.registry().counter(name);
         }
         let clock = ServeClock::new();
-        let limits = SupervisorLimits {
-            max_sessions: cfg.max_sessions,
-            admission_queue_depth: cfg.admission_queue_depth,
-            tick_queue_depth: cfg.tick_queue_depth,
-            watchdog_tick_ms: cfg.watchdog_tick_ms,
-            worker_threads: cfg.worker_threads,
-            checkpoint_path: cfg.checkpoint_path.clone(),
-        };
-        let (supervisor, mut threads) =
-            Supervisor::start(limits, telemetry.clone(), clock, Arc::clone(&live))?;
+        let (supervisor, watchdog) =
+            Supervisor::start(cfg.clone(), telemetry.clone(), clock, Arc::clone(&live))?;
         let accept = {
             let live = Arc::clone(&live);
             let supervisor = Arc::clone(&supervisor);
@@ -159,14 +149,13 @@ impl Daemon {
                     reason: format!("serve accept thread spawn failed: {e}"),
                 })?
         };
-        threads.push(accept);
         Ok(Daemon {
             cfg,
             addr,
             live,
             telemetry,
             supervisor,
-            threads: Mutex::new(threads),
+            threads: Mutex::new(vec![watchdog, accept]),
         })
     }
 

@@ -19,10 +19,13 @@
 //!   quarantined instead of restarted forever;
 //! * **heartbeat watchdog** — sessions making no progress for longer
 //!   than their heartbeat timeout are evicted;
-//! * **bounded queues everywhere** — admission and tick queues are
-//!   `sync_channel`s; a full queue rejects with a reason instead of
-//!   blocking the accept loop (lint rule GH011 enforces this);
-//! * **graceful drain** — a shutdown signal plus `Arc<AtomicBool>`
+//! * **bounded admission** — a submit is one call that hands the
+//!   session's task to the bounded pool or refuses it with a reason
+//!   (session cap, duplicate name, bad spec, draining daemon);
+//! * **bounded queues everywhere** — tick queues are `sync_channel`s; a
+//!   full queue rejects with a reason instead of blocking the
+//!   connection (lint rule GH011 enforces this);
+//! * **graceful drain** — per-session stop flags plus `Arc<AtomicBool>`
 //!   liveness plus joinable handles; every session's decision cursor is
 //!   checkpointed before exit.
 //!
@@ -42,7 +45,7 @@
 pub mod client;
 /// The TCP daemon: accept loop, connection handling, command dispatch.
 pub mod daemon;
-/// Length-prefixed JSON framing and flat-JSON helpers.
+/// Length-prefixed JSON framing.
 pub mod proto;
 /// Session state, the epoch-ticking run loop, and crash recovery.
 pub mod session;

@@ -29,13 +29,12 @@ use std::time::Duration;
 use greenhetero_core::database::PerfDatabase;
 use greenhetero_core::error::CoreError;
 use greenhetero_core::solver::SharedSolveCache;
-use greenhetero_core::telemetry::{names, Telemetry};
+use greenhetero_core::telemetry::{names, JsonObject, Telemetry};
 use greenhetero_power::solar::synthesize_shared;
 use greenhetero_server::rack::Rack;
 use greenhetero_sim::engine::{Simulation, Stepper};
 use greenhetero_sim::sched::{PollTask, TaskPoll};
 
-use crate::proto::JsonObject;
 use crate::spec::{decision_line, SessionSpec};
 use crate::ServeClock;
 
@@ -45,7 +44,7 @@ const WAIT_CHUNK_MS: u64 = 10;
 /// A session's lifecycle state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionState {
-    /// Admitted, waiting for the spawner to start its thread.
+    /// Admitted; its task has not built its stepper yet.
     Pending,
     /// The control loop is stepping (or backing off between restarts).
     Running,
@@ -103,22 +102,12 @@ impl SessionState {
     }
 }
 
-/// Control messages on a session's bounded tick channel.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum SessionMsg {
-    /// Step one epoch (manual pacing); also the session's heartbeat.
-    Tick,
-    /// Stop at the next loop iteration (drain/eviction accelerator; the
-    /// authoritative signal is [`SessionShared::stop`]).
-    Shutdown,
-}
-
 /// The supervisor- and connection-visible face of one session.
 #[derive(Debug)]
 pub(crate) struct SessionShared {
     /// The session's unique name.
     pub(crate) name: String,
-    /// Epoch horizon (set once the session thread builds its stepper).
+    /// Epoch horizon (set once the session's task builds its stepper).
     pub(crate) epochs_total: AtomicU64,
     /// Stale-heartbeat eviction threshold for this session, ms.
     pub(crate) heartbeat_timeout_ms: u64,
@@ -127,8 +116,8 @@ pub(crate) struct SessionShared {
     restarts: AtomicU32,
     degraded_epochs: AtomicU64,
     heartbeat_ms: AtomicU64,
-    /// The liveness flag: `true` tells the session thread to exit at
-    /// the next loop iteration (graceful drain / eviction).
+    /// The liveness flag: `true` tells the session's task to finish at
+    /// its next poll (graceful drain / eviction).
     pub(crate) stop: AtomicBool,
     last_error: Mutex<Option<String>>,
     decisions: Mutex<Vec<String>>,
@@ -196,14 +185,6 @@ impl SessionShared {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .clone()
-    }
-
-    /// Quarantines a session the spawner could not start (substrate
-    /// build or thread-spawn failure) — it has no thread of its own to
-    /// stamp the state.
-    pub(crate) fn record_admission_failure(&self, error: String) {
-        self.record_error(error);
-        self.set_state(SessionState::Quarantined);
     }
 
     fn record_error(&self, error: String) {
@@ -287,11 +268,12 @@ struct InjectedPanic {
     epoch: u64,
 }
 
-/// Everything a session thread owns.
+/// Everything a session's task owns.
 pub(crate) struct SessionRuntime {
     pub(crate) spec: SessionSpec,
     pub(crate) shared: Arc<SessionShared>,
-    pub(crate) ctrl_rx: Receiver<SessionMsg>,
+    /// Manual-pacing ticks: one message, one epoch.
+    pub(crate) tick_rx: Receiver<()>,
     /// The daemon's registry: supervision counters land here, never in
     /// the session's own (disabled) simulation telemetry.
     pub(crate) telemetry: Telemetry,
@@ -392,13 +374,12 @@ struct Backoff {
 /// Each poll performs at most one of: build the stepper (first poll),
 /// wait out a pacing/backoff quantum (returning [`TaskPoll::After`] so
 /// no worker thread blocks), or step one epoch under
-/// [`std::panic::catch_unwind`]. All PR 7 robustness semantics are
-/// preserved per-step: panics discard the stepper and rebuild-and-replay
-/// deterministically after an exponential backoff, an exhausted restart
-/// budget quarantines, heartbeats are beaten exactly where the
-/// thread-per-session loop beat them (waiting manual sessions stay
-/// silent so the watchdog can evict silent clients), and the stop flag
-/// is honoured at every poll entry.
+/// [`std::panic::catch_unwind`]. Panics discard the stepper and
+/// rebuild-and-replay deterministically after an exponential backoff,
+/// an exhausted restart budget quarantines, waiting manual sessions do
+/// not beat their heartbeat (so the watchdog can evict silent clients),
+/// and the stop flag is honoured at every poll entry, the first one
+/// included.
 pub(crate) struct SessionTask {
     rt: SessionRuntime,
     stepper: Option<Stepper>,
@@ -423,7 +404,8 @@ impl SessionTask {
     }
 
     /// Terminal stop transition: eviction already stamped its state; a
-    /// drain stop lands here still Running (or never-started Pending).
+    /// drain stop lands here still Running, or Pending when it came
+    /// before the first poll.
     fn drained(&self) -> TaskPoll {
         self.rt
             .shared
@@ -437,6 +419,9 @@ impl SessionTask {
 
 impl PollTask for SessionTask {
     fn poll(&mut self) -> TaskPoll {
+        if self.rt.shared.stop.load(Ordering::Acquire) {
+            return self.drained();
+        }
         if !self.started {
             self.started = true;
             match self.rt.build_stepper() {
@@ -456,9 +441,6 @@ impl PollTask for SessionTask {
                     return TaskPoll::Done;
                 }
             }
-        }
-        if self.rt.shared.stop.load(Ordering::Acquire) {
-            return self.drained();
         }
 
         // A backoff in progress waits in heartbeat-beating quanta, then
@@ -493,9 +475,8 @@ impl PollTask for SessionTask {
             // Manual pacing: one epoch per tick; ticks are the
             // heartbeat, so a silent client eventually trips the
             // watchdog (waiting here deliberately does NOT beat).
-            match self.rt.ctrl_rx.try_recv() {
-                Ok(SessionMsg::Tick) => {}
-                Ok(SessionMsg::Shutdown) => return TaskPoll::Again,
+            match self.rt.tick_rx.try_recv() {
+                Ok(()) => {}
                 Err(TryRecvError::Empty) => return TaskPoll::After(WAIT_CHUNK_MS * 5),
                 Err(TryRecvError::Disconnected) => return self.drained(),
             }
@@ -602,7 +583,7 @@ mod tests {
             spec.controller.serve_heartbeat_timeout_ms,
             clock.now_ms(),
         ));
-        let (_tx, ctrl_rx) = sync_channel::<SessionMsg>(4);
+        let (_tx, tick_rx) = sync_channel(4);
         let rack = Arc::new(
             spec.scenario()
                 .expect("valid scenario")
@@ -612,7 +593,7 @@ mod tests {
         let rt = SessionRuntime {
             spec,
             shared: Arc::clone(&shared),
-            ctrl_rx,
+            tick_rx,
             telemetry: Telemetry::disabled(),
             clock,
             rack,

@@ -11,11 +11,9 @@
 use greenhetero_core::config::ControllerConfig;
 use greenhetero_core::error::CoreError;
 use greenhetero_core::policies::PolicyKind;
-use greenhetero_core::telemetry::EventLine;
+use greenhetero_core::telemetry::{EventLine, JsonObject};
 use greenhetero_sim::report::EpochRecord;
 use greenhetero_sim::scenario::Scenario;
-
-use crate::proto::JsonObject;
 
 /// Everything needed to run (and re-run) one rack session.
 #[derive(Debug, Clone)]

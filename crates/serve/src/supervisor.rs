@@ -1,5 +1,5 @@
-//! The session supervisor: bounded admission, a substrate cache, the
-//! heartbeat watchdog, and the graceful-drain protocol.
+//! The session supervisor: admission, a substrate cache, the heartbeat
+//! watchdog, and the graceful-drain protocol.
 //!
 //! The supervision tree (DESIGN.md §13, §15):
 //!
@@ -7,7 +7,6 @@
 //! Daemon
 //! ├── accept thread        (TCP; never blocks on sessions)
 //! ├── watchdog thread      (evicts heartbeat-stale sessions)
-//! ├── spawner thread       (drains the bounded admission queue)
 //! └── session pool         (~cores workers hosting every session as
 //!                           a poll task; work-stealing, bounded)
 //! ```
@@ -15,21 +14,21 @@
 //! Sessions are not threads: each one is a
 //! [`SessionTask`](crate::session) polled by the supervisor's bounded
 //! [`TaskPool`], so thousands of sessions fit on roughly
-//! `available_parallelism` worker threads (the `worker_threads` limit
-//! overrides the auto sizing). Admission is a bounded `sync_channel`: a
-//! full queue rejects the submit with a reason instead of blocking (the
-//! telemetry counter [`names::SERVE_REJECTED`] tracks every rejection).
-//! Drain raises every stop flag, nudges every tick channel,
+//! `available_parallelism` worker threads (the `worker_threads` knob
+//! overrides the auto sizing). [`Supervisor::submit`] admits a session
+//! in one call on the caller's thread: it resolves the shared substrate
+//! and hands the session's task to the pool, or refuses with a reason
+//! (the telemetry counter [`names::SERVE_REJECTED`] tracks every
+//! refusal). Drain raises `draining` and every stop flag,
 //! [`kick`](TaskPool::kick)s the pool so parked sessions observe the
-//! flags immediately, waits for every submitted session to reach a
-//! terminal state against a deadline, and flushes one
-//! [`SessionCheckpoint`] per session before the map is cleared.
+//! flags immediately, waits for every session to reach a terminal state
+//! against a deadline, and flushes one [`SessionCheckpoint`] per session
+//! before the map is cleared.
 
 use std::collections::BTreeMap;
 use std::io::Write;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -42,59 +41,29 @@ use greenhetero_server::rack::Rack;
 use greenhetero_sim::fleet::pretrain_database;
 use greenhetero_sim::sched::{TaskPool, TaskPoolStats};
 
-use crate::session::{SessionMsg, SessionRuntime, SessionShared, SessionTask};
+use crate::session::{SessionRuntime, SessionShared, SessionTask};
 use crate::spec::SessionSpec;
-use crate::{ServeClock, SessionCheckpoint, SessionState};
+use crate::{ServeClock, ServeConfig, SessionCheckpoint, SessionState};
 
 /// A rejected request: a machine-readable tag plus a human-readable
 /// message, rendered onto the wire as `reason`/`error`.
 pub type Rejection = (&'static str, String);
 
-/// Supervisor sizing and pacing knobs (a subset of the daemon config).
-#[derive(Debug, Clone)]
-pub(crate) struct SupervisorLimits {
-    /// Non-terminal sessions the daemon will host at once.
-    pub(crate) max_sessions: usize,
-    /// Depth of the bounded admission queue.
-    pub(crate) admission_queue_depth: usize,
-    /// Depth of each session's bounded tick/shutdown channel.
-    pub(crate) tick_queue_depth: usize,
-    /// Watchdog scan period, ms.
-    pub(crate) watchdog_tick_ms: u64,
-    /// Session-pool worker threads; 0 sizes the pool to
-    /// `available_parallelism`.
-    pub(crate) worker_threads: usize,
-    /// Where drain writes its checkpoint JSONL, when set.
-    pub(crate) checkpoint_path: Option<PathBuf>,
-}
-
 /// One session's supervision handle.
 struct SessionHandle {
     shared: Arc<SessionShared>,
-    ctrl_tx: SyncSender<SessionMsg>,
-    /// `true` once the spawner submitted the session's task to the
-    /// pool; drain counts submitted sessions that reach a terminal
-    /// state as joined and the rest as leaked.
-    submitted: bool,
+    tick_tx: SyncSender<()>,
 }
 
-/// A queued admission: everything the spawner needs to start the
-/// session thread.
-struct AdmissionTicket {
-    spec: SessionSpec,
-    shared: Arc<SessionShared>,
-    ctrl_rx: Receiver<SessionMsg>,
-}
-
-/// Cached per-substrate-key shared state: one rack model, one shared
-/// solve cache (sessions on the same substrate dedup identical PAR
-/// solves), plus the pretrained profile database once a `pretrain`
-/// session asked for it.
 /// What [`Supervisor::substrate_for`] hands a new session: the shared
 /// rack model, the optional pretrained profile base, and the
 /// substrate's shared solve cache.
 type SubstrateParts = (Arc<Rack>, Option<Arc<PerfDatabase>>, Arc<SharedSolveCache>);
 
+/// Cached per-substrate-key shared state: one rack model, one shared
+/// solve cache (sessions on the same substrate dedup identical PAR
+/// solves), plus the pretrained profile database once a `pretrain`
+/// session asked for it.
 struct SubstrateEntry {
     rack: Arc<Rack>,
     pretrained: Option<Arc<PerfDatabase>>,
@@ -123,7 +92,7 @@ pub struct SessionStatus {
 /// A point-in-time snapshot of the whole supervisor.
 #[derive(Debug, Clone, Default)]
 pub struct StatusSnapshot {
-    /// Sessions waiting for the spawner.
+    /// Admitted sessions whose task has not built its stepper yet.
     pub pending: u64,
     /// Sessions actively stepping.
     pub running: u64,
@@ -160,10 +129,9 @@ impl StatusSnapshot {
 pub struct DrainReport {
     /// One checkpoint per hosted session, flushed in name order.
     pub checkpoints: Vec<SessionCheckpoint>,
-    /// Submitted sessions that reached a terminal state within the
-    /// deadline.
+    /// Sessions that reached a terminal state within the deadline.
     pub joined: usize,
-    /// Submitted sessions still non-terminal when the deadline expired.
+    /// Sessions still non-terminal when the deadline expired.
     pub leaked: usize,
     /// `true` when every session settled before the deadline.
     pub within_deadline: bool,
@@ -177,13 +145,12 @@ pub struct DrainReport {
 /// [`Daemon::start`](crate::Daemon::start); connections reach it
 /// through the daemon's command dispatch.
 pub struct Supervisor {
-    limits: SupervisorLimits,
+    cfg: ServeConfig,
     telemetry: Telemetry,
     clock: ServeClock,
     live: Arc<AtomicBool>,
     pool: TaskPool,
     sessions: Mutex<BTreeMap<String, SessionHandle>>,
-    admission_tx: Mutex<Option<SyncSender<AdmissionTicket>>>,
     substrates: Mutex<BTreeMap<String, SubstrateEntry>>,
     draining: AtomicBool,
     drain_report: Mutex<Option<DrainReport>>,
@@ -199,41 +166,35 @@ impl std::fmt::Debug for Supervisor {
 
 impl Supervisor {
     /// Builds the supervisor, starts its bounded session pool, and
-    /// starts its spawner and watchdog threads; the caller joins the
-    /// returned handles at shutdown (the pool joins itself on drop).
+    /// starts its watchdog thread; the caller joins the returned handle
+    /// at shutdown (the pool joins itself on drop).
     ///
     /// # Errors
     ///
     /// Fails when a pool worker thread cannot be spawned.
     pub(crate) fn start(
-        limits: SupervisorLimits,
+        cfg: ServeConfig,
         telemetry: Telemetry,
         clock: ServeClock,
         live: Arc<AtomicBool>,
-    ) -> Result<(Arc<Supervisor>, Vec<JoinHandle<()>>), CoreError> {
-        let (admission_tx, admission_rx) = sync_channel(limits.admission_queue_depth.max(1));
-        let pool = TaskPool::start(limits.worker_threads)?;
+    ) -> Result<(Arc<Supervisor>, JoinHandle<()>), CoreError> {
+        let pool = TaskPool::start(cfg.worker_threads)?;
         let supervisor = Arc::new(Supervisor {
-            limits,
+            cfg,
             telemetry,
             clock,
             live,
             pool,
             sessions: Mutex::new(BTreeMap::new()),
-            admission_tx: Mutex::new(Some(admission_tx)),
             substrates: Mutex::new(BTreeMap::new()),
             draining: AtomicBool::new(false),
             drain_report: Mutex::new(None),
         });
-        let spawner = {
-            let sup = Arc::clone(&supervisor);
-            std::thread::spawn(move || sup.spawner_loop(&admission_rx))
-        };
         let watchdog = {
             let sup = Arc::clone(&supervisor);
             std::thread::spawn(move || sup.watchdog_loop())
         };
-        Ok((supervisor, vec![spawner, watchdog]))
+        Ok((supervisor, watchdog))
     }
 
     /// Activity counters of the bounded session pool, for the daemon's
@@ -251,86 +212,71 @@ impl Supervisor {
         (tag, message)
     }
 
-    /// Admits a new session. Returns its epoch horizon on success.
+    /// Admits a new session and hands its task to the pool. Returns its
+    /// epoch horizon on success.
+    ///
+    /// The `draining` check, the insert and the spawn happen under the
+    /// sessions lock, which drain takes after raising `draining`, so a
+    /// session is either refused here or seen by drain's stop loop.
     ///
     /// # Errors
     ///
-    /// Rejects (with a wire reason) invalid specs, duplicate names, a
-    /// full host, a full admission queue, and a draining daemon — the
-    /// queue-full path is the explicit backpressure contract: the
-    /// caller retries, nothing blocks.
+    /// Rejects (with a wire reason) invalid specs and substrates,
+    /// duplicate names, a full host, and a draining daemon.
     pub fn submit(&self, spec: SessionSpec) -> Result<u64, Rejection> {
-        if self.draining.load(Ordering::Acquire) {
-            return Err(self.reject("draining", "daemon is draining".into()));
-        }
         let epochs_total = spec
             .epochs_total()
             .map_err(|e| self.reject("invalid_spec", e.to_string()))?;
+        let (rack, profile_base, solve_cache) = self
+            .substrate_for(&spec)
+            .map_err(|e| self.reject("invalid_spec", format!("substrate build failed: {e}")))?;
         let shared = Arc::new(SessionShared::new(
             &spec.name,
             spec.controller.serve_heartbeat_timeout_ms,
             self.clock.now_ms(),
         ));
-        let (ctrl_tx, ctrl_rx) = sync_channel(self.limits.tick_queue_depth.max(1));
-        {
-            let mut sessions = self.sessions.lock().unwrap_or_else(PoisonError::into_inner);
-            if sessions.contains_key(&spec.name) {
-                return Err(self.reject(
-                    "duplicate",
-                    format!("session {:?} already exists", spec.name),
-                ));
-            }
-            let active = sessions
-                .values()
-                .filter(|h| !h.shared.state().is_terminal())
-                .count();
-            if active >= self.limits.max_sessions {
-                return Err(self.reject(
-                    "capacity",
-                    format!(
-                        "{active} active sessions at the cap of {}",
-                        self.limits.max_sessions
-                    ),
-                ));
-            }
-            sessions.insert(
-                spec.name.clone(),
-                SessionHandle {
-                    shared: Arc::clone(&shared),
-                    ctrl_tx,
-                    submitted: false,
-                },
-            );
+        let (tick_tx, tick_rx) = sync_channel(self.cfg.tick_queue_depth.max(1));
+        let mut sessions = self.sessions.lock().unwrap_or_else(PoisonError::into_inner);
+        if self.draining.load(Ordering::Acquire) {
+            return Err(self.reject("draining", "daemon is draining".into()));
         }
-        let name = spec.name.clone();
-        let ticket = AdmissionTicket {
+        if sessions.contains_key(&spec.name) {
+            return Err(self.reject(
+                "duplicate",
+                format!("session {:?} already exists", spec.name),
+            ));
+        }
+        let active = sessions
+            .values()
+            .filter(|h| !h.shared.state().is_terminal())
+            .count();
+        if active >= self.cfg.max_sessions {
+            return Err(self.reject(
+                "capacity",
+                format!(
+                    "{active} active sessions at the cap of {}",
+                    self.cfg.max_sessions
+                ),
+            ));
+        }
+        sessions.insert(
+            spec.name.clone(),
+            SessionHandle {
+                shared: Arc::clone(&shared),
+                tick_tx,
+            },
+        );
+        self.pool.spawn(Box::new(SessionTask::new(SessionRuntime {
             spec,
             shared,
-            ctrl_rx,
-        };
-        let outcome = {
-            let tx = self
-                .admission_tx
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            match tx.as_ref() {
-                Some(tx) => tx.try_send(ticket).map_err(|e| match e {
-                    TrySendError::Full(_) => ("backpressure", "admission queue full; retry"),
-                    TrySendError::Disconnected(_) => ("draining", "daemon is draining"),
-                }),
-                None => Err(("draining", "daemon is draining")),
-            }
-        };
-        match outcome {
-            Ok(()) => Ok(epochs_total),
-            Err((tag, message)) => {
-                self.sessions
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .remove(&name);
-                Err(self.reject(tag, message.into()))
-            }
-        }
+            tick_rx,
+            telemetry: self.telemetry.clone(),
+            clock: self.clock.clone(),
+            rack,
+            profile_base,
+            solve_cache,
+        })));
+        Ok(epochs_total)
     }
 
     /// Enqueues one manual-pacing tick (also the session's heartbeat).
@@ -341,18 +287,18 @@ impl Supervisor {
     /// Rejects unknown or terminal sessions, and reports backpressure
     /// when the bounded tick queue is full.
     pub fn tick(&self, name: &str) -> Result<u64, Rejection> {
-        let (ctrl_tx, shared) = {
+        let (tick_tx, shared) = {
             let sessions = self.sessions.lock().unwrap_or_else(PoisonError::into_inner);
             let handle = sessions
                 .get(name)
                 .ok_or_else(|| ("unknown_session", format!("no session {name:?}")))?;
-            (handle.ctrl_tx.clone(), Arc::clone(&handle.shared))
+            (handle.tick_tx.clone(), Arc::clone(&handle.shared))
         };
         let state = shared.state();
         if state.is_terminal() {
             return Err(("terminal", format!("session {name:?} is {}", state.name())));
         }
-        match ctrl_tx.try_send(SessionMsg::Tick) {
+        match tick_tx.try_send(()) {
             Ok(()) => Ok(shared.cursor()),
             Err(TrySendError::Full(_)) => Err(self.reject(
                 "backpressure",
@@ -426,56 +372,6 @@ impl Supervisor {
         snap
     }
 
-    /// The spawner: drains the bounded admission queue, resolves the
-    /// shared substrate, and submits one poll task per session to the
-    /// bounded pool — no per-session OS thread is ever created.
-    fn spawner_loop(self: &Arc<Self>, admission_rx: &Receiver<AdmissionTicket>) {
-        while let Ok(ticket) = admission_rx.recv() {
-            let name = ticket.spec.name.clone();
-            if self.draining.load(Ordering::Acquire) {
-                ticket
-                    .shared
-                    .transition(SessionState::Pending, SessionState::Drained);
-                continue;
-            }
-            let (rack, profile_base, solve_cache) = match self.substrate_for(&ticket.spec) {
-                Ok(parts) => parts,
-                Err(e) => {
-                    self.fail_admission(&ticket.shared, format!("substrate build failed: {e}"));
-                    continue;
-                }
-            };
-            let runtime = SessionRuntime {
-                spec: ticket.spec,
-                shared: Arc::clone(&ticket.shared),
-                ctrl_rx: ticket.ctrl_rx,
-                telemetry: self.telemetry.clone(),
-                clock: self.clock.clone(),
-                rack,
-                profile_base,
-                solve_cache,
-            };
-            // Mark submitted before the task can possibly terminate, so
-            // drain never misclassifies a fast finisher as unspawned.
-            {
-                let mut sessions = self.sessions.lock().unwrap_or_else(PoisonError::into_inner);
-                if let Some(entry) = sessions.get_mut(&name) {
-                    entry.submitted = true;
-                }
-            }
-            self.pool.spawn(Box::new(SessionTask::new(runtime)));
-        }
-    }
-
-    /// Marks an admitted-but-unstartable session quarantined.
-    fn fail_admission(&self, shared: &SessionShared, error: String) {
-        shared.record_admission_failure(error);
-        self.telemetry
-            .registry()
-            .counter(names::SESSION_QUARANTINED)
-            .inc();
-    }
-
     /// Resolves (building and caching on first use) the shared
     /// substrate for a spec: one rack model and one shared solve cache
     /// per substrate key, plus the shared pretrained profile database
@@ -546,11 +442,11 @@ impl Supervisor {
 
     /// The watchdog: evicts Running sessions whose heartbeat is older
     /// than their timeout. Eviction stamps the state first (so the
-    /// session's own exit keeps it), then raises stop and nudges the
-    /// tick channel.
+    /// session's own exit keeps it), then raises stop, which the task
+    /// observes at its next poll.
     fn watchdog_loop(&self) {
         while self.live.load(Ordering::Acquire) {
-            std::thread::sleep(Duration::from_millis(self.limits.watchdog_tick_ms.max(1)));
+            std::thread::sleep(Duration::from_millis(self.cfg.watchdog_tick_ms.max(1)));
             let now = self.clock.now_ms();
             let sessions = self.sessions.lock().unwrap_or_else(PoisonError::into_inner);
             for handle in sessions.values() {
@@ -570,15 +466,14 @@ impl Supervisor {
                         .counter(names::SESSION_EVICTED)
                         .inc();
                     handle.shared.stop.store(true, Ordering::Release);
-                    let _ = handle.ctrl_tx.try_send(SessionMsg::Shutdown);
                 }
             }
         }
     }
 
-    /// The graceful drain: stop admissions, raise every session's stop
-    /// flag, kick the pool so parked sessions observe the flags now,
-    /// wait for every submitted session to reach a terminal state
+    /// The graceful drain: refuse further submits, raise every
+    /// session's stop flag, kick the pool so parked sessions observe the
+    /// flags now, wait for every session to reach a terminal state
     /// against `deadline_ms`, flush one checkpoint per session, and
     /// clear the session map. Idempotent — a second call returns the
     /// stored report.
@@ -592,59 +487,29 @@ impl Supervisor {
                 .unwrap_or_default();
         }
         let started = self.clock.now_ms();
-        // Close the admission queue; the spawner exits once it drains.
-        *self
-            .admission_tx
+        for handle in self
+            .sessions
             .lock()
-            .unwrap_or_else(PoisonError::into_inner) = None;
+            .unwrap_or_else(PoisonError::into_inner)
+            .values()
         {
-            let sessions = self.sessions.lock().unwrap_or_else(PoisonError::into_inner);
-            for handle in sessions.values() {
-                handle.shared.stop.store(true, Ordering::Release);
-                let _ = handle.ctrl_tx.try_send(SessionMsg::Shutdown);
-            }
+            handle.shared.stop.store(true, Ordering::Release);
         }
         // Forfeit every parked task's backoff/pacing deadline so the
         // stop flags are observed immediately, not at the next wake.
         self.pool.kick();
-        loop {
-            let mut outstanding = 0usize;
-            {
-                let mut sessions = self.sessions.lock().unwrap_or_else(PoisonError::into_inner);
-                for handle in sessions.values_mut() {
-                    if handle.submitted {
-                        if !handle.shared.state().is_terminal() {
-                            outstanding += 1;
-                        }
-                    } else {
-                        // Never submitted (still queued) — drain it in
-                        // place; a submitted-but-unregistered task shows
-                        // up non-terminal and is counted outstanding
-                        // until the spawner marks it.
-                        handle
-                            .shared
-                            .transition(SessionState::Pending, SessionState::Drained);
-                        if !handle.shared.state().is_terminal() {
-                            outstanding += 1;
-                        }
-                    }
-                }
-            }
-            let elapsed = self.clock.now_ms().saturating_sub(started);
-            if outstanding == 0 || elapsed > deadline_ms {
-                break;
-            }
+        while self.outstanding() > 0 && self.clock.now_ms().saturating_sub(started) <= deadline_ms {
             std::thread::sleep(Duration::from_millis(5));
         }
-        let (checkpoints, joined, leaked) = self.flush_checkpoints();
+        let (checkpoints, leaked) = self.flush_checkpoints();
         let elapsed_ms = self.clock.now_ms().saturating_sub(started);
         let report = DrainReport {
             checkpoint_write_error: self.write_checkpoints(&checkpoints),
-            checkpoints,
-            joined,
+            joined: checkpoints.len() - leaked,
             leaked,
             within_deadline: leaked == 0 && elapsed_ms <= deadline_ms,
             elapsed_ms,
+            checkpoints,
         };
         *self
             .drain_report
@@ -653,37 +518,39 @@ impl Supervisor {
         report
     }
 
+    /// Hosted sessions not yet in a terminal state.
+    fn outstanding(&self) -> usize {
+        self.sessions
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .values()
+            .filter(|h| !h.shared.state().is_terminal())
+            .count()
+    }
+
     /// Collects every session's checkpoint, counts the flushes, and
-    /// clears the map (the post-drain `/status` must be empty).
-    /// Returns `(checkpoints, joined, leaked)`: a submitted session
-    /// whose state is terminal joined; one still non-terminal past the
-    /// deadline leaked (its task keeps the shared Arc alive until the
-    /// pool drops it, but the daemon forgets it).
-    fn flush_checkpoints(&self) -> (Vec<SessionCheckpoint>, usize, usize) {
-        let mut sessions = self.sessions.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut checkpoints = Vec::with_capacity(sessions.len());
-        let mut joined = 0usize;
-        let mut leaked = 0usize;
-        for (_, handle) in std::mem::take(&mut *sessions) {
-            if handle.submitted {
-                if handle.shared.state().is_terminal() {
-                    joined += 1;
-                } else {
-                    leaked += 1;
-                }
-            }
-            checkpoints.push(handle.shared.checkpoint());
-            self.telemetry
-                .registry()
-                .counter(names::SERVE_DRAIN_CHECKPOINTS)
-                .inc();
-        }
-        (checkpoints, joined, leaked)
+    /// clears the map (the post-drain `/status` must be empty). Returns
+    /// the checkpoints and the number of sessions still non-terminal
+    /// past the deadline: those leak (a task keeps its shared Arc alive
+    /// until the pool drops it, but the daemon forgets it).
+    fn flush_checkpoints(&self) -> (Vec<SessionCheckpoint>, usize) {
+        let sessions =
+            std::mem::take(&mut *self.sessions.lock().unwrap_or_else(PoisonError::into_inner));
+        self.telemetry
+            .registry()
+            .counter(names::SERVE_DRAIN_CHECKPOINTS)
+            .add(sessions.len() as u64);
+        let leaked = sessions
+            .values()
+            .filter(|h| !h.shared.state().is_terminal())
+            .count();
+        let checkpoints = sessions.values().map(|h| h.shared.checkpoint()).collect();
+        (checkpoints, leaked)
     }
 
     /// Writes the checkpoint JSONL file, when configured.
     fn write_checkpoints(&self, checkpoints: &[SessionCheckpoint]) -> Option<String> {
-        let path = self.limits.checkpoint_path.as_ref()?;
+        let path = self.cfg.checkpoint_path.as_ref()?;
         let render = || -> std::io::Result<()> {
             let mut file = std::fs::File::create(path)?;
             for checkpoint in checkpoints {

@@ -1,6 +1,6 @@
 //! Pool-scaling soak (ISSUE acceptance): 1,000 sessions hosted on a
 //! 4-worker pool. The daemon's thread count stays at the pool size plus
-//! its fixed supervision overhead (accept + spawner + watchdog) — no
+//! its fixed supervision overhead (accept + watchdog) — no
 //! thread-per-session — while every session still reaches its
 //! deterministic terminal state and a graceful drain checkpoints all
 //! 1,000 within the deadline.
@@ -12,9 +12,9 @@ use greenhetero_serve::{Daemon, ServeConfig, SessionSpec, SessionState};
 const SESSIONS: usize = 1_000;
 const DOOMED: usize = 10;
 const WORKERS: usize = 4;
-/// Accept + spawner + watchdog: the daemon's fixed thread overhead on
-/// top of the session pool.
-const SUPERVISION_THREADS: usize = 3;
+/// Accept + watchdog: the daemon's fixed thread overhead on top of the
+/// session pool.
+const SUPERVISION_THREADS: usize = 2;
 
 /// Current thread count of this process, from /proc/self/status.
 fn process_threads() -> usize {
@@ -40,7 +40,6 @@ fn a_thousand_sessions_run_on_a_four_worker_pool() {
     let threads_before = process_threads();
     let daemon = Daemon::start(ServeConfig {
         max_sessions: SESSIONS,
-        admission_queue_depth: 64,
         watchdog_tick_ms: 50,
         worker_threads: WORKERS,
         drain_deadline_ms: 60_000,
@@ -54,12 +53,11 @@ fn a_thousand_sessions_run_on_a_four_worker_pool() {
     assert_eq!(
         process_threads() - threads_before,
         WORKERS + SUPERVISION_THREADS,
-        "daemon thread overhead must be pool + accept + spawner + watchdog"
+        "daemon thread overhead must be pool + accept + watchdog"
     );
 
     // 990 clean sessions plus 10 quarantine-bound ones (panic past
-    // their budget), submitted with backpressure retries against the
-    // bounded admission queue.
+    // their budget); each submit hands its task to the pool at once.
     for i in 0..SESSIONS {
         let spec = if i < DOOMED {
             let mut spec = short_spec(&format!("doomed-{i:04}"));
@@ -71,12 +69,8 @@ fn a_thousand_sessions_run_on_a_four_worker_pool() {
         } else {
             short_spec(&format!("clean-{i:04}"))
         };
-        loop {
-            match supervisor.submit(spec.clone()) {
-                Ok(_) => break,
-                Err(("backpressure", _)) => std::thread::sleep(Duration::from_millis(2)),
-                Err((reason, msg)) => panic!("submit {i} rejected: {reason}: {msg}"),
-            }
+        if let Err((reason, msg)) = supervisor.submit(spec) {
+            panic!("submit {i} rejected: {reason}: {msg}");
         }
     }
 
@@ -135,8 +129,8 @@ fn a_thousand_sessions_run_on_a_four_worker_pool() {
         assert_eq!(lines, first, "{name} diverged across the pool");
     }
 
-    // Graceful drain: 1,000/1,000 checkpoints, every submitted session
-    // already terminal, inside the deadline.
+    // Graceful drain: 1,000/1,000 checkpoints, every session already
+    // terminal, inside the deadline.
     let report = daemon.drain();
     assert!(report.within_deadline, "{:?}", report.elapsed_ms);
     assert_eq!(report.checkpoints.len(), SESSIONS);
