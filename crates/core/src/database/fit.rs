@@ -102,56 +102,53 @@ pub struct FitResult {
 /// ```
 // greenhetero-lint: allow(GH002) least-squares input is raw (power, throughput) samples
 pub fn fit_quadratic(points: &[(f64, f64)]) -> Result<FitResult, CoreError> {
-    fit_samples(points, |&point| point)
+    let curve = fit_curve(points, |&point| point, distinct_x_upto_3(points, |p| p.0))?;
+    let sse: f64 = points
+        .iter()
+        .map(|&(x, y)| {
+            let r = curve.eval(x) - y;
+            r * r
+        })
+        .sum();
+    Ok(FitResult {
+        curve,
+        rmse: (sse / points.len() as f64).sqrt(),
+        samples: points.len(),
+    })
 }
 
-/// [`fit_quadratic`] over any sample type, read in place: `xy` maps a
-/// sample to its `(x, y)` point. Allocation-free and O(n): the points are
-/// never copied, standardized `x` values are recomputed where a sum needs
-/// them, and every sum is accumulated over the samples in slice order.
-pub(crate) fn fit_samples<T>(
+/// [`fit_quadratic`]'s curve over any sample type, read in place: `xy`
+/// maps a sample to its `(x, y)` point, and `distinct_x` is
+/// [`distinct_x_upto_3`] of the samples' `x` values, which picks the
+/// constant, linear or quadratic fit. Allocation-free and O(n): the
+/// points are never copied, standardized `x` values are recomputed where
+/// a sum needs them, and every sum is accumulated over the samples in
+/// slice order.
+pub(crate) fn fit_curve<T>(
     samples: &[T],
     xy: impl Fn(&T) -> (f64, f64) + Copy,
-) -> Result<FitResult, CoreError> {
+    distinct_x: usize,
+) -> Result<Quadratic, CoreError> {
     if samples.len() < 2 {
         return Err(CoreError::InsufficientSamples {
             got: samples.len(),
             need: 2,
         });
     }
-
-    let curve = match distinct_x_upto_3(samples, move |s| xy(s).0) {
+    match distinct_x {
         1 => {
             // All samples at one power level: the best projection is their
             // mean, constant in power.
             let mean_y = samples.iter().map(|s| xy(s).1).sum::<f64>() / samples.len() as f64;
-            Quadratic {
+            Ok(Quadratic {
                 l: mean_y,
                 m: 0.0,
                 n: 0.0,
-            }
-        }
-        2 => fit_linear(samples, xy)?,
-        _ => fit_quadratic_full(samples, xy)?,
-    };
-
-    let rmse = {
-        let sse: f64 = samples
-            .iter()
-            .map(|s| {
-                let (x, y) = xy(s);
-                let r = curve.eval(x) - y;
-                r * r
             })
-            .sum();
-        (sse / samples.len() as f64).sqrt()
-    };
-
-    Ok(FitResult {
-        curve,
-        rmse,
-        samples: samples.len(),
-    })
+        }
+        2 => fit_linear(samples, xy),
+        _ => fit_quadratic_full(samples, xy),
+    }
 }
 
 /// The number of distinct `x` values, capped at 3, where two values count
@@ -165,7 +162,7 @@ pub(crate) fn fit_samples<T>(
 /// infinite differences are never near), so `x1` is the smallest value
 /// not near `x0`, and a third survivor exists exactly when some other
 /// value is near neither.
-fn distinct_x_upto_3<T>(samples: &[T], x: impl Fn(&T) -> f64) -> usize {
+pub(crate) fn distinct_x_upto_3<T>(samples: &[T], x: impl Fn(&T) -> f64) -> usize {
     let near = |value: f64, kept: f64| (value - kept).abs() < 1e-9;
     let smallest = |keep: &dyn Fn(usize, f64) -> bool| {
         samples
@@ -307,7 +304,7 @@ fn solve_3x3(mut m: [[f64; 3]; 3], mut v: [f64; 3]) -> Option<[f64; 3]> {
 #[cfg(test)]
 // Tests compare results of exact literal arithmetic.
 #[allow(clippy::float_cmp)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn sample_curve(q: Quadratic, xs: &[f64]) -> Vec<(f64, f64)> {
@@ -317,7 +314,7 @@ mod tests {
     /// The copy-and-sort fit `fit_quadratic` replaces: distinct powers
     /// counted on a sorted, deduplicated copy, sums taken over a
     /// standardized copy.
-    fn fit_reference(points: &[(f64, f64)]) -> Result<FitResult, CoreError> {
+    pub(crate) fn fit_reference(points: &[(f64, f64)]) -> Result<FitResult, CoreError> {
         if points.len() < 2 {
             return Err(CoreError::InsufficientSamples {
                 got: points.len(),
@@ -385,7 +382,7 @@ mod tests {
     }
 
     /// A fit result as raw bits, so NaN compares equal to the same NaN.
-    fn fit_bits(fit: &Result<FitResult, CoreError>) -> Result<[u64; 4], CoreError> {
+    pub(crate) fn fit_bits(fit: &Result<FitResult, CoreError>) -> Result<[u64; 4], CoreError> {
         fit.clone().map(|f| {
             [
                 f.curve.l.to_bits(),

@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::database::fit::{fit_samples, FitResult};
+use crate::database::fit::{distinct_x_upto_3, fit_curve, FitResult};
 use crate::database::model::PerfModel;
 use crate::error::CoreError;
 use crate::types::{ConfigId, PowerRange, SimTime, Throughput, Watts, WorkloadId};
@@ -51,10 +51,18 @@ pub struct ProfileEntry {
     model: PerfModel,
     refits: usize,
     training_len: usize,
+    /// `true` when the training samples hold three pairwise-distinct
+    /// finite powers. Training samples are never evicted, so every later
+    /// sample set counts three as well, and a refit fits the quadratic
+    /// without counting (DESIGN.md §16).
+    three_powers: bool,
     /// Fit error of the original training run, the yardstick a refit is
     /// judged against (floored so a perfect fit doesn't make any later
     /// noise look divergent).
     baseline_rmse: f64,
+    /// [`ProfileEntry::residual_sigma`], taken by the closing pass each
+    /// time the samples or the model change.
+    residual_sigma: f64,
     /// Consecutive refits whose error blew past the baseline.
     diverging_refits: u32,
     /// Set when refits diverged repeatedly: the model is no longer
@@ -92,20 +100,46 @@ impl ProfileEntry {
     /// throughput — the monitor's yardstick for spotting outlier feedback.
     #[must_use]
     pub fn residual_sigma(&self) -> Throughput {
-        let n = self.samples.len() as f64;
-        if n == 0.0 {
-            return Throughput::ZERO;
+        Throughput::new(self.residual_sigma)
+    }
+}
+
+/// What one pass over an entry's samples under its model yields.
+struct ClosingPass {
+    /// RMS residual against the raw fitted curve (the fit's RMSE).
+    rmse: f64,
+    /// RMS residual against the clamped model, floored.
+    sigma: f64,
+    mean_abs_perf: f64,
+}
+
+impl ClosingPass {
+    /// Three left folds over `samples` in slice order: the squared
+    /// residuals against `model`'s raw curve, the squared residuals
+    /// against its clamped [`PerfModel::eval`], and `|perf|`. The folds
+    /// start at `+0.0` where `Iterator::sum` starts at `−0.0`; no square
+    /// and no absolute value is `−0.0`, so the start's sign never reaches
+    /// a sum.
+    fn over(samples: &[ProfileSample], model: &PerfModel) -> Self {
+        let curve = model.curve();
+        let (mut raw_sq, mut model_sq, mut abs_perf) = (0.0, 0.0, 0.0);
+        for s in samples {
+            let perf = s.perf.value();
+            let r = curve.eval(s.power.value()) - perf;
+            raw_sq += r * r;
+            let residual = perf - model.eval(s.power).value();
+            model_sq += residual * residual;
+            abs_perf += perf.abs();
         }
-        let mut sq_sum = 0.0;
-        let mut abs_sum = 0.0;
-        for s in &self.samples {
-            let residual = s.perf.value() - self.model.eval(s.power).value();
-            sq_sum += residual * residual;
-            abs_sum += s.perf.value().abs();
+        let n = samples.len() as f64;
+        let mean_abs_perf = abs_perf / n;
+        ClosingPass {
+            rmse: (raw_sq / n).sqrt(),
+            sigma: (model_sq / n)
+                .sqrt()
+                .max(RESIDUAL_SIGMA_FLOOR * mean_abs_perf),
+            mean_abs_perf,
         }
-        let rms = (sq_sum / n).sqrt();
-        let floor = RESIDUAL_SIGMA_FLOOR * (abs_sum / n);
-        Throughput::new(rms.max(floor))
     }
 }
 
@@ -242,22 +276,31 @@ impl PerfDatabase {
         range: PowerRange,
         samples: &[ProfileSample],
     ) -> Result<FitResult, CoreError> {
-        let fit = Self::fit(samples)?;
-        let mean_abs_perf =
-            samples.iter().map(|s| s.perf.value().abs()).sum::<f64>() / samples.len() as f64;
+        let distinct = distinct_x_upto_3(samples, power);
+        let model = PerfModel::new(fit_curve(samples, point, distinct)?, range);
+        let closing = ClosingPass::over(samples, &model);
         self.entries.insert(
             (config, workload),
             Arc::new(ProfileEntry {
+                // greenhetero-lint: allow(GH006) one copy per training run, outside the per-epoch refit
                 samples: samples.to_vec(),
-                model: PerfModel::new(fit.curve, range),
+                model,
                 refits: 0,
                 training_len: samples.len(),
-                baseline_rmse: fit.rmse.max(RESIDUAL_SIGMA_FLOOR * mean_abs_perf),
+                three_powers: distinct == 3 && samples.iter().all(|s| power(s).is_finite()),
+                baseline_rmse: closing
+                    .rmse
+                    .max(RESIDUAL_SIGMA_FLOOR * closing.mean_abs_perf),
+                residual_sigma: closing.sigma,
                 diverging_refits: 0,
                 quarantined: false,
             }),
         );
-        Ok(fit)
+        Ok(FitResult {
+            curve: model.curve(),
+            rmse: closing.rmse,
+            samples: samples.len(),
+        })
     }
 
     /// Records epoch feedback and refits the projection with both the new
@@ -295,13 +338,28 @@ impl PerfDatabase {
             entry.samples.remove(first_feedback);
         }
 
-        let fit = Self::fit(&entry.samples)?;
-        entry.model = PerfModel::new(fit.curve, entry.model.range());
+        let distinct = if entry.three_powers {
+            3
+        } else {
+            distinct_x_upto_3(&entry.samples, power)
+        };
+        let curve = match fit_curve(&entry.samples, point, distinct) {
+            Ok(curve) => curve,
+            Err(err) => {
+                // The previous model stays, and the next gate reads it
+                // against the samples retained now.
+                entry.residual_sigma = ClosingPass::over(&entry.samples, &entry.model).sigma;
+                return Err(err);
+            }
+        };
+        entry.model = PerfModel::new(curve, entry.model.range());
+        let closing = ClosingPass::over(&entry.samples, &entry.model);
+        entry.residual_sigma = closing.sigma;
         entry.refits += 1;
         // Divergence watchdog: a refit drifting far above the training
         // baseline means the samples no longer describe one curve. Three
         // strikes quarantine the entry so the scheduler retrains it.
-        if fit.rmse > DIVERGENCE_FACTOR * entry.baseline_rmse {
+        if closing.rmse > DIVERGENCE_FACTOR * entry.baseline_rmse {
             entry.diverging_refits += 1;
             if entry.diverging_refits >= QUARANTINE_STRIKES {
                 entry.quarantined = true;
@@ -309,7 +367,11 @@ impl PerfDatabase {
         } else {
             entry.diverging_refits = 0;
         }
-        Ok(fit)
+        Ok(FitResult {
+            curve,
+            rmse: closing.rmse,
+            samples: entry.samples.len(),
+        })
     }
 
     /// Iterates over all `((config, workload), entry)` pairs.
@@ -318,15 +380,25 @@ impl PerfDatabase {
             .iter()
             .map(|(key, entry)| (key, entry.as_ref()))
     }
+}
 
-    fn fit(samples: &[ProfileSample]) -> Result<FitResult, CoreError> {
-        fit_samples(samples, |s| (s.power.value(), s.perf.value()))
-    }
+/// A sample's power, the `x` the fit counts distinct values of.
+fn power(s: &ProfileSample) -> f64 {
+    s.power.value()
+}
+
+/// A sample as the fit's `(power, perf)` point.
+fn point(s: &ProfileSample) -> (f64, f64) {
+    (s.power.value(), s.perf.value())
 }
 
 #[cfg(test)]
 mod tests {
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
     use super::*;
+    use crate::database::fit::tests::{fit_bits, fit_reference};
 
     fn ids() -> (ConfigId, WorkloadId) {
         (ConfigId::new(1), WorkloadId::new(2))
@@ -653,6 +725,168 @@ mod tests {
         assert!(!shared(&rack, &base, (c, w)));
         assert_eq!(rack.entry(c, w).map(ProfileEntry::refit_count), Some(0));
         assert_eq!(base.entry(c, w).map(ProfileEntry::refit_count), Some(1));
+    }
+
+    /// `ProfileEntry::residual_sigma` as it was computed on every call,
+    /// over the retained samples under the current model.
+    fn reference_sigma(entry: &ProfileEntry) -> f64 {
+        let n = entry.samples().len() as f64;
+        let mut sq_sum = 0.0;
+        let mut abs_sum = 0.0;
+        for s in entry.samples() {
+            let residual = s.perf.value() - entry.model().eval(s.power).value();
+            sq_sum += residual * residual;
+            abs_sum += s.perf.value().abs();
+        }
+        let rms = (sq_sum / n).sqrt();
+        let floor = RESIDUAL_SIGMA_FLOOR * (abs_sum / n);
+        rms.max(floor)
+    }
+
+    /// Trains an entry on `training`, feeds it `feedback` under a cap of
+    /// `cap` samples, and asserts after every call that the result is
+    /// the copy-and-sort reference fit over the retained samples, that
+    /// the model holds that fit's curve (or the previous one when the
+    /// fit failed), and that the stored sigma is the reference sigma.
+    fn check_refits(
+        training: &[ProfileSample],
+        range: PowerRange,
+        cap: usize,
+        feedback: &[ProfileSample],
+    ) {
+        let (c, w) = ids();
+        let points =
+            |samples: &[ProfileSample]| -> Vec<(f64, f64)> { samples.iter().map(point).collect() };
+        let mut db = PerfDatabase::with_max_samples(cap);
+        let trained = db.insert_training(c, w, range, training);
+        assert_eq!(
+            fit_bits(&trained),
+            fit_bits(&fit_reference(&points(training)))
+        );
+        if trained.is_err() {
+            return;
+        }
+        let entry = db.entry(c, w).unwrap();
+        assert_eq!(
+            entry.residual_sigma().value().to_bits(),
+            reference_sigma(entry).to_bits()
+        );
+        for (i, &sample) in feedback.iter().enumerate() {
+            let before = db.entry(c, w).unwrap();
+            let (quarantined, previous) = (before.is_quarantined(), before.model().curve());
+            let got = db.record_feedback(c, w, sample);
+            if quarantined {
+                assert!(matches!(got, Err(CoreError::ProfileMissing { .. })));
+                return;
+            }
+            let entry = db.entry(c, w).unwrap();
+            let want = fit_reference(&points(entry.samples()));
+            let curve = want.as_ref().map_or(previous, |f| f.curve);
+            let model = entry.model().curve();
+            assert_eq!(
+                (
+                    fit_bits(&got),
+                    [model.l, model.m, model.n].map(f64::to_bits),
+                    entry.residual_sigma().value().to_bits(),
+                ),
+                (
+                    fit_bits(&want),
+                    [curve.l, curve.m, curve.n].map(f64::to_bits),
+                    reference_sigma(entry).to_bits(),
+                ),
+                "feedback {i} of {feedback:?}, cap {cap}, training {training:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn failed_refit_keeps_the_model_and_refreshes_sigma() {
+        // Two training powers fit a line. A feedback power 1.5 nW off one
+        // of them makes three distinct powers, two of them so close that
+        // the quadratic's normal equations are singular.
+        let training: Vec<ProfileSample> = [100.0, 100.0, 200.0, 200.0]
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| {
+                let perf = 3.0 * p + if i % 2 == 0 { 4.0 } else { -4.0 };
+                ProfileSample::new(
+                    Watts::new(p),
+                    Throughput::new(perf),
+                    SimTime::from_secs(i as u64 * 120),
+                )
+            })
+            .collect();
+        let range = PowerRange::new(Watts::new(90.0), Watts::new(210.0)).unwrap();
+        let odd = ProfileSample::new(
+            Watts::new(100.0 + 1.5e-9),
+            Throughput::new(420.0),
+            SimTime::from_secs(900),
+        );
+        let mut db = PerfDatabase::new();
+        let (c, w) = ids();
+        db.insert_training(c, w, range, &training).unwrap();
+        let line = db.model(c, w).unwrap().curve();
+        let sigma = db.entry(c, w).unwrap().residual_sigma();
+        assert_eq!(db.record_feedback(c, w, odd), Err(CoreError::DegenerateFit));
+        let entry = db.entry(c, w).unwrap();
+        assert_eq!(entry.model().curve(), line);
+        assert_eq!(entry.samples().len(), 5);
+        assert_eq!(entry.refit_count(), 0);
+        assert!(entry.residual_sigma() > sigma);
+        check_refits(&training, range, 4, &[odd, odd, training[2]]);
+    }
+
+    /// Samples on one to four base powers in 40–400 W, each power 0–4
+    /// ticks of 0.1–0.7 nW above its base, so the `1e-9` chain both
+    /// merges and splits them; a quarter of them anywhere in 40–400 W
+    /// when `spread` is set.
+    fn random_samples(
+        rng: &mut StdRng,
+        len: usize,
+        bases: &[f64],
+        spread: bool,
+    ) -> Vec<ProfileSample> {
+        let tick = 0.1e-9 + 0.6e-9 * rng.random::<f64>();
+        let (m, n) = (0.5 + 4.5 * rng.random::<f64>(), -0.02 * rng.random::<f64>());
+        (0..len)
+            .map(|i| {
+                let pick = rng.random::<u32>() as usize;
+                let p = if spread && pick.is_multiple_of(4) {
+                    40.0 + 360.0 * rng.random::<f64>()
+                } else {
+                    bases[pick % bases.len()] + f64::from(rng.random::<u32>() % 5) * tick
+                };
+                let noise = 10.0 * rng.random::<f64>() - 5.0;
+                ProfileSample::new(
+                    Watts::new(p),
+                    Throughput::new(m * p + n * p * p + noise),
+                    SimTime::from_secs(i as u64 * 900),
+                )
+            })
+            .collect()
+    }
+
+    /// The release sweep CI runs: 20,000 random training runs of 2–40
+    /// samples, each fed 1–60 feedback samples (three in four clustered
+    /// on the training powers) under a cap of 2–9 samples.
+    #[test]
+    #[ignore = "20,000 refit sequences; run in release"]
+    fn refits_match_reference_on_random_sequences() {
+        let mut rng = StdRng::seed_from_u64(0x05ee_df17);
+        for _ in 0..20_000 {
+            let bases: Vec<f64> = (0..1 + rng.random::<u32>() % 4)
+                .map(|_| 40.0 + 360.0 * rng.random::<f64>())
+                .collect();
+            let training_len = 2 + rng.random::<u32>() as usize % 39;
+            let training = random_samples(&mut rng, training_len, &bases, false);
+            let feedback_len = 1 + rng.random::<u32>() as usize % 60;
+            let feedback = random_samples(&mut rng, feedback_len, &bases, true);
+            let idle = 30.0 + 220.0 * rng.random::<f64>();
+            let peak = idle + 10.0 + 190.0 * rng.random::<f64>();
+            let range = PowerRange::new(Watts::new(idle), Watts::new(peak)).unwrap();
+            let cap = 2 + rng.random::<u32>() as usize % 8;
+            check_refits(&training, range, cap, &feedback);
+        }
     }
 
     #[test]

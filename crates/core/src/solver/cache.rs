@@ -1,14 +1,17 @@
 //! The solver fast path: reuse of the last answer, then the fleet's
 //! shared solve cache (DESIGN.md §11).
 //!
-//! Consecutive scheduling epochs differ only slightly — solar ramps a few
-//! percent per 15-minute epoch and the fitted curves change only on the
-//! rare accepted refit — and fleets pose the same problem on many racks.
-//! The solver's answer is a pure function of the problem, so
-//! [`SolverFastPath`] skips engine calls in two layers:
+//! Fleets pose the same problem on many racks, and the solver's answer is
+//! a pure function of the problem, so [`SolverFastPath`] skips engine
+//! calls in two layers:
 //!
 //! 1. **Reuse** — a problem bit-identical to the previous solve's returns
-//!    the previous allocation outright;
+//!    the previous allocation outright. Under GreenHetero this rarely
+//!    applies: every run epoch refits each fed-back group's curve, so
+//!    consecutive problems almost never match (the benchmark's
+//!    `solver.warm_share` reads 0 on `fleet_homog` and 0.078 on
+//!    `fleet_diverse`). It answers policies that leave the database
+//!    alone, and epochs whose inputs repeat;
 //! 2. **Shared cache** — when one is attached, a [`SharedSolveCache`]
 //!    answers problems another controller already solved. It is a
 //!    sharded, thread-safe store keyed by a digest of the group layout and
@@ -16,7 +19,8 @@
 //!    the live one and falls back to a solve on any mismatch. Racks in a
 //!    fleet that face bit-identical problems — common once noise is low
 //!    and models converge — pay one solve and N bit-identical reuses per
-//!    epoch (DESIGN.md §14).
+//!    epoch (DESIGN.md §14). This layer, not reuse, is what dedups a
+//!    fleet's solves.
 //!
 //! Anything else runs the engine. Every layer returns the bits
 //! [`solve_with_engine`](crate::solver::solve_with_engine) computes for

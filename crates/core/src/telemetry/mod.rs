@@ -159,7 +159,9 @@ pub mod names {
     pub const ENFORCE_SECONDS: &str = "greenhetero_enforce_seconds";
     /// Whole-epoch wall time, in seconds.
     pub const EPOCH_WALL_SECONDS: &str = "greenhetero_epoch_wall_seconds";
-    /// RMSE of each accepted profile refit (dimensionless Watts-scale).
+    /// RMSE of each successful profile refit, a refit that quarantines
+    /// its entry included: the RMS residual of `Perf = f(Power)`, in the
+    /// workload's throughput unit.
     pub const REFIT_RMSE: &str = "greenhetero_refit_rmse";
     /// Time each sweep scenario waited in the runner queue, in seconds.
     pub const RUNNER_QUEUE_WAIT_SECONDS: &str = "greenhetero_runner_queue_wait_seconds";

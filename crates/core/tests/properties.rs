@@ -6,7 +6,9 @@
 
 use std::sync::Arc;
 
-use greenhetero_core::database::{fit_quadratic, FitResult, PerfModel, Quadratic};
+use greenhetero_core::database::{
+    fit_quadratic, FitResult, PerfDatabase, PerfModel, ProfileSample, Quadratic,
+};
 use greenhetero_core::enforcer::{PowerState, PowerStateSet, Spc};
 use greenhetero_core::error::CoreError;
 use greenhetero_core::metrics::{productive_power, EpuAccumulator};
@@ -22,7 +24,9 @@ use greenhetero_core::solver::{
 use greenhetero_core::sources::{
     audit_plan, select_sources, BatteryView, ChargeSource, SourceInputs,
 };
-use greenhetero_core::types::{ConfigId, PowerRange, Ratio, Watts};
+use greenhetero_core::types::{
+    ConfigId, PowerRange, Ratio, SimTime, Throughput, Watts, WorkloadId,
+};
 use proptest::prelude::*;
 
 /// Strategy: an arbitrary concave performance model (possibly
@@ -846,7 +850,125 @@ fn arb_clustered_samples() -> impl Strategy<Value = Vec<(f64, f64)>> {
         })
 }
 
+/// Training (power, throughput) points, the (idle, peak) envelope, the
+/// sample cap and the feedback points.
+type RefitSequence = (Vec<(f64, f64)>, (f64, f64), usize, Vec<(f64, f64)>);
+
+/// Strategy: a training run from [`arb_clustered_samples`], a power
+/// envelope, a sample cap of 2–9, and 1–40 feedback samples. A feedback
+/// power is a training power, or 0–4 ticks of 0.1–0.7 nW above one,
+/// or (one in three) anywhere in 40–400 W, so refits see every
+/// distinct-power count, near-singular clusters and evictions.
+fn arb_refit_sequence() -> impl Strategy<Value = RefitSequence> {
+    (
+        arb_clustered_samples(),
+        (30.0..250.0f64, 10.0..200.0f64),
+        2usize..10,
+        0.1e-9..0.7e-9f64,
+        proptest::collection::vec((0u32..3, 0usize..64, 0u32..5, 40.0..400.0f64), 1..40),
+    )
+        .prop_map(|(training, (idle, span), cap, tick, picks)| {
+            let feedback = picks
+                .iter()
+                .map(|&(kind, pick, ticks, anywhere)| {
+                    let (x, y) = training[pick % training.len()];
+                    match kind {
+                        0 => (x, y + f64::from(ticks)),
+                        1 => (x + f64::from(ticks) * tick, y - f64::from(ticks)),
+                        _ => (anywhere, 2.0 * anywhere - 0.003 * anywhere * anywhere),
+                    }
+                })
+                .collect();
+            (training, (idle, idle + span), cap, feedback)
+        })
+}
+
+/// `ProfileEntry::residual_sigma` as it was computed on every call: one
+/// pass over the retained samples under the current model.
+fn reference_sigma(samples: &[ProfileSample], model: &PerfModel) -> f64 {
+    let n = samples.len() as f64;
+    let mut sq_sum = 0.0;
+    let mut abs_sum = 0.0;
+    for s in samples {
+        let residual = s.perf.value() - model.eval(s.power).value();
+        sq_sum += residual * residual;
+        abs_sum += s.perf.value().abs();
+    }
+    let rms = (sq_sum / n).sqrt();
+    let floor = 0.02 * (abs_sum / n);
+    rms.max(floor)
+}
+
+fn profile_samples(points: &[(f64, f64)], from: u64) -> Vec<ProfileSample> {
+    points
+        .iter()
+        .enumerate()
+        .map(|(i, &(p, y))| {
+            ProfileSample::new(
+                Watts::new(p),
+                Throughput::new(y),
+                SimTime::from_secs(from + i as u64 * 900),
+            )
+        })
+        .collect()
+}
+
 proptest! {
+    /// Every refit returns the copy-and-sort fit over the samples the
+    /// entry retains, bit for bit; the model keeps that fit's curve, or
+    /// the previous curve when the fit failed; and the stored residual
+    /// sigma is the one a full pass over the retained samples under the
+    /// current model gives.
+    #[test]
+    fn refits_match_reference_fit_and_sigma(
+        (training, (idle, peak), cap, feedback) in arb_refit_sequence(),
+    ) {
+        let (c, w) = (ConfigId::new(0), WorkloadId::new(0));
+        let range = PowerRange::new(Watts::new(idle), Watts::new(peak)).unwrap();
+        let mut db = PerfDatabase::with_max_samples(cap);
+        let trained = db.insert_training(c, w, range, &profile_samples(&training, 0));
+        let trained = fit_bits(trained);
+        prop_assert_eq!(&trained, &fit_bits(reference_fit(&training)));
+        if trained.is_err() {
+            return Ok(());
+        }
+        let entry = db.entry(c, w).unwrap();
+        prop_assert_eq!(
+            entry.residual_sigma().value().to_bits(),
+            reference_sigma(entry.samples(), entry.model()).to_bits()
+        );
+        for sample in profile_samples(&feedback, 100_000) {
+            let before = db.entry(c, w).unwrap();
+            let (quarantined, previous) = (before.is_quarantined(), before.model().curve());
+            let got = db.record_feedback(c, w, sample);
+            if quarantined {
+                prop_assert!(
+                    matches!(got, Err(CoreError::ProfileMissing { .. })),
+                    "a quarantined entry refuses feedback"
+                );
+                break;
+            }
+            let entry = db.entry(c, w).unwrap();
+            let points: Vec<(f64, f64)> = entry
+                .samples()
+                .iter()
+                .map(|s| (s.power.value(), s.perf.value()))
+                .collect();
+            let want = reference_fit(&points);
+            let curve = want.as_ref().map_or(previous, |f| f.curve);
+            let model = entry.model().curve();
+            prop_assert_eq!(fit_bits(got), fit_bits(want));
+            prop_assert_eq!(
+                [model.l, model.m, model.n].map(f64::to_bits),
+                [curve.l, curve.m, curve.n].map(f64::to_bits)
+            );
+            prop_assert_eq!(
+                entry.residual_sigma().value().to_bits(),
+                reference_sigma(entry.samples(), entry.model()).to_bits()
+            );
+        }
+    }
+
     /// The lane-batched, pruned trainer returns the scalar search's
     /// (α, β, SSE) bit for bit from any hint, at every grid step and
     /// history shape and length; so does `train_holt`, which starts from

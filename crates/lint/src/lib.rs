@@ -222,8 +222,9 @@ fn is_crate_src(path: &str) -> bool {
 /// `true` for the hot-loop kernel modules, where heap allocation is
 /// banned (GH006): the solver's two engines, one of which runs every
 /// epoch, and
-/// the end-epoch kernels (Holt α/β training and the quadratic refit),
-/// which run on every retrain and every feedback sample. The solver's
+/// the end-epoch kernels (Holt α/β training, and the quadratic refit
+/// with the database that drives it), which run on every retrain and
+/// every feedback sample. The solver's
 /// `scratch.rs` is deliberately out of scope: it is the one solver
 /// module allowed to allocate, so the engines can borrow its buffers
 /// instead of building their own.
@@ -233,6 +234,7 @@ fn is_hot_loop_module(path: &str) -> bool {
         "crates/core/src/solver/exact.rs",
         "crates/core/src/predictor/train.rs",
         "crates/core/src/database/fit.rs",
+        "crates/core/src/database/store.rs",
     ]
     .contains(&path)
 }
@@ -519,6 +521,7 @@ mod tests {
             hits,
             vec![
                 "crates/core/src/database/fit.rs",
+                "crates/core/src/database/store.rs",
                 "crates/core/src/predictor/train.rs",
                 "crates/core/src/solver/exact.rs",
                 "crates/core/src/solver/grid.rs"

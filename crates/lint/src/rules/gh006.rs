@@ -2,8 +2,9 @@
 //!
 //! `solve_grid` and `solve_exact` run once per epoch times every sweep
 //! scenario, and the end-epoch kernels (`train_holt`'s grid search and
-//! `fit_quadratic`) run on every retrain and every feedback sample of
-//! every rack; a `Vec` built per call shows up directly in epoch wall
+//! the curve fit behind `PerfDatabase::record_feedback`) run on every
+//! retrain and every feedback sample of every rack; a `Vec` built per
+//! call shows up directly in epoch wall
 //! time. Hot-loop working memory lives on the stack or comes from
 //! reusable buffers such as `SolverScratch` (whose module, `scratch.rs`,
 //! is deliberately outside this rule's scope — it is the one place
