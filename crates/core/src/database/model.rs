@@ -89,30 +89,28 @@ impl PerfModel {
     }
 
     /// A 64-bit digest of the model's exact parameter bits (curve
-    /// coefficients plus the power envelope), used by the solver fast path
-    /// to detect model drift between epochs without comparing five floats
-    /// per group. Equal fingerprints mean bit-identical models; distinct
-    /// models collide with probability ≈ 2⁻⁶⁴, and the allocation cache
-    /// never trusts a fingerprint alone (it revalidates against the full
-    /// problem before reuse).
+    /// coefficients plus the power envelope), which the shared solve
+    /// cache's problem digest mixes in for each group. Equal fingerprints
+    /// mean bit-identical models; models that differ in one parameter
+    /// never collide, and the cache never trusts a digest alone (it
+    /// revalidates against the full problem before reuse).
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        // FNV-1a over the raw f64 bit patterns: deterministic across runs
-        // and platforms, no hasher state to seed.
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for bits in [
+        // FNV's xor-and-multiply over the raw f64 bit patterns, one step
+        // per 8-byte word: each step is a bijection of the running hash,
+        // deterministic across runs and platforms, no hasher state to
+        // seed.
+        [
             self.curve.l.to_bits(),
             self.curve.m.to_bits(),
             self.curve.n.to_bits(),
             self.range.idle().value().to_bits(),
             self.range.peak().value().to_bits(),
-        ] {
-            for byte in bits.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        hash
+        ]
+        .into_iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |hash, bits| {
+            (hash ^ bits).wrapping_mul(0x0000_0100_0000_01b3)
+        })
     }
 }
 

@@ -330,6 +330,14 @@ impl PerfDatabase {
             .ok_or(CoreError::ProfileMissing { config, workload })?;
         let entry = Arc::make_mut(entry);
 
+        let len = entry.samples.len();
+        if len == entry.samples.capacity() {
+            // Double as `push` would, but never past the one sample over
+            // the cap that the eviction below removes.
+            entry
+                .samples
+                .reserve_exact(len.min((max_samples + 1).saturating_sub(len)).max(1));
+        }
         entry.samples.push(sample);
         // Evict the oldest *feedback* sample once over cap; training
         // samples anchor the low/high-power ends of the fit.
@@ -712,6 +720,26 @@ mod tests {
         }
         assert!(shared(&rack, &base, (c, w)));
         assert_eq!(rack.len(), 1);
+    }
+
+    #[test]
+    fn sample_capacity_doubles_up_to_one_past_the_cap() {
+        let (c, w) = ids();
+        let base = trained(&[(c, w)]);
+        let mut rack = base.clone();
+        for i in 0..300u32 {
+            let p = 50.0 + f64::from(i % 30);
+            rack.record_feedback(c, w, feedback(p, 900 + u64::from(i)))
+                .unwrap();
+            let samples = &rack.entry(c, w).unwrap().samples;
+            let bound = (2 * samples.len()).min(DEFAULT_MAX_SAMPLES + 1);
+            assert!(
+                samples.capacity() <= bound,
+                "after {} samples: capacity {} over {bound}",
+                samples.len(),
+                samples.capacity()
+            );
+        }
     }
 
     #[test]

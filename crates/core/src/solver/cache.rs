@@ -378,26 +378,24 @@ impl SolverFastPath {
     }
 }
 
-/// FNV-1a digest of the problem: group count, per group (config, count,
-/// model fingerprint), then the budget's bits. Equal problems have equal
-/// digests: adding `0.0` turns a `-0.0` budget into `+0.0`, the two
-/// budgets `==` cannot tell apart.
+/// Digest of the problem: group count, per group (config, count, model
+/// fingerprint), then the budget's bits, one FNV xor-and-multiply per
+/// 8-byte word. A last step folds the high half into the low one twice
+/// around a multiply, so the low bits the shard index reads depend on
+/// every bit of every word. Equal problems have equal digests: adding
+/// `0.0` turns a `-0.0` budget into `+0.0`, the two budgets `==` cannot
+/// tell apart.
 fn problem_digest(problem: &AllocationProblem) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |word: u64| {
-        for byte in word.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    mix(problem.groups().len() as u64);
+    let mix = |hash: u64, word: u64| (hash ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+    let mut hash = mix(0xcbf2_9ce4_8422_2325, problem.groups().len() as u64);
     for g in problem.groups() {
-        mix(u64::from(g.config.raw()));
-        mix(u64::from(g.count));
-        mix(g.model.fingerprint());
+        hash = mix(hash, u64::from(g.config.raw()));
+        hash = mix(hash, u64::from(g.count));
+        hash = mix(hash, g.model.fingerprint());
     }
-    mix((problem.budget().value() + 0.0).to_bits());
-    hash
+    hash = mix(hash, (problem.budget().value() + 0.0).to_bits());
+    hash = mix(hash, hash >> 32);
+    hash ^ (hash >> 32)
 }
 
 #[cfg(test)]
@@ -504,6 +502,20 @@ mod tests {
         }
         assert_eq!(shared.stats().hits, 1);
         assert_eq!(shared.stats().misses, 3);
+    }
+
+    #[test]
+    fn whole_watt_budgets_spread_over_every_shard() {
+        // Whole-watt budgets differ only in their high bits; the digest's
+        // closing fold still spreads them over the shards.
+        let shared = SharedSolveCache::new(SHARED_SHARDS);
+        let mut per_shard = [0u32; SHARED_SHARDS];
+        for budget in 0..512u32 {
+            let shard = shared.shard(problem_digest(&problem(f64::from(budget))));
+            let index = shared.shards.iter().position(|s| std::ptr::eq(s, shard));
+            per_shard[index.unwrap()] += 1;
+        }
+        assert!(per_shard.iter().all(|&n| n >= 16), "{per_shard:?}");
     }
 
     /// An allocation as raw bits: every per-server watt value, then the

@@ -8,26 +8,25 @@
 //! 1. enumerates which groups are powered **on** (2^G subsets — the paper
 //!    bounds G at 3 per rack, we support up to [`MAX_EXACT_GROUPS`]);
 //! 2. inside a subset, reserves every on-group's idle power and
-//!    distributes the remainder by **water-filling** on the concave
-//!    quadratic pieces (KKT: equal marginal throughput per watt, found by
-//!    bisection on the Lagrange multiplier λ);
+//!    distributes the remainder by **water-filling** over the concave
+//!    groups (KKT: equal marginal throughput per watt λ). Their
+//!    water-filled value `V(R)` of the `R` watts left to them is piecewise
+//!    quadratic; the pieces are built once per subset
+//!    ([`concave_value_pieces`]), and the fill reads λ = `V'(R)` off the
+//!    piece that holds `R` ([`water_fill`]);
 //! 3. pins each convex fit (`n > 0`, which noisy profiles produce) to idle
 //!    or its cap, every combination in turn;
 //! 4. then frees one convex group at a time inside `[idle, cap]`, the
-//!    others staying pinned. The concave groups' water-filled value
-//!    `V(R)` of the `R` watts left to them is piecewise quadratic, so the
-//!    free group's best power has a closed form on each piece
-//!    ([`free_group_power`]);
-//! 5. a final greedy fill donates any round-off remainder to the group
-//!    with the best marginal gain.
+//!    others staying pinned. On each piece of `V` the free group's best
+//!    power has a closed form ([`free_group_power`]).
 //!
 //! One free group is enough: at an optimum at most one strictly convex
 //! group is interior, because moving watts between two interior convex
 //! groups is convex in the amount moved, so one end of the move does at
-//! least as well. The result is exact, up to bisection tolerance, for
-//! quadratic fits that are non-negative on their envelope; DESIGN.md §18
-//! records the two shapes it is not exact for. Problems with no convex fit
-//! never reach step 4, so it cannot change their answers.
+//! least as well. The result is exact for quadratic and linear fits that
+//! are non-negative on their envelope; DESIGN.md §18 records what it is
+//! not claimed exact for. Problems with no convex fit never reach step 4,
+//! so it cannot change their answers.
 //!
 //! The subset loop is allocation-free by contract (lint rule GH006): all
 //! working memory lives on the stack or in the caller-provided
@@ -39,13 +38,10 @@ use crate::solver::scratch::SolverScratch;
 use crate::types::{Throughput, Watts};
 
 /// Largest group count the exact subset enumeration accepts; beyond this
-/// the caller should use [`crate::solver::solve_grid`]. 2^12 subsets with a
-/// bisection each is still well under a millisecond.
+/// the caller should use [`crate::solver::solve_grid`]. With no convex fit,
+/// the 2^12 subsets of 12 groups take 1–3 ms in release on a 2-vCPU VM;
+/// each convex fit doubles the masks of a subset.
 pub const MAX_EXACT_GROUPS: usize = 12;
-
-/// Bisection iterations for the water-filling multiplier: 60 halvings of
-/// the marginal range push the budget residual far below a milliwatt.
-const BISECT_ITERS: u32 = 60;
 
 /// Most pieces `V(R)` has: each concave group adds at most two (two knots,
 /// or a linear group's knot and its jump), plus the flat tail past the
@@ -172,18 +168,15 @@ pub fn solve_exact_with(
         }
         // `V(R)` depends only on the concave groups, so one build serves
         // every mask and every free group of this subset.
-        let piece_count = if scratch.convex_on.is_empty() {
-            0
-        } else {
-            concave_value_pieces(groups, &scratch.concave_on, &mut pieces)
-        };
+        let piece_count = concave_value_pieces(groups, &scratch.concave_on, &mut pieces);
+        let pieces = &pieces[..piece_count];
 
         for convex_mask in 0u32..(1u32 << scratch.convex_on.len()) {
             // Every convex group pinned to idle or its best cap.
             let Some(spent) = pin(groups, scratch, convex_mask, budget) else {
                 continue;
             };
-            fill_and_keep(problem, scratch, spent, &mut best_value);
+            fill_and_keep(problem, scratch, spent, pieces, &mut best_value);
 
             // Free each convex group this mask pins at idle (its cap bit
             // would free the same problem again), at its best power.
@@ -196,14 +189,10 @@ pub fn solve_exact_with(
                 };
                 let free = scratch.convex_on[pos];
                 let group = &groups[free];
-                let power = Watts::new(free_group_power(
-                    group,
-                    (budget - spent).value(),
-                    &pieces[..piece_count],
-                ));
+                let power = Watts::new(free_group_power(group, (budget - spent).value(), pieces));
                 scratch.exact_assignment[free] = power;
                 let spent = spent + (power - group.model.range().idle()) * f64::from(group.count);
-                fill_and_keep(problem, scratch, spent, &mut best_value);
+                fill_and_keep(problem, scratch, spent, pieces, &mut best_value);
             }
         }
     }
@@ -245,29 +234,21 @@ fn pin(
     (spent.value() <= budget.value() + 1e-9).then_some(spent)
 }
 
-/// Water-fills the concave groups with the budget `spent` leaves, donates
-/// the remainder, and makes the result the incumbent when it projects
-/// strictly more.
+/// Water-fills the concave groups with the budget `spent` leaves, and
+/// makes the result the incumbent when it projects strictly more.
 fn fill_and_keep(
     problem: &AllocationProblem,
     scratch: &mut SolverScratch,
     spent: Watts,
+    pieces: &[Piece],
     best_value: &mut Throughput,
 ) {
-    let groups = problem.groups();
     water_fill(
-        groups,
+        problem.groups(),
         &scratch.concave_on,
         problem.budget() - spent,
+        pieces,
         &mut scratch.exact_assignment,
-        &mut scratch.floors,
-    );
-    greedy_fill(
-        groups,
-        &scratch.on,
-        problem.budget(),
-        &mut scratch.exact_assignment,
-        &mut scratch.greedy_order,
     );
     debug_assert!(problem.is_feasible(&scratch.exact_assignment));
     let value = problem.objective(&scratch.exact_assignment);
@@ -304,6 +285,8 @@ struct Piece {
     value: f64,
     lambda: f64,
     slope: f64,
+    /// The linear group that takes this piece's watts, for a jump piece.
+    jump: Option<usize>,
 }
 
 /// Writes the pieces of `V(R)` for the concave groups in `active` into
@@ -315,16 +298,18 @@ struct Piece {
 /// its marginal at its cap, where it stops; between knots the interior
 /// groups' watts are linear in λ, so `V` is quadratic in `R`. A linear
 /// group adds a jump at λ = `m`: it takes its whole span at that one
-/// level, a piece on which `V` is linear. Only λ ≥ 0 is walked, as in
-/// [`water_fill`], so the last piece is flat.
+/// level, a piece on which `V` is linear. Only λ ≥ 0 is walked: a watt
+/// no group's marginal pays for is left unallocated, so the last piece is
+/// flat.
 fn concave_value_pieces(
     groups: &[ServerGroup],
     active: &[usize],
     pieces: &mut [Piece; MAX_PIECES],
 ) -> usize {
     // A knot: its water level, the change in the count of interior
-    // groups, the change in dR/dλ, and the watts a linear group takes.
-    let mut knots = [(0.0f64, 0i32, 0.0f64, 0.0f64); 2 * MAX_EXACT_GROUPS];
+    // groups, the change in dR/dλ, the watts a linear group takes, and the
+    // group.
+    let mut knots = [(0.0f64, 0i32, 0.0f64, 0.0f64, 0usize); 2 * MAX_EXACT_GROUPS];
     let mut len = 0;
     for &i in active {
         let g = &groups[i];
@@ -343,11 +328,11 @@ fn concave_value_pieces(
             // While interior, p = (λ − m) / 2n, so R moves by count / 2n
             // per unit of λ.
             let rate = count / (2.0 * curve.n);
-            knots[len] = (join, 1, rate, 0.0);
-            knots[len + 1] = (curve.derivative(cap).max(0.0), -1, -rate, 0.0);
+            knots[len] = (join, 1, rate, 0.0, i);
+            knots[len + 1] = (curve.derivative(cap).max(0.0), -1, -rate, 0.0, i);
             len += 2;
         } else if curve.m > 0.0 {
-            knots[len] = (curve.m, 0, 0.0, count * (cap - idle));
+            knots[len] = (curve.m, 0, 0.0, count * (cap - idle), i);
             len += 1;
         }
     }
@@ -357,12 +342,13 @@ fn concave_value_pieces(
             .then(a.1.cmp(&b.1))
             .then(a.2.total_cmp(&b.2))
             .then(a.3.total_cmp(&b.3))
+            .then(a.4.cmp(&b.4))
     });
 
     let (mut r, mut v) = (0.0f64, 0.0f64);
     let (mut interior, mut rate) = (0i32, 0.0f64);
     let mut count = 0;
-    for (k, &(lambda, d_interior, d_rate, jump)) in knots.iter().enumerate() {
+    for (k, &(lambda, d_interior, d_rate, jump, group)) in knots.iter().enumerate() {
         interior += d_interior;
         rate = if interior == 0 { 0.0 } else { rate + d_rate };
         if jump > 0.0 {
@@ -372,6 +358,7 @@ fn concave_value_pieces(
                 value: v,
                 lambda,
                 slope: 0.0,
+                jump: Some(group),
             };
             count += 1;
             r += jump;
@@ -386,6 +373,7 @@ fn concave_value_pieces(
                 value: v,
                 lambda,
                 slope: 1.0 / rate,
+                jump: None,
             };
             count += 1;
             r += width;
@@ -398,6 +386,7 @@ fn concave_value_pieces(
         value: v,
         lambda: 0.0,
         slope: 0.0,
+        jump: None,
     };
     count + 1
 }
@@ -450,140 +439,45 @@ fn free_group_power(group: &ServerGroup, spare: f64, pieces: &[Piece]) -> f64 {
 
 /// Water-fills `remaining` watts over the concave groups in `active`,
 /// starting from their idle assignment already present in `assignment`.
-/// `floors` is caller-owned scratch for the idle-floor snapshot.
+/// The piece of `V` that holds `remaining` gives the water level
+/// λ = `V'(remaining)`: a group with `n < 0` takes the power where its
+/// marginal is λ, clamped into `[idle, cap]`, and a linear group the part
+/// of its jump that `remaining` reaches (its cap past the jump, idle
+/// before it). Past every cap the flat tail gives λ = 0.
 fn water_fill(
     groups: &[ServerGroup],
     active: &[usize],
     remaining: Watts,
+    pieces: &[Piece],
     assignment: &mut [Watts],
-    floors: &mut Vec<f64>,
 ) {
-    if active.is_empty() || remaining.value() <= 0.0 {
+    let remaining = remaining.value();
+    let Some(at) = pieces.iter().find(|p| remaining < p.end) else {
         return;
-    }
-
-    // Per-group upper cap and marginal at a given per-server power.
-    let cap = |i: usize| best_power_cap(&groups[i]);
-    let marginal_at = |i: usize, p: f64| groups[i].model.curve().derivative(p);
-
-    // If the remainder covers everyone's cap, no multiplier is needed.
-    let full_extra: f64 = active
-        .iter()
-        .map(|&i| (cap(i).value() - assignment[i].value()).max(0.0) * f64::from(groups[i].count))
-        .sum();
-    if full_extra <= remaining.value() {
-        for &i in active {
-            assignment[i] = cap(i);
-        }
-        return;
-    }
-
-    // Bisection on λ: every group sets its power so that its marginal
-    // equals λ, clamped into [idle, cap]. Higher λ → less power used.
-    let lambda_hi = active
-        .iter()
-        .map(|&i| marginal_at(i, assignment[i].value()))
-        .fold(0.0f64, f64::max)
-        .max(1e-9);
-    let mut lo = 0.0f64;
-    let mut hi = lambda_hi;
-
-    // Snapshot the idle (starting) per-server powers so the closure does
-    // not borrow `assignment` while we later write into it.
-    floors.clear();
-    for w in assignment.iter() {
-        floors.push(w.value());
-    }
-    let power_at_lambda = |i: usize, lambda: f64, floors: &[f64]| -> f64 {
+    };
+    let lambda = at.lambda + at.slope * (remaining - at.start);
+    for &i in active {
         let curve = groups[i].model.curve();
-        let idle = floors[i];
-        let upper = cap(i).value();
         if curve.n < 0.0 {
             // derivative m + 2np = λ  →  p = (λ − m) / (2n)
-            ((lambda - curve.m) / (2.0 * curve.n)).clamp(idle, upper)
-        } else {
-            // Linear piece (n == 0): step function on the slope.
-            if curve.m > lambda {
-                upper
-            } else {
-                idle
-            }
-        }
-    };
-
-    for _ in 0..BISECT_ITERS {
-        let mid = 0.5 * (lo + hi);
-        let used: f64 = active
-            .iter()
-            .map(|&i| {
-                (power_at_lambda(i, mid, floors) - assignment[i].value())
-                    * f64::from(groups[i].count)
-            })
-            .sum();
-        if used > remaining.value() {
-            lo = mid;
-        } else {
-            hi = mid;
+            let p = (lambda - curve.m) / (2.0 * curve.n);
+            assignment[i] = Watts::new(p.clamp(
+                groups[i].model.range().idle().value(),
+                best_power_cap(&groups[i]).value(),
+            ));
         }
     }
-
-    // Apply the feasible multiplier (hi side under-uses the budget).
-    for &i in active {
-        assignment[i] = Watts::new(power_at_lambda(i, hi, floors));
-    }
-}
-
-/// Donates any leftover budget to the on-groups in order of marginal gain.
-/// Fixes the step-discontinuity of linear pieces and bisection round-off.
-/// `order` is caller-owned scratch for the marginal-gain ordering.
-fn greedy_fill(
-    groups: &[ServerGroup],
-    on: &[usize],
-    budget: Watts,
-    assignment: &mut [Watts],
-    order: &mut Vec<usize>,
-) {
-    let mut spent: f64 = on
-        .iter()
-        .map(|&i| assignment[i].value() * f64::from(groups[i].count))
-        .sum();
-    let mut leftover = budget.value() - spent;
-    if leftover <= 1e-9 {
-        return;
-    }
-
-    // Order candidates by their current marginal, descending.
-    order.clear();
-    order.extend_from_slice(on);
-    order.sort_by(|&a, &b| {
-        let ma = groups[a].model.curve().derivative(assignment[a].value());
-        let mb = groups[b].model.curve().derivative(assignment[b].value());
-        mb.total_cmp(&ma)
-    });
-
-    for &i in order.iter() {
-        if leftover <= 1e-9 {
-            break;
-        }
-        let upper = best_power_cap(&groups[i]).value();
-        let headroom_per_server = (upper - assignment[i].value()).max(0.0);
-        if headroom_per_server <= 0.0 {
+    for piece in pieces {
+        let Some(i) = piece.jump else {
             continue;
+        };
+        if remaining >= piece.end {
+            assignment[i] = best_power_cap(&groups[i]);
+        } else if remaining > piece.start {
+            let taken = (remaining - piece.start) / f64::from(groups[i].count);
+            assignment[i] = Watts::new(groups[i].model.range().idle().value() + taken);
         }
-        if groups[i].model.curve().derivative(assignment[i].value()) <= 0.0 {
-            continue;
-        }
-        let count = f64::from(groups[i].count);
-        let grant_per_server = (leftover / count).min(headroom_per_server);
-        assignment[i] = Watts::new(assignment[i].value() + grant_per_server);
-        leftover -= grant_per_server * count;
     }
-
-    spent = on
-        .iter()
-        .map(|&i| assignment[i].value() * f64::from(groups[i].count))
-        .sum();
-    debug_assert!(spent <= budget.value() + 1e-6);
 }
 
 #[cfg(test)]
@@ -848,8 +742,8 @@ mod tests {
         assert!(alloc.projected > uniform);
     }
 
-    /// The engine before the free convex group: every convex fit pinned
-    /// to idle or its cap, and nothing else. Problems with no convex fit
+    /// The engine without the free convex group: every convex fit pinned
+    /// to idle or its cap, and the same fill. Problems with no convex fit
     /// must keep its bits.
     fn reference_solve_exact_with(
         problem: &AllocationProblem,
@@ -918,19 +812,14 @@ mod tests {
                 if !feasible || spent.value() > budget.value() + 1e-9 {
                     continue;
                 }
+                let mut pieces = [Piece::default(); MAX_PIECES];
+                let count = concave_value_pieces(groups, &scratch.concave_on, &mut pieces);
                 water_fill(
                     groups,
                     &scratch.concave_on,
                     budget - spent,
+                    &pieces[..count],
                     &mut scratch.exact_assignment,
-                    &mut scratch.floors,
-                );
-                greedy_fill(
-                    groups,
-                    &scratch.on,
-                    budget,
-                    &mut scratch.exact_assignment,
-                    &mut scratch.greedy_order,
                 );
                 let value = problem.objective(&scratch.exact_assignment);
                 if value > best_value {
@@ -970,23 +859,25 @@ mod tests {
         (idle, peak, 1 + rng.random::<u32>() % 6)
     }
 
-    /// A random problem of `groups` groups with quadratic fits only
-    /// (`n ≠ 0`), convex and concave mixed, every fit non-negative over
+    /// A random problem of `groups` groups with convex, concave and
+    /// exactly linear (`n = 0`) fits mixed, every fit non-negative over
     /// its envelope, and a budget below the total peak.
     fn nonnegative_problem(rng: &mut StdRng, groups: usize) -> AllocationProblem {
         let list: Vec<ServerGroup> = (0..groups)
             .map(|i| {
                 let (idle, peak, count) = envelope(rng);
-                let (m, n) = if rng.random::<bool>() {
-                    (
+                let (m, n) = match rng.random::<u32>() % 3 {
+                    0 => (
                         10.0 * rng.random::<f64>() - 4.0,
                         0.001 + 0.05 * rng.random::<f64>(),
-                    )
-                } else {
-                    // The vertex below, inside or above the envelope.
-                    let v = idle * rng.random::<f64>() + 1.2 * peak * rng.random::<f64>();
-                    let n = -(0.005 + 0.2 * rng.random::<f64>());
-                    (-2.0 * n * v, n)
+                    ),
+                    1 => {
+                        // The vertex below, inside or above the envelope.
+                        let v = idle * rng.random::<f64>() + 1.2 * peak * rng.random::<f64>();
+                        let n = -(0.005 + 0.2 * rng.random::<f64>());
+                        (-2.0 * n * v, n)
+                    }
+                    _ => (30.0 * rng.random::<f64>() - 4.0, 0.0),
                 };
                 let raw = Quadratic { l: 0.0, m, n };
                 let mut low = raw.eval(idle).min(raw.eval(peak));
@@ -1033,33 +924,38 @@ mod tests {
         AllocationProblem::new(list, Watts::new(budget)).unwrap()
     }
 
-    /// Checks `cases` problems of each kind, 1–5 groups: the grid never
-    /// beats the engine on quadratic non-negative fits, and problems with
-    /// no convex fit keep the reference's bits. Returns how many of the
-    /// non-negative problems had a convex fit.
-    fn sweep(seed: u64, cases: usize) -> usize {
+    /// Checks `cases` problems of each kind, 1–5 groups: every answer is
+    /// feasible, the grid never beats the engine on non-negative quadratic
+    /// and linear fits, and problems with no convex fit keep the
+    /// reference's bits. Returns how many of the non-negative problems had
+    /// a convex fit and how many an exactly linear one.
+    fn sweep(seed: u64, cases: usize) -> (usize, usize) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut scratch = SolverScratch::new();
-        let mut with_convex = 0;
+        let (mut with_convex, mut with_linear) = (0, 0);
         for _ in 0..cases {
             let groups = 1 + rng.random::<u32>() as usize % 5;
             let p = nonnegative_problem(&mut rng, groups);
             with_convex += usize::from(p.groups().iter().any(|g| !g.model.curve().is_concave()));
+            with_linear += usize::from(p.groups().iter().any(|g| g.model.curve().n == 0.0));
             let exact = solve_exact_with(&p, &mut scratch).unwrap();
+            assert!(p.is_feasible(&exact.per_server), "infeasible on {p:?}");
             assert!(!grid_wins(&p, &exact), "grid beat the engine on {p:?}");
 
             let groups = 1 + rng.random::<u32>() as usize % 5;
             let p = concave_problem(&mut rng, groups);
             let exact = solve_exact_with(&p, &mut scratch).unwrap();
+            assert!(p.is_feasible(&exact.per_server), "infeasible on {p:?}");
             let reference = reference_solve_exact_with(&p, &mut SolverScratch::new());
             assert_eq!(bits(&exact), bits(&reference), "bits moved on {p:?}");
         }
-        with_convex
+        (with_convex, with_linear)
     }
 
     #[test]
     fn engine_is_exact_and_keeps_concave_bits_on_random_problems() {
-        assert!(sweep(0x6578_6163, 300) > 50);
+        let (with_convex, with_linear) = sweep(0x6578_6163, 300);
+        assert!(with_convex > 50 && with_linear > 50);
     }
 
     /// The release sweep CI runs:
@@ -1067,7 +963,8 @@ mod tests {
     #[test]
     #[ignore = "20,000 cases of each kind, seconds in release"]
     fn engine_is_exact_and_keeps_concave_bits_on_many_random_problems() {
-        assert!(sweep(0x6578_6164, 20_000) > 5_000);
+        let (with_convex, with_linear) = sweep(0x6578_6164, 20_000);
+        assert!(with_convex > 5_000 && with_linear > 5_000);
     }
 
     /// The shapes of the tests below: group A is convex with marginal
@@ -1114,15 +1011,16 @@ mod tests {
     fn interior_convex_optimum_beats_the_pinned_engine() {
         // At 180 W the marginals meet at A = 80 W, B = 100 W (2.6 each),
         // and the combined curve is concave there: 904 throughput. Pinned
-        // to idle, A only gets B's overflow (60, 120: 888); pinned to its
-        // cap it starves B (120, 60: 840). The grid finds the interior.
+        // to idle, A leaves B its cap and 20 W unspent (40, 120: 848);
+        // pinned to its cap it starves B (120, 60: 840). The grid finds
+        // the interior.
         let p = AllocationProblem::new(vec![convex_a(0), concave_b(1, 120.0)], Watts::new(180.0))
             .unwrap();
         let exact = solve_exact(&p).unwrap();
         assert_watts(&exact, &[80.0, 100.0]);
         assert!((exact.projected.value() - 904.0).abs() < 1e-6);
         let reference = reference_solve_exact_with(&p, &mut SolverScratch::new());
-        assert!((reference.projected.value() - 888.0).abs() < 1e-6);
+        assert!((reference.projected.value() - 848.0).abs() < 1e-6);
         assert!(grid_wins(&p, &reference));
         assert!(!grid_wins(&p, &exact));
     }
@@ -1214,6 +1112,41 @@ mod tests {
         assert!((exact.projected.value() - 535.0).abs() < 1e-6);
         let reference = reference_solve_exact_with(&p, &mut SolverScratch::new());
         assert!((reference.projected.value() - 460.0).abs() < 1e-6);
+        assert!(!grid_wins(&p, &exact));
+    }
+
+    #[test]
+    fn linear_fit_at_the_margin_shares_the_water_level() {
+        // C's marginal 13 − 0.1·p meets L's constant 5 at C = 80 W, so the
+        // 110 W above the idle floors land on L's jump: C = 80, L = 110,
+        // 720 + 550 = 1270. Filling C past the level and L with the rest
+        // (130, 60) is worth 1145.
+        let c = group(
+            0,
+            1,
+            40.0,
+            140.0,
+            Quadratic {
+                l: 0.0,
+                m: 13.0,
+                n: -0.05,
+            },
+        );
+        let l = group(
+            1,
+            1,
+            40.0,
+            120.0,
+            Quadratic {
+                l: 0.0,
+                m: 5.0,
+                n: 0.0,
+            },
+        );
+        let p = AllocationProblem::new(vec![c, l], Watts::new(190.0)).unwrap();
+        let exact = solve_exact(&p).unwrap();
+        assert_watts(&exact, &[80.0, 110.0]);
+        assert!((exact.projected.value() - 1270.0).abs() < 1e-6);
         assert!(!grid_wins(&p, &exact));
     }
 

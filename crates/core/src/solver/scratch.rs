@@ -40,16 +40,13 @@ pub struct SolverScratch {
     // --- exact engine ---
     /// Indices of groups powered on in the current subset.
     pub(crate) on: Vec<usize>,
-    /// Indices of groups with non-concave fitted curves.
+    /// Indices of groups with convex fitted curves (`n > 0`).
     pub(crate) convex: Vec<usize>,
-    /// The convex groups inside the current on-subset.
+    /// The convex groups inside the current on-subset, pinned or freed.
     pub(crate) convex_on: Vec<usize>,
-    /// The concave groups inside the current on-subset (water-fill set).
+    /// The concave and linear groups inside the current on-subset: the
+    /// groups `V(R)`'s pieces are built from and the water-fill sets.
     pub(crate) concave_on: Vec<usize>,
-    /// Idle-floor snapshot the water-fill bisection reads.
-    pub(crate) floors: Vec<f64>,
-    /// Marginal-gain order for the greedy remainder fill.
-    pub(crate) greedy_order: Vec<usize>,
     /// The exact engine's in-progress assignment.
     pub(crate) exact_assignment: Vec<Watts>,
     /// The exact engine's incumbent.
@@ -87,8 +84,6 @@ impl SolverScratch {
         self.convex.clear();
         self.convex_on.clear();
         self.concave_on.clear();
-        self.floors.clear();
-        self.greedy_order.clear();
         self.exact_assignment.clear();
         self.exact_assignment.resize(n, Watts::ZERO);
         self.exact_best.clear();
@@ -122,10 +117,10 @@ mod tests {
         s.prepare_exact(4);
         assert_eq!(s.exact_assignment.len(), 4);
         s.on.push(1);
-        s.floors.push(2.0);
+        s.concave_on.push(2);
         s.prepare_exact(2);
         assert!(s.on.is_empty());
-        assert!(s.floors.is_empty());
+        assert!(s.concave_on.is_empty());
         assert_eq!(s.exact_best, vec![Watts::ZERO; 2]);
     }
 }

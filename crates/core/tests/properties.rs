@@ -111,25 +111,25 @@ fn arb_problem() -> impl Strategy<Value = AllocationProblem> {
         .prop_map(|(groups, budget)| AllocationProblem::new(groups, Watts::new(budget)).unwrap())
 }
 
-/// Strategy: a quadratic fit (`n ≠ 0`), convex or concave with the
-/// vertex below, inside or above the envelope, lifted so its minimum over
-/// the envelope is a random non-negative floor.
+/// Strategy: a convex fit, a concave one with the vertex below, inside
+/// or above the envelope, or an exactly linear one (`n = 0`), lifted so
+/// its minimum over the envelope is a random non-negative floor.
 fn arb_quadratic_group(id: u32) -> impl Strategy<Value = ServerGroup> {
     (
         20.0..150.0f64, // idle
         5.0..125.0f64,  // dynamic span
-        any::<bool>(),  // convex
-        0.0..1.0f64,    // slope (convex) or vertex position (concave)
+        0u8..3,         // shape: convex, concave or linear
+        0.0..1.0f64,    // slope (convex, linear) or vertex position (concave)
         0.001..0.2f64,  // |n|
         0.0..200.0f64,  // floor over the envelope
         1u32..6,        // count
     )
-        .prop_map(move |(idle, span, convex, t, curvature, floor, count)| {
+        .prop_map(move |(idle, span, shape, t, curvature, floor, count)| {
             let peak = idle + span;
-            let (m, n) = if convex {
-                (10.0 * t - 4.0, 0.25 * curvature)
-            } else {
-                (2.0 * curvature * 1.3 * peak * t, -curvature)
+            let (m, n) = match shape {
+                0 => (10.0 * t - 4.0, 0.25 * curvature),
+                1 => (2.0 * curvature * 1.3 * peak * t, -curvature),
+                _ => (30.0 * t - 4.0, 0.0),
             };
             let raw = Quadratic { l: 0.0, m, n };
             let mut low = raw.eval(idle).min(raw.eval(peak));
@@ -153,8 +153,8 @@ fn arb_quadratic_group(id: u32) -> impl Strategy<Value = ServerGroup> {
         })
 }
 
-/// Strategy: 1–5 quadratic non-negative groups and a budget below their
-/// total peak.
+/// Strategy: 1–5 groups with non-negative quadratic or linear fits and a
+/// budget below their total peak.
 fn arb_quadratic_problem() -> impl Strategy<Value = AllocationProblem> {
     (1usize..=5, 0.0..1.0f64)
         .prop_flat_map(|(len, share)| {
@@ -217,12 +217,15 @@ proptest! {
         }
     }
 
-    /// The exact engine is exact for quadratic fits that are non-negative
-    /// on their envelope: convex and concave mixed, budgets below the
-    /// total peak, and the grid never beats it beyond rounding.
+    /// The exact engine is exact for quadratic and linear fits that are
+    /// non-negative on their envelope: convex, concave and linear mixed,
+    /// budgets below the total peak, every answer feasible, and the grid
+    /// never beats it beyond rounding.
     #[test]
     fn exact_engine_never_loses_to_the_grid(p in arb_quadratic_problem()) {
-        let exact = solve_exact(&p).unwrap().projected.value();
+        let exact = solve_exact(&p).unwrap();
+        prop_assert!(p.is_feasible(&exact.per_server));
+        let exact = exact.projected.value();
         let grid = solve_grid(&p).projected.value();
         prop_assert!(
             grid <= exact + 1e-9 * exact.abs().max(1.0),
