@@ -38,8 +38,8 @@
 //! * the memory point: a homogeneous zero-noise `--racks100k N`
 //!   (default 100,000) fleet run last, so the process's `VmHWM`
 //!   high-water mark afterwards bounds its resident footprint — RSS per
-//!   rack against the 80 kB/rack budget, plus the shared-solve reuse
-//!   rate of the fleet-wide cache.
+//!   rack against the 80 kB/rack budget, plus the fleet-wide cache's
+//!   shared-solve and Holt-training reuse rates.
 //!
 //! Validating a fleet snapshot enforces the structural gates (thread
 //! cap, RSS budget, reuse floor) unconditionally and the wall-clock
@@ -173,6 +173,7 @@ const FLEET_SCHEMA_KEYS: &[&str] = &[
     "racks100k_rack_epochs_per_sec",
     "racks100k_rss_kb_per_rack",
     "shared_solve_reuse_rate",
+    "shared_training_reuse_rate",
 ];
 
 /// RSS budget per rack for the large-fleet memory point, kilobytes.
@@ -400,6 +401,11 @@ fn validate_snapshot(path: &PathBuf) -> Result<(), String> {
         let reuse = event.num("shared_solve_reuse_rate").unwrap_or(-1.0);
         gate_range("shared_solve_reuse_rate", reuse, 0.0, 1.0)?;
         gate_floor("shared_solve_reuse_rate", reuse, 0.9)?;
+        // And its Holt trainings: identical racks train on identical
+        // histories, so nearly every retrain is another rack's.
+        let reuse = event.num("shared_training_reuse_rate").unwrap_or(-1.0);
+        gate_range("shared_training_reuse_rate", reuse, 0.0, 1.0)?;
+        gate_floor("shared_training_reuse_rate", reuse, 0.9)?;
     }
     Ok(())
 }
@@ -565,12 +571,14 @@ fn bench_fleet(args: &Args) {
     let big_epochs = big_report.epochs.len();
     let big_rack_epochs = f64::from(big_racks) * big_epochs as f64;
     let reuse = big_report.shared_solve.reuse_rate();
+    let trainings = big_report.shared_solve.training_hits + big_report.shared_solve.training_misses;
+    let training_reuse = big_report.shared_solve.training_hits as f64 / trainings.max(1) as f64;
     let big_rss_kb = peak_rss_kb();
     let big_rss_kb_per_rack = big_rss_kb / f64::from(big_racks.max(1));
     println!(
         "fleet: {big_racks} homogeneous zero-noise racks x {big_epochs} epochs in \
-         {big_secs:.2} s; shared-solve reuse rate {reuse:.4}; \
-         peak RSS {:.1} MB ({big_rss_kb_per_rack:.2} kB/rack)",
+         {big_secs:.2} s; shared-solve reuse rate {reuse:.4}, training reuse rate \
+         {training_reuse:.4}; peak RSS {:.1} MB ({big_rss_kb_per_rack:.2} kB/rack)",
         big_rss_kb / 1024.0
     );
 
@@ -635,6 +643,7 @@ fn bench_fleet(args: &Args) {
     );
     push(&mut json, "racks100k_rss_kb_per_rack", big_rss_kb_per_rack);
     push(&mut json, "shared_solve_reuse_rate", reuse);
+    push(&mut json, "shared_training_reuse_rate", training_reuse);
     // The one boolean key: whether the 2x floor above was actually
     // measured on this machine.
     let _ = write!(json, ", \"scaling_gated\": {scaling_gated}");

@@ -325,7 +325,7 @@ impl PredictorLane {
         }
     }
 
-    fn observe(&mut self, value: f64, cfg: &ControllerConfig) {
+    fn observe(&mut self, value: f64, cfg: &ControllerConfig, shared: Option<&SharedSolveCache>) {
         self.history.push(value);
         if self.history.len() > cfg.holt_history {
             let excess = self.history.len() - cfg.holt_history;
@@ -334,20 +334,30 @@ impl PredictorLane {
         self.predictor.observe(value);
         self.epochs_since_train += 1;
         if self.epochs_since_train >= cfg.holt_retrain_epochs {
-            self.retrain(cfg);
+            self.retrain(cfg, shared);
         }
     }
 
-    fn retrain(&mut self, cfg: &ControllerConfig) {
-        // The last answer is the search's hint: the history has moved on by
-        // `holt_retrain_epochs` observations, so it is usually near the new
-        // one, and the result does not depend on it.
-        self.params = train_or_default(&self.history, cfg.holt_grid_step, self.params);
-        let mut fresh = self.params.predictor();
-        for &v in &self.history {
-            fresh.observe(v);
-        }
-        self.predictor = fresh;
+    /// Trains α/β on the history and replays it into a fresh predictor,
+    /// or takes both from the shared cache when another lane already
+    /// trained on the same bits.
+    fn retrain(&mut self, cfg: &ControllerConfig, shared: Option<&SharedSolveCache>) {
+        let step = cfg.holt_grid_step;
+        let train = || {
+            // The last answer is the search's hint: the history has moved
+            // on by `holt_retrain_epochs` observations, so it is usually
+            // near the new one, and the result does not depend on it.
+            let params = train_or_default(&self.history, step, self.params);
+            let mut fresh = params.predictor();
+            for &v in &self.history {
+                fresh.observe(v);
+            }
+            (params, fresh)
+        };
+        (self.params, self.predictor) = match shared {
+            Some(cache) => cache.holt_training(&self.history, step, train),
+            None => train(),
+        };
         self.epochs_since_train = 0;
     }
 
@@ -421,9 +431,10 @@ impl Controller {
 
     /// Attaches a cross-controller [`SharedSolveCache`]: racks (or serve
     /// sessions) facing bit-identical allocation problems pay one cold
-    /// solve and reuse the answer. Purely an acceleration — every output
-    /// of this controller, counters included, is bit-identical with the
-    /// cache attached, detached, or resized.
+    /// solve and reuse the answer, and predictor lanes retraining on
+    /// bit-identical histories pay one Holt search. Purely an
+    /// acceleration — every output of this controller, counters included,
+    /// is bit-identical with the cache attached, detached, or resized.
     pub fn set_shared_solve_cache(&mut self, shared: Arc<SharedSolveCache>) {
         self.fast.set_shared_cache(Some(shared));
     }
@@ -697,13 +708,15 @@ impl Controller {
         observed_demand: Watts,
         feedback: &[GroupFeedback],
     ) {
+        let shared = self.fast.shared_cache();
         let renewable = observed_renewable.value();
         if renewable.is_finite() {
-            self.renewable.observe(renewable.max(0.0), &self.config);
+            self.renewable
+                .observe(renewable.max(0.0), &self.config, shared);
         }
         let demand = observed_demand.value();
         if demand.is_finite() {
-            self.demand.observe(demand.max(0.0), &self.config);
+            self.demand.observe(demand.max(0.0), &self.config, shared);
         }
 
         if self.policy.updates_database() {
@@ -1008,6 +1021,61 @@ mod tests {
         let after = c.predictor_params().0;
         // Retraining happened; the trend series wants a high alpha.
         assert!(after.alpha >= before.alpha || after.beta != before.beta);
+    }
+
+    /// A lane's retrain as raw bits: α and β, then the replayed
+    /// predictor's level, trend and observation count.
+    fn lane_bits(lane: &PredictorLane) -> (u64, u64, Option<u64>, Option<u64>, usize) {
+        use crate::predictor::Predictor as _;
+        let p = &lane.predictor;
+        (
+            lane.params.alpha.to_bits(),
+            lane.params.beta.to_bits(),
+            p.level().map(f64::to_bits),
+            p.trend().map(f64::to_bits),
+            p.len(),
+        )
+    }
+
+    fn retrained(history: &[f64], shared: Option<&SharedSolveCache>) -> PredictorLane {
+        let mut lane = PredictorLane::new();
+        lane.history = history.to_vec();
+        lane.retrain(&ControllerConfig::default(), shared);
+        lane
+    }
+
+    #[test]
+    fn signed_zero_histories_never_share_a_training() {
+        // `−0.0 == 0.0`, but the search's night skip and the replay read
+        // bit patterns, so each history is its own entry and every lane
+        // gets the bits it would have trained alone.
+        let dawn = |first: f64| {
+            let mut history = vec![first, 0.0, 0.0];
+            history.extend((1..40).map(|i| 25.0 * f64::from(i)));
+            history
+        };
+        let pairs = [(vec![0.0], vec![-0.0]), (dawn(0.0), dawn(-0.0))];
+        let shared = SharedSolveCache::new(crate::solver::DEFAULT_SHARED_SOLVE_CAPACITY);
+        for (plus, minus) in &pairs {
+            assert_eq!(plus, minus);
+            for history in [plus, minus] {
+                assert_eq!(
+                    lane_bits(&retrained(history, Some(&shared))),
+                    lane_bits(&retrained(history, None)),
+                    "{history:?}"
+                );
+            }
+        }
+        let stats = shared.stats();
+        assert_eq!((stats.training_hits, stats.training_misses), (0, 4));
+        assert_eq!(shared.len(), 4);
+        // One entry for a pair would hand one lane the wrong bits: a
+        // one-reading history replays into a predictor whose level is the
+        // reading, sign included.
+        assert_ne!(
+            lane_bits(&retrained(&[0.0], None)),
+            lane_bits(&retrained(&[-0.0], None))
+        );
     }
 
     #[test]

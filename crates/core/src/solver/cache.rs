@@ -1,5 +1,6 @@
 //! The solver fast path: reuse of the last answer, then the fleet's
-//! shared solve cache (DESIGN.md §11).
+//! shared cache (DESIGN.md §11), which also memoizes Holt trainings
+//! (DESIGN.md §14).
 //!
 //! Fleets pose the same problem on many racks, and the solver's answer is
 //! a pure function of the problem, so [`SolverFastPath`] skips engine
@@ -28,11 +29,21 @@
 //! sequence* — never of shared-cache occupancy — which is why seeded runs
 //! are bit-identical with the shared cache on, off or resized
 //! (`crates/sim/tests/fleet.rs` proves it).
+//!
+//! The same cache holds the controllers' Holt trainings. A predictor
+//! lane's retrain (the α/β search of Eq. 5, then a replay of the history)
+//! is a pure function of its history and grid step: the search returns
+//! the same bits for every hint. Racks of a fleet share a solar trace and
+//! an intensity profile, so most of their lanes train on histories
+//! another lane already trained on; each distinct history is searched
+//! once, keyed by its values' bits, and every other lane takes the stored
+//! parameters and predictor.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::error::CoreError;
+use crate::predictor::{HoltParams, HoltPredictor};
 use crate::solver::problem::{Allocation, AllocationProblem};
 use crate::solver::scratch::SolverScratch;
 use crate::solver::{solve_with_engine_scratch, SolveEngine};
@@ -69,28 +80,152 @@ struct LastSolve {
 /// [`SharedSolveCache`].
 pub const DEFAULT_SHARED_SOLVE_CAPACITY: usize = 1024;
 
+/// Most Holt trainings a [`SharedSolveCache`] keeps, and fewer when its
+/// capacity is smaller. A fleet's lanes train in lock-step, so only the
+/// histories of the current retrain epoch repeat; a `run_all` batch at one
+/// worker needs a cell's histories (about 16) to outlive its five runs.
+/// Each entry holds a whole history, up to 1.5 kB at the default
+/// `holt_history` of 192.
+const TRAINING_CAPACITY: usize = 64;
+
 /// Shard count of a [`SharedSolveCache`]; lookups lock only the shard
-/// selected by the group digest, so racks working on different layouts
+/// selected by the key's digest, so racks working on different layouts
 /// never contend.
 const SHARED_SHARDS: usize = 16;
 
-/// One shared solve. The full problem is kept: the digest narrows the
-/// lookup, bit-for-bit equality authorizes reuse.
+/// One cached answer. The digest narrows a lookup; the full key, compared
+/// in full, authorizes reuse.
 #[derive(Debug)]
-struct SharedEntry {
+struct Slot<K, V> {
     digest: u64,
-    problem: AllocationProblem,
-    allocation: Allocation,
-    engine: SolveEngine,
     stamp: u64,
+    key: K,
+    value: V,
+}
+
+/// One shard's entries of one kind, bounded by evicting the least
+/// recently used one (the lowest stamp of the cache-wide clock).
+#[derive(Debug)]
+struct Lru<K, V>(Vec<Slot<K, V>>);
+
+impl<K, V> Default for Lru<K, V> {
+    fn default() -> Self {
+        Lru(Vec::new())
+    }
+}
+
+impl<K, V: Clone> Lru<K, V> {
+    /// The value under `digest` whose entry `valid` accepts, restamped as
+    /// just used. `Err(true)` when entries under the digest all failed
+    /// `valid` (a digest collision), `Err(false)` when there was none.
+    fn get(
+        &mut self,
+        digest: u64,
+        clock: &AtomicU64,
+        valid: impl Fn(&K, &V) -> bool,
+    ) -> Result<V, bool> {
+        let mut collided = false;
+        for slot in &mut self.0 {
+            if slot.digest == digest {
+                if valid(&slot.key, &slot.value) {
+                    slot.stamp = tick(clock);
+                    return Ok(slot.value.clone());
+                }
+                collided = true;
+            }
+        }
+        Err(collided)
+    }
+
+    /// Publishes the entry `make` builds, evicting the least recently used
+    /// entry when `capacity` are held. If another controller raced us to
+    /// the same key (`same`), the existing entry is kept — the answers are
+    /// bit-identical by construction — and only its stamp refreshes.
+    /// Returns whether an entry was inserted and whether one was evicted.
+    fn put(
+        &mut self,
+        capacity: usize,
+        digest: u64,
+        clock: &AtomicU64,
+        same: impl Fn(&K) -> bool,
+        make: impl FnOnce() -> (K, V),
+    ) -> (bool, bool) {
+        if let Some(existing) = self
+            .0
+            .iter_mut()
+            .find(|s| s.digest == digest && same(&s.key))
+        {
+            existing.stamp = tick(clock);
+            return (false, false);
+        }
+        let victim = if self.0.len() >= capacity {
+            let oldest = self.0.iter().enumerate().min_by_key(|(_, s)| s.stamp);
+            oldest.map(|(i, _)| i)
+        } else {
+            None
+        };
+        if let Some(victim) = victim {
+            self.0.swap_remove(victim);
+        }
+        let (key, value) = make();
+        self.0.push(Slot {
+            digest,
+            stamp: tick(clock),
+            key,
+            value,
+        });
+        (true, victim.is_some())
+    }
+}
+
+/// The shard a key's digest selects.
+fn shard_index(digest: u64) -> usize {
+    (digest as usize) % SHARED_SHARDS
+}
+
+/// The next stamp of the cache-wide LRU clock.
+fn tick(clock: &AtomicU64) -> u64 {
+    clock.fetch_add(1, Ordering::Relaxed) + 1
+}
+
+/// A trained history: the grid step's bits and every value's bits, so
+/// that `+0.0` and `−0.0` readings are different keys, as they are to
+/// the search.
+#[derive(Debug)]
+struct TrainingKey {
+    step: u64,
+    history: Box<[u64]>,
+}
+
+impl TrainingKey {
+    fn matches(&self, history: &[f64], step: f64) -> bool {
+        self.step == step.to_bits()
+            && self.history.len() == history.len()
+            && self
+                .history
+                .iter()
+                .zip(history)
+                .all(|(&k, v)| k == v.to_bits())
+    }
+}
+
+/// A retrained lane: the trained parameters and the predictor replayed
+/// over the history.
+type Trained = (HoltParams, HoltPredictor);
+
+/// One shard: both kinds of entry under one lock.
+#[derive(Debug, Default)]
+struct Shard {
+    solves: Lru<AllocationProblem, (Allocation, SolveEngine)>,
+    trainings: Lru<TrainingKey, Trained>,
 }
 
 /// Snapshot of a [`SharedSolveCache`]'s lifetime counters.
 ///
 /// These are *scheduling-dependent provenance*: which rack pays the one
-/// cold solve (and which ones reuse it) depends on thread interleaving, so
-/// these counters must never feed per-rack ledgers, JSONL events, or any
-/// byte-compared artifact — they belong next to fields like
+/// cold solve or training (and which ones reuse it) depends on thread
+/// interleaving, so these counters must never feed per-rack ledgers, JSONL
+/// events, or any byte-compared artifact — they belong next to fields like
 /// `FleetReport::workers`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SharedSolveStats {
@@ -103,14 +238,19 @@ pub struct SharedSolveStats {
     pub revalidation_misses: u64,
     /// Solves published into the cache.
     pub insertions: u64,
-    /// Entries displaced by per-shard LRU eviction.
+    /// Solve entries displaced by per-shard LRU eviction.
     pub evictions: u64,
+    /// Holt retrains answered by a stored training of the same history.
+    pub training_hits: u64,
+    /// Holt retrains that ran the search (and published it).
+    pub training_misses: u64,
 }
 
 impl SharedSolveStats {
-    /// Fraction of lookups answered from the cache; 0 when no lookups
-    /// have happened. For a homogeneous N-rack fleet this approaches
-    /// (N − 1)/N: one rack pays each cold solve, the rest reuse it.
+    /// Fraction of solve lookups answered from the cache; 0 when no
+    /// lookups have happened. For a homogeneous N-rack fleet this
+    /// approaches (N − 1)/N: one rack pays each cold solve, the rest reuse
+    /// it. Trainings do not count.
     #[must_use]
     // greenhetero-lint: allow(GH002) dimensionless counter ratio for bench snapshots, not a physical quantity
     pub fn reuse_rate(&self) -> f64 {
@@ -123,58 +263,65 @@ impl SharedSolveStats {
     }
 }
 
-/// A thread-safe solve cache shared across controllers — the fleet-wide
-/// batched-solve substrate. Keyed by a digest over configs, counts, model
-/// fingerprints and the budget, and revalidated by full problem equality
-/// on every hit, so a hit is bit-identical to the engine call it
-/// replaces.
+/// A thread-safe cache shared across controllers — the fleet-wide
+/// batched-solve substrate. Solves are keyed by a digest over configs,
+/// counts, model fingerprints and the budget, and revalidated by full
+/// problem equality on every hit, so a hit is bit-identical to the engine
+/// call it replaces. Holt trainings are keyed by a digest of the history
+/// and grid step and revalidated bit for bit.
 ///
 /// Attaching or resizing this cache never changes any controller's output:
-/// it only substitutes bit-identical answers for redundant engine calls.
-/// Its counters are scheduling-dependent (see [`SharedSolveStats`]) and
-/// are surfaced only as run provenance and daemon metrics.
+/// it only substitutes bit-identical answers for redundant engine calls
+/// and searches. Its counters are scheduling-dependent (see
+/// [`SharedSolveStats`]) and are surfaced only as run provenance and
+/// daemon metrics.
 #[derive(Debug)]
 pub struct SharedSolveCache {
-    shards: Vec<Mutex<Vec<SharedEntry>>>,
+    shards: [Mutex<Shard>; SHARED_SHARDS],
     shard_capacity: usize,
+    training_shard_capacity: usize,
     clock: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     revalidation_misses: AtomicU64,
     insertions: AtomicU64,
     evictions: AtomicU64,
+    training_hits: AtomicU64,
+    training_misses: AtomicU64,
 }
 
 impl SharedSolveCache {
-    /// A cache holding roughly `capacity` entries (rounded up to fill the
-    /// fixed shard count; a capacity below 1 is clamped to 1 per shard).
+    /// A cache holding roughly `capacity` solves (rounded up to fill the
+    /// fixed shard count; a capacity below 1 is clamped to 1 per shard)
+    /// and at most `min(capacity, 64)` Holt trainings, rounded the same
+    /// way.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        let shard_capacity = capacity.div_ceil(SHARED_SHARDS).max(1);
+        let per_shard = |entries: usize| entries.div_ceil(SHARED_SHARDS).max(1);
         SharedSolveCache {
-            shards: (0..SHARED_SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
-            shard_capacity,
+            shards: std::array::from_fn(|_| Mutex::default()),
+            shard_capacity: per_shard(capacity),
+            training_shard_capacity: per_shard(capacity.min(TRAINING_CAPACITY)),
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             revalidation_misses: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            training_hits: AtomicU64::new(0),
+            training_misses: AtomicU64::new(0),
         }
     }
 
-    /// Total entry capacity across shards.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.shard_capacity * self.shards.len()
-    }
-
-    /// Entries currently held across all shards.
+    /// Entries currently held across all shards, solves and trainings.
     #[must_use]
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).len())
+            .map(|s| {
+                let shard = s.lock().unwrap_or_else(PoisonError::into_inner);
+                shard.solves.0.len() + shard.trainings.0.len()
+            })
             .sum()
     }
 
@@ -193,15 +340,15 @@ impl SharedSolveCache {
             revalidation_misses: self.revalidation_misses.load(Ordering::Relaxed),
             insertions: self.insertions.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
+            training_hits: self.training_hits.load(Ordering::Relaxed),
+            training_misses: self.training_misses.load(Ordering::Relaxed),
         }
     }
 
-    fn shard(&self, digest: u64) -> &Mutex<Vec<SharedEntry>> {
-        &self.shards[(digest as usize) % self.shards.len()]
-    }
-
-    fn next_stamp(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed) + 1
+    fn shard(&self, digest: u64) -> MutexGuard<'_, Shard> {
+        self.shards[shard_index(digest)]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Returns the stored answer for `problem` if one exists and survives
@@ -211,33 +358,20 @@ impl SharedSolveCache {
         digest: u64,
         problem: &AllocationProblem,
     ) -> Option<(Allocation, SolveEngine)> {
-        let mut entries = self
-            .shard(digest)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let mut collided = false;
-        for e in entries.iter_mut() {
-            if e.digest == digest {
-                if e.problem == *problem && e.problem.is_feasible(&e.allocation.per_server) {
-                    e.stamp = self.next_stamp();
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Some((e.allocation.clone(), e.engine));
-                }
-                collided = true;
-            }
-        }
-        drop(entries);
-        if collided {
-            self.revalidation_misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        None
+        let valid = |stored: &AllocationProblem, (allocation, _): &(Allocation, SolveEngine)| {
+            stored == problem && stored.is_feasible(&allocation.per_server)
+        };
+        let found = self.shard(digest).solves.get(digest, &self.clock, valid);
+        let counter = match found {
+            Ok(_) => &self.hits,
+            Err(true) => &self.revalidation_misses,
+            Err(false) => &self.misses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found.ok()
     }
 
-    /// Publishes a freshly computed answer. If another controller raced us
-    /// to the same problem the existing entry is kept (the answers are
-    /// bit-identical by construction) and only its stamp refreshes.
+    /// Publishes a freshly computed answer (see [`Lru::put`]).
     fn insert(
         &self,
         digest: u64,
@@ -245,37 +379,57 @@ impl SharedSolveCache {
         allocation: &Allocation,
         engine: SolveEngine,
     ) {
-        let mut entries = self
-            .shard(digest)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some(existing) = entries
-            .iter_mut()
-            .find(|e| e.digest == digest && e.problem == *problem)
-        {
-            existing.stamp = self.next_stamp();
-            return;
-        }
-        if entries.len() >= self.shard_capacity {
-            if let Some(victim) = entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(i, _)| i)
-            {
-                entries.swap_remove(victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let stamp = self.next_stamp();
-        entries.push(SharedEntry {
+        let (inserted, evicted) = self.shard(digest).solves.put(
+            self.shard_capacity,
             digest,
-            problem: problem.clone(),
-            allocation: allocation.clone(),
-            engine,
-            stamp,
-        });
-        self.insertions.fetch_add(1, Ordering::Relaxed);
+            &self.clock,
+            |stored| stored == problem,
+            || (problem.clone(), (allocation.clone(), engine)),
+        );
+        if inserted {
+            self.insertions.fetch_add(1, Ordering::Relaxed);
+        }
+        if evicted {
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// The lane retrain of `history` at grid step `step`: the stored one
+    /// when a lane already trained on these bits, else `train`'s, which
+    /// runs outside the lock and is then published. `train` must be a pure
+    /// function of `history` and `step`, so either answer is the same
+    /// bits.
+    pub(crate) fn holt_training(
+        &self,
+        history: &[f64],
+        step: f64,
+        train: impl FnOnce() -> Trained,
+    ) -> Trained {
+        let digest = training_digest(history, step);
+        let found = self
+            .shard(digest)
+            .trainings
+            .get(digest, &self.clock, |key, _| key.matches(history, step));
+        if let Ok(trained) = found {
+            self.training_hits.fetch_add(1, Ordering::Relaxed);
+            return trained;
+        }
+        self.training_misses.fetch_add(1, Ordering::Relaxed);
+        let trained = train();
+        self.shard(digest).trainings.put(
+            self.training_shard_capacity,
+            digest,
+            &self.clock,
+            |key| key.matches(history, step),
+            || {
+                let key = TrainingKey {
+                    step: step.to_bits(),
+                    history: history.iter().map(|v| v.to_bits()).collect(),
+                };
+                (key, trained.clone())
+            },
+        );
+        trained
     }
 }
 
@@ -303,6 +457,11 @@ impl SolverFastPath {
     /// were absent.
     pub fn set_shared_cache(&mut self, shared: Option<Arc<SharedSolveCache>>) {
         self.shared = shared;
+    }
+
+    /// The attached shared cache, if any.
+    pub(crate) fn shared_cache(&self) -> Option<&SharedSolveCache> {
+        self.shared.as_deref()
     }
 
     /// Lifetime counters (never reset).
@@ -378,30 +537,64 @@ impl SolverFastPath {
     }
 }
 
-/// Digest of the problem: group count, per group (config, count, model
-/// fingerprint), then the budget's bits, one FNV xor-and-multiply per
-/// 8-byte word. A last step folds the high half into the low one twice
-/// around a multiply, so the low bits the shard index reads depend on
-/// every bit of every word. Equal problems have equal digests: adding
-/// `0.0` turns a `-0.0` budget into `+0.0`, the two budgets `==` cannot
-/// tell apart.
-fn problem_digest(problem: &AllocationProblem) -> u64 {
-    let mix = |hash: u64, word: u64| (hash ^ word).wrapping_mul(0x0000_0100_0000_01b3);
-    let mut hash = mix(0xcbf2_9ce4_8422_2325, problem.groups().len() as u64);
-    for g in problem.groups() {
-        hash = mix(hash, u64::from(g.config.raw()));
-        hash = mix(hash, u64::from(g.count));
-        hash = mix(hash, g.model.fingerprint());
+/// FNV's xor-and-multiply, one step per 8-byte word. [`finish`] folds the
+/// high half into the low one twice around a multiply, so the low bits
+/// the shard index reads depend on every bit of every word.
+///
+/// [`finish`]: Digest::finish
+#[derive(Clone, Copy)]
+struct Digest(u64);
+
+impl Digest {
+    const START: Digest = Digest(0xcbf2_9ce4_8422_2325);
+
+    fn word(self, word: u64) -> Digest {
+        Digest((self.0 ^ word).wrapping_mul(0x0000_0100_0000_01b3))
     }
-    hash = mix(hash, (problem.budget().value() + 0.0).to_bits());
-    hash = mix(hash, hash >> 32);
-    hash ^ (hash >> 32)
+
+    fn finish(self) -> u64 {
+        let hash = self.word(self.0 >> 32).0;
+        hash ^ (hash >> 32)
+    }
+}
+
+/// Digest of the problem: group count, per group (config, count, model
+/// fingerprint), then the budget's bits. Equal problems have equal
+/// digests: adding `0.0` turns a `-0.0` budget into `+0.0`, the two
+/// budgets `==` cannot tell apart.
+fn problem_digest(problem: &AllocationProblem) -> u64 {
+    let mut digest = Digest::START.word(problem.groups().len() as u64);
+    for g in problem.groups() {
+        digest = digest
+            .word(u64::from(g.config.raw()))
+            .word(u64::from(g.count))
+            .word(g.model.fingerprint());
+    }
+    digest
+        .word((problem.budget().value() + 0.0).to_bits())
+        .finish()
+}
+
+/// Digest of a training key: the history's length, the grid step's bits,
+/// then every value's bits. Unlike the budget, a zero keeps its sign: the
+/// search tells a `−0.0` reading from a `+0.0` one.
+fn training_digest(history: &[f64], step: f64) -> u64 {
+    history
+        .iter()
+        .fold(
+            Digest::START
+                .word(history.len() as u64)
+                .word(step.to_bits()),
+            |digest, v| digest.word(v.to_bits()),
+        )
+        .finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::database::{PerfModel, Quadratic};
+    use crate::predictor::{train_or_default, Predictor as _};
     use crate::solver::{solve_with_engine, ServerGroup};
     use crate::types::{ConfigId, PowerRange, Watts};
 
@@ -508,12 +701,9 @@ mod tests {
     fn whole_watt_budgets_spread_over_every_shard() {
         // Whole-watt budgets differ only in their high bits; the digest's
         // closing fold still spreads them over the shards.
-        let shared = SharedSolveCache::new(SHARED_SHARDS);
         let mut per_shard = [0u32; SHARED_SHARDS];
         for budget in 0..512u32 {
-            let shard = shared.shard(problem_digest(&problem(f64::from(budget))));
-            let index = shared.shards.iter().position(|s| std::ptr::eq(s, shard));
-            per_shard[index.unwrap()] += 1;
+            per_shard[shard_index(problem_digest(&problem(f64::from(budget))))] += 1;
         }
         assert!(per_shard.iter().all(|&n| n >= 16), "{per_shard:?}");
     }
@@ -649,6 +839,90 @@ mod tests {
         shared.insert(digest, &p, &a, e);
         assert_eq!(shared.len(), 1);
         assert_eq!(shared.stats().insertions, 1);
+    }
+
+    /// A lane's retrain, as the controller runs it.
+    fn train(history: &[f64]) -> Trained {
+        let params = train_or_default(history, 0.05, HoltParams::DEFAULT);
+        let mut predictor = params.predictor();
+        for &v in history {
+            predictor.observe(v);
+        }
+        (params, predictor)
+    }
+
+    fn day(len: usize, scale: f64) -> Vec<f64> {
+        (0..len)
+            .map(|i| (scale * (i as f64 * 0.2).sin()).max(0.0))
+            .collect()
+    }
+
+    #[test]
+    fn racing_trainings_of_one_history_leave_one_entry() {
+        // Both lanes miss before either publishes: each waits in its
+        // search until the other has entered its own.
+        let shared = SharedSolveCache::new(DEFAULT_SHARED_SOLVE_CAPACITY);
+        let history = day(96, 800.0);
+        let both_searching = std::sync::Barrier::new(2);
+        let answers: Vec<Trained> = std::thread::scope(|scope| {
+            let lanes: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        shared.holt_training(&history, 0.05, || {
+                            both_searching.wait();
+                            train(&history)
+                        })
+                    })
+                })
+                .collect();
+            lanes.into_iter().map(|l| l.join().unwrap()).collect()
+        });
+        assert_eq!(answers[0], answers[1]);
+        assert_eq!(shared.len(), 1);
+        let stats = shared.stats();
+        assert_eq!((stats.training_hits, stats.training_misses), (0, 2));
+        // A third lane takes the entry without searching.
+        let third = shared.holt_training(&history, 0.05, || unreachable!("stored"));
+        assert_eq!(third, answers[0]);
+        assert_eq!(shared.stats().training_hits, 1);
+        assert_eq!(shared.stats().insertions, 0, "solves count apart");
+    }
+
+    #[test]
+    fn trainings_are_keyed_by_history_and_step() {
+        let shared = SharedSolveCache::new(DEFAULT_SHARED_SOLVE_CAPACITY);
+        let history = day(50, 500.0);
+        let mut longer = history.clone();
+        longer.push(1.0);
+        let mut nudged = history.clone();
+        nudged[7] = f64::from_bits(nudged[7].to_bits() + 1);
+        for (h, step) in [(&history, 0.05), (&history, 0.1), (&longer, 0.05)] {
+            shared.holt_training(h, step, || train(h));
+        }
+        shared.holt_training(&nudged, 0.05, || train(&nudged));
+        assert_eq!(shared.stats().training_misses, 4);
+        assert_eq!(shared.stats().training_hits, 0);
+        shared.holt_training(&history, 0.1, || unreachable!("stored"));
+        assert_eq!(shared.stats().training_hits, 1);
+        assert_ne!(
+            training_digest(&history, 0.05),
+            training_digest(&nudged, 0.05)
+        );
+    }
+
+    #[test]
+    fn trainings_stay_within_min_of_capacity_and_64() {
+        // 300 distinct histories fill every shard: 4 trainings each at
+        // the default capacity, 1 each at capacity 3.
+        for (capacity, most) in [(DEFAULT_SHARED_SOLVE_CAPACITY, 64), (3, SHARED_SHARDS)] {
+            let shared = SharedSolveCache::new(capacity);
+            for i in 0..300 {
+                let history = day(12, 100.0 + f64::from(i));
+                shared.holt_training(&history, 0.05, || train(&history));
+            }
+            assert_eq!(shared.len(), most, "capacity {capacity}");
+            assert_eq!(shared.stats().training_misses, 300);
+        }
     }
 
     #[test]

@@ -116,25 +116,10 @@ pub fn solve_exact_with(
 
     let budget = problem.budget();
     scratch.prepare_exact(groups.len());
-    let mut best_value = problem.objective(&scratch.exact_best);
-
-    // Fast path: the budget covers everyone at peak.
     if budget >= problem.total_peak() {
-        for (slot, g) in scratch.exact_assignment.iter_mut().zip(groups) {
-            *slot = best_power_cap(g);
-        }
-        let value = problem.objective(&scratch.exact_assignment);
-        if value > best_value {
-            return Ok(Allocation::from_assignment(
-                problem,
-                scratch.exact_assignment.clone(),
-            ));
-        }
-        return Ok(Allocation::from_assignment(
-            problem,
-            scratch.exact_best.clone(),
-        ));
+        return Ok(abundant(problem, scratch));
     }
+    let mut best_value = problem.objective(&scratch.exact_best);
 
     for (i, g) in groups.iter().enumerate() {
         if !g.model.curve().is_concave() {
@@ -201,6 +186,29 @@ pub fn solve_exact_with(
         problem,
         scratch.exact_best.clone(),
     ))
+}
+
+/// The answer when the budget covers every group at its peak. The groups
+/// no longer compete for watts, so each takes the better of off and the
+/// maximum of its fit over the envelope: the clamped vertex of a concave
+/// fit, the better end of a linear or convex one (the peak on a tie).
+fn abundant(problem: &AllocationProblem, scratch: &mut SolverScratch) -> Allocation {
+    for (slot, g) in scratch.exact_assignment.iter_mut().zip(problem.groups()) {
+        let range = g.model.range();
+        let top = if g.model.curve().n < 0.0
+            || g.model.eval(range.peak()) >= g.model.eval(range.idle())
+        {
+            best_power_cap(g)
+        } else {
+            range.idle()
+        };
+        *slot = if g.throughput(top) > Throughput::ZERO {
+            top
+        } else {
+            Watts::ZERO
+        };
+    }
+    Allocation::from_assignment(problem, scratch.exact_assignment.clone())
 }
 
 /// Assigns the on-groups of one convex mask: each convex group at its best
@@ -752,17 +760,10 @@ mod tests {
         let groups = problem.groups();
         let budget = problem.budget();
         scratch.prepare_exact(groups.len());
-        let mut best_value = problem.objective(&scratch.exact_best);
         if budget >= problem.total_peak() {
-            for (slot, g) in scratch.exact_assignment.iter_mut().zip(groups) {
-                *slot = best_power_cap(g);
-            }
-            let value = problem.objective(&scratch.exact_assignment);
-            if value > best_value {
-                return Allocation::from_assignment(problem, scratch.exact_assignment.clone());
-            }
-            return Allocation::from_assignment(problem, scratch.exact_best.clone());
+            return abundant(problem, scratch);
         }
+        let mut best_value = problem.objective(&scratch.exact_best);
         for (i, g) in groups.iter().enumerate() {
             if !g.model.curve().is_concave() {
                 scratch.convex.push(i);
@@ -924,9 +925,23 @@ mod tests {
         AllocationProblem::new(list, Watts::new(budget)).unwrap()
     }
 
+    /// `true` when the engine's answer at one watt past the total peak is
+    /// worth less than `answer`, beyond rounding.
+    fn more_budget_projects_less(problem: &AllocationProblem, answer: &Allocation) -> bool {
+        let abundant = AllocationProblem::new(
+            problem.groups().to_vec(),
+            problem.total_peak() + Watts::new(1.0),
+        )
+        .unwrap();
+        let top = solve_exact(&abundant).unwrap().projected.value();
+        let answer = answer.projected.value();
+        top < answer - 1e-9 * answer.abs().max(1.0)
+    }
+
     /// Checks `cases` problems of each kind, 1–5 groups: every answer is
-    /// feasible, the grid never beats the engine on non-negative quadratic
-    /// and linear fits, and problems with no convex fit keep the
+    /// feasible and worth no more than the answer at one watt past the
+    /// total peak, the grid never beats the engine on non-negative
+    /// quadratic and linear fits, and problems with no convex fit keep the
     /// reference's bits. Returns how many of the non-negative problems had
     /// a convex fit and how many an exactly linear one.
     fn sweep(seed: u64, cases: usize) -> (usize, usize) {
@@ -941,11 +956,13 @@ mod tests {
             let exact = solve_exact_with(&p, &mut scratch).unwrap();
             assert!(p.is_feasible(&exact.per_server), "infeasible on {p:?}");
             assert!(!grid_wins(&p, &exact), "grid beat the engine on {p:?}");
+            assert!(!more_budget_projects_less(&p, &exact), "on {p:?}");
 
             let groups = 1 + rng.random::<u32>() as usize % 5;
             let p = concave_problem(&mut rng, groups);
             let exact = solve_exact_with(&p, &mut scratch).unwrap();
             assert!(p.is_feasible(&exact.per_server), "infeasible on {p:?}");
+            assert!(!more_budget_projects_less(&p, &exact), "on {p:?}");
             let reference = reference_solve_exact_with(&p, &mut SolverScratch::new());
             assert_eq!(bits(&exact), bits(&reference), "bits moved on {p:?}");
         }
@@ -1148,6 +1165,36 @@ mod tests {
         assert_watts(&exact, &[80.0, 110.0]);
         assert!((exact.projected.value() - 1270.0).abs() < 1e-6);
         assert!(!grid_wins(&p, &exact));
+    }
+
+    #[test]
+    fn more_budget_never_projects_less() {
+        // A linear fit that falls with power is worth most at idle: 920 at
+        // 40 W against 760 at its 120 W peak, whether the budget falls a
+        // watt short of the peak or covers it many times over.
+        let falling = group(
+            0,
+            1,
+            40.0,
+            120.0,
+            Quadratic {
+                l: 1000.0,
+                m: -2.0,
+                n: 0.0,
+            },
+        );
+        for budget in [119.0, 1000.0] {
+            let p = AllocationProblem::new(vec![falling.clone()], Watts::new(budget)).unwrap();
+            let exact = solve_exact(&p).unwrap();
+            assert_watts(&exact, &[40.0]);
+            assert!(
+                (exact.projected.value() - 920.0).abs() < 1e-9,
+                "budget {budget}: {:?}",
+                exact.projected
+            );
+            let reference = reference_solve_exact_with(&p, &mut SolverScratch::new());
+            assert_eq!(bits(&exact), bits(&reference), "budget {budget}");
+        }
     }
 
     #[test]

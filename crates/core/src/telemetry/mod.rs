@@ -99,8 +99,9 @@ pub mod names {
     pub const SOLAR_CACHE_MISS: &str = "greenhetero_solar_cache_miss_total";
 
     // The shared (cross-controller) solve cache's counters are
-    // scheduling-dependent — *which* rack pays a cold solve depends on
-    // thread interleaving — so, like the solar memo above, they are
+    // scheduling-dependent — *which* rack pays a cold solve or Holt
+    // training depends on thread interleaving — so, like the solar memo
+    // above, they are
     // never recorded into a per-run registry or ledger. They surface as
     // `FleetReport::shared_solve` provenance and through the serve
     // daemon's Prometheus dump (`Supervisor::shared_solve_stats`).
@@ -114,6 +115,12 @@ pub mod names {
         "greenhetero_shared_solve_revalidation_miss_total";
     /// Shared-solve entries displaced by per-shard LRU eviction.
     pub const SHARED_SOLVE_EVICT: &str = "greenhetero_shared_solve_evict_total";
+    /// Holt retrains answered by a training of the same history stored
+    /// in the shared cache.
+    pub const SHARED_TRAINING_HIT: &str = "greenhetero_shared_training_hit_total";
+    /// Holt retrains that ran the α/β search and published it to the
+    /// shared cache.
+    pub const SHARED_TRAINING_MISS: &str = "greenhetero_shared_training_miss_total";
 
     /// Serve sessions restarted after an epoch-step panic.
     pub const SESSION_RESTARTS: &str = "greenhetero_session_restart_total";

@@ -428,23 +428,30 @@ fn dispatch(
                 hit = names::SOLAR_CACHE_HIT,
                 miss = names::SOLAR_CACHE_MISS,
             ));
-            // Shared-solve counters are scheduling-dependent (which rack
-            // pays the cold solve depends on thread interleaving), so they
-            // live here in the scrape rather than in any per-run registry.
+            // Shared-cache counters are scheduling-dependent (which
+            // session pays the cold solve or training depends on thread
+            // interleaving), so they live here in the scrape rather than
+            // in any per-run registry.
             let solve = supervisor.shared_solve_stats();
             dump.push_str(&format!(
                 "# TYPE {hit} counter\n{hit} {h}\n\
                  # TYPE {miss} counter\n{miss} {m}\n\
                  # TYPE {reval} counter\n{reval} {r}\n\
-                 # TYPE {evict} counter\n{evict} {e}\n",
+                 # TYPE {evict} counter\n{evict} {e}\n\
+                 # TYPE {train_hit} counter\n{train_hit} {th}\n\
+                 # TYPE {train_miss} counter\n{train_miss} {tm}\n",
                 hit = names::SHARED_SOLVE_HIT,
                 miss = names::SHARED_SOLVE_MISS,
                 reval = names::SHARED_SOLVE_REVALIDATION_MISS,
                 evict = names::SHARED_SOLVE_EVICT,
+                train_hit = names::SHARED_TRAINING_HIT,
+                train_miss = names::SHARED_TRAINING_MISS,
                 h = solve.hits,
                 m = solve.misses,
                 r = solve.revalidation_misses,
                 e = solve.evictions,
+                th = solve.training_hits,
+                tm = solve.training_misses,
             ));
             // Pool counters are work-stealing activity — scheduling-
             // dependent like the shared-solve stats, so they live only

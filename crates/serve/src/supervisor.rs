@@ -418,10 +418,11 @@ impl Supervisor {
         ))
     }
 
-    /// Shared-solve counter totals summed over every cached substrate —
-    /// the daemon's Prometheus dump renders these. Scheduling-dependent
-    /// (which session pays a cold solve depends on arrival order), so
-    /// they never feed any replayable artifact.
+    /// Shared-cache counter totals, solves and Holt trainings, summed
+    /// over every cached substrate — the daemon's Prometheus dump renders
+    /// these. Scheduling-dependent (which session pays a cold solve or
+    /// training depends on arrival order), so they never feed any
+    /// replayable artifact.
     #[must_use]
     pub fn shared_solve_stats(&self) -> SharedSolveStats {
         let cache = self
@@ -436,6 +437,8 @@ impl Supervisor {
             totals.revalidation_misses += s.revalidation_misses;
             totals.insertions += s.insertions;
             totals.evictions += s.evictions;
+            totals.training_hits += s.training_hits;
+            totals.training_misses += s.training_misses;
         }
         totals
     }

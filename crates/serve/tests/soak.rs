@@ -140,8 +140,8 @@ fn mixed_fleet_soaks_and_drains_cleanly() {
 
     // The Prometheus dump carries the supervision counters, the
     // process-global solar memo stats, and the per-substrate shared
-    // solve-cache counters (scheduling-dependent, so scraped here
-    // rather than recorded into any per-run ledger).
+    // cache's solve and training counters (scheduling-dependent, so
+    // scraped here rather than recorded into any per-run ledger).
     let metrics = client.metrics().expect("metrics dump");
     for name in [
         "greenhetero_session_restart_total",
@@ -154,6 +154,8 @@ fn mixed_fleet_soaks_and_drains_cleanly() {
         "greenhetero_shared_solve_miss_total",
         "greenhetero_shared_solve_revalidation_miss_total",
         "greenhetero_shared_solve_evict_total",
+        "greenhetero_shared_training_hit_total",
+        "greenhetero_shared_training_miss_total",
     ] {
         assert!(
             metrics.contains(name),

@@ -7,10 +7,12 @@
 //! and seeded.
 
 use std::num::NonZeroUsize;
+use std::sync::Arc;
 use std::time::Instant;
 
 use greenhetero_core::error::CoreError;
 use greenhetero_core::policies::PolicyKind;
+use greenhetero_core::solver::SharedSolveCache;
 
 use crate::engine::Simulation;
 use crate::report::RunReport;
@@ -65,6 +67,14 @@ pub fn compare_policies(
         .collect())
 }
 
+/// Capacity of the [`SharedSolveCache`] one [`run_all`] batch shares. The
+/// five policies of a sweep cell share a seed, so their predictor lanes
+/// retrain on the same histories, about 16 per two-day run: 64 trainings
+/// keep a cell's alive across its runs. The runs rarely pose each other's
+/// allocation problems, so the solves are held to the same 64 entries,
+/// and a batch's memory stays flat.
+const BATCH_SHARED_CAPACITY: usize = 64;
+
 /// Runs every scenario on a bounded worker pool and collects the reports
 /// in input order.
 ///
@@ -76,12 +86,18 @@ pub fn compare_policies(
 /// queue before a worker picked it up
 /// ([`names::RUNNER_QUEUE_WAIT_SECONDS`](greenhetero_core::telemetry::names::RUNNER_QUEUE_WAIT_SECONDS)).
 ///
+/// Every run of one call shares one [`SharedSolveCache`], so a Holt
+/// training (or a solve) that another run of the batch already did is
+/// taken from it, bit for bit: each report is byte-identical to
+/// [`run_scenario`](crate::engine::run_scenario)'s for the same scenario.
+///
 /// # Errors
 ///
 /// Propagates the first simulation failure (in input order). A worker
 /// panic is resumed on the calling thread.
 pub fn run_all(scenarios: Vec<Scenario>) -> Result<Vec<RunReport>, CoreError> {
     let queued_at = Instant::now();
+    let shared = Arc::new(SharedSolveCache::new(BATCH_SHARED_CAPACITY));
     let cells: Vec<Cell> = scenarios
         .into_iter()
         .map(|scenario| (Some(scenario), None))
@@ -89,7 +105,8 @@ pub fn run_all(scenarios: Vec<Scenario>) -> Result<Vec<RunReport>, CoreError> {
     let run_cell = |(scenario, outcome): &mut Cell, _epoch: u64| {
         *outcome = scenario.take().map(|scenario| {
             let waited = queued_at.elapsed();
-            let sim = Simulation::new(scenario)?;
+            let mut sim = Simulation::new(scenario)?;
+            sim.set_shared_solve_cache(Arc::clone(&shared));
             sim.note_queue_wait(waited);
             sim.run()
         });
@@ -159,6 +176,7 @@ fn worker_count_from(override_: Option<&str>) -> (usize, Option<String>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use greenhetero_server::workload::WorkloadKind;
 
     fn tiny(policy: PolicyKind) -> Scenario {
         Scenario {
@@ -245,6 +263,33 @@ mod tests {
                 .histogram(greenhetero_core::telemetry::names::RUNNER_QUEUE_WAIT_SECONDS)
                 .expect("queue-wait histogram registered");
             assert_eq!(hist.count, 1);
+        }
+    }
+
+    #[test]
+    fn batch_equals_runs_one_by_one() {
+        // One sweep cell: five policies on one seed, so the batch's runs
+        // train on each other's histories. Every report must still be the
+        // lone run's, byte for byte, at any `GH_SIM_THREADS`.
+        let cell: Vec<Scenario> = PolicyKind::ALL
+            .iter()
+            .map(|&policy| Scenario {
+                servers_per_type: 1,
+                seed: 11,
+                ..Scenario::workload_study(WorkloadKind::Memcached, policy)
+            })
+            .collect();
+        let csv = |report: &RunReport| {
+            let mut bytes = Vec::new();
+            report.write_csv(&mut bytes).unwrap();
+            bytes
+        };
+        let batch = run_all(cell.clone()).unwrap();
+        for (scenario, report) in cell.into_iter().zip(&batch) {
+            let policy = scenario.policy;
+            let alone = crate::engine::run_scenario(scenario).unwrap();
+            assert_eq!(report.epochs, alone.epochs, "{policy:?}");
+            assert_eq!(csv(report), csv(&alone), "{policy:?}");
         }
     }
 

@@ -254,7 +254,8 @@ fn shared_cache_on_off_or_resized_is_invisible_in_the_artifacts() {
     // the cache is at its default size, disabled outright, or squeezed
     // so hard it thrashes — at every worker count, on the nastiest
     // variant we have (chaos faults + solar spread + per-rack
-    // training).
+    // training). Capacity 3 keeps one solve and one Holt training per
+    // shard, so it thrashes the memoized trainings as well.
     let reference = {
         let mut spec = chaos_fleet(6);
         spec.shared_solve_capacity = 0;
@@ -299,6 +300,40 @@ fn homogeneous_fleet_pays_one_cold_solve_per_problem() {
         stats.reuse_rate() >= 0.9,
         "homogeneous 16-rack fleet should reuse >=90% of solves, got {:.3} ({stats:?})",
         stats.reuse_rate()
+    );
+}
+
+#[test]
+fn homogeneous_fleet_trains_each_distinct_history_once() {
+    // Zero noise and no solar spread give every rack's predictor lanes
+    // the same readings, so the fleet runs each distinct Holt search once
+    // and the other racks take its bits from the shared cache. A
+    // one-rack fleet counts the distinct histories. One worker, so that
+    // no two racks race to the same search.
+    let quiet = |racks| {
+        let mut spec = tiny_fleet(racks);
+        spec.base.meter_noise = Watts::new(0.0);
+        spec.base.perf_noise = 0.0;
+        spec.workers = 1;
+        spec
+    };
+    let distinct = quiet(1)
+        .run()
+        .expect("one rack")
+        .shared_solve
+        .training_misses;
+    assert!(distinct > 0, "the rack never retrained");
+    let stats = quiet(16).run().expect("homogeneous fleet").shared_solve;
+    assert!(
+        stats.training_misses <= distinct,
+        "{} searches for {distinct} distinct histories ({stats:?})",
+        stats.training_misses
+    );
+    let trainings = stats.training_hits + stats.training_misses;
+    let share = stats.training_hits as f64 / trainings as f64;
+    assert!(
+        share >= 0.9,
+        "16 identical racks should take >=90% of trainings from the cache, got {share:.3} ({stats:?})"
     );
 }
 
