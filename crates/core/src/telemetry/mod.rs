@@ -141,10 +141,11 @@ pub mod names {
     pub const SERVE_DRAIN_CHECKPOINTS: &str = "greenhetero_serve_drain_checkpoint_total";
 
     // The bounded session pool's counters come from `TaskPool::stats()`
-    // atomics. Work-stealing activity is scheduling-dependent (which
-    // worker polls which task depends on timing), so like the shared
-    // solve cache these surface only through the serve daemon's
-    // Prometheus dump, never a per-run registry or ledger.
+    // atomics. Pool activity is scheduling-dependent (which worker polls
+    // which task, and how often a parked task is polled, depend on
+    // timing), so like the shared solve cache these surface only through
+    // the serve daemon's Prometheus dump, never a per-run registry or
+    // ledger.
     /// Worker threads in the serve daemon's bounded session pool.
     pub const POOL_WORKERS: &str = "greenhetero_pool_workers";
     /// Session tasks submitted to the bounded pool over its lifetime.
@@ -153,8 +154,6 @@ pub mod names {
     pub const POOL_TASKS_COMPLETED: &str = "greenhetero_pool_task_completed_total";
     /// Individual task polls executed by pool workers.
     pub const POOL_POLLS: &str = "greenhetero_pool_poll_total";
-    /// Polls served from another worker's deque (work stealing).
-    pub const POOL_STEALS: &str = "greenhetero_pool_steal_total";
 
     /// Prediction-phase wall time per epoch, in seconds.
     pub const PREDICT_SECONDS: &str = "greenhetero_controller_predict_seconds";

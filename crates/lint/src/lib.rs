@@ -138,7 +138,7 @@ pub const DETERMINISM_DOMAINS: &[(&str, &[Domain])] = &[
         "crates/sim/src/runner.rs",
         &[Domain::Reduction, Domain::Timing],
     ),
-    // The work-stealing pool's parking machinery (condvar timeouts,
+    // The session pool's parking machinery (condvar timeouts,
     // park deadlines) is wall-clock by nature, like the serve daemon's
     // heartbeats below — timing there is infrastructure, never an input
     // to any decision stream.
@@ -190,7 +190,7 @@ pub fn is_bounded_channel_scope(path: &str) -> bool {
 }
 
 /// `true` for the files allowed to create OS threads directly (GH012):
-/// the scheduler (the work-stealing pool and the scoped lock-step
+/// the scheduler (the session pool and the scoped lock-step
 /// executor that fleets and sweeps run on) and the serve layer's fixed
 /// supervision threads (accept loop, watchdog) and per-connection
 /// handlers. All other

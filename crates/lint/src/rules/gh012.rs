@@ -2,7 +2,7 @@
 //!
 //! The scheduler (DESIGN.md §15) is the codebase's one source of
 //! execution parallelism: serve sessions are poll-able tasks on a
-//! bounded work-stealing pool, and fleet epochs and sweeps run on a
+//! bounded run-queue pool, and fleet epochs and sweeps run on a
 //! scoped executor bounded by its worker count, so the process thread
 //! count is a structural invariant (`workers + fixed supervision
 //! overhead`) rather than a function of load. A stray `thread::spawn`

@@ -453,26 +453,23 @@ fn dispatch(
                 th = solve.training_hits,
                 tm = solve.training_misses,
             ));
-            // Pool counters are work-stealing activity — scheduling-
-            // dependent like the shared-solve stats, so they live only
-            // in the scrape.
+            // Pool counters depend on which worker polled what, and
+            // when — scheduling-dependent like the shared-solve stats, so
+            // they live only in the scrape.
             let pool = supervisor.pool_stats();
             dump.push_str(&format!(
                 "# TYPE {workers} gauge\n{workers} {w}\n\
                  # TYPE {spawned} counter\n{spawned} {sp}\n\
                  # TYPE {completed} counter\n{completed} {c}\n\
-                 # TYPE {polls} counter\n{polls} {p}\n\
-                 # TYPE {steals} counter\n{steals} {st}\n",
+                 # TYPE {polls} counter\n{polls} {p}\n",
                 workers = names::POOL_WORKERS,
                 spawned = names::POOL_TASKS_SPAWNED,
                 completed = names::POOL_TASKS_COMPLETED,
                 polls = names::POOL_POLLS,
-                steals = names::POOL_STEALS,
                 w = pool.workers,
                 sp = pool.spawned,
                 c = pool.completed,
                 p = pool.polls,
-                st = pool.steals,
             ));
             let mut o = JsonObject::new();
             o.bool("ok", true).str("metrics", &dump);

@@ -3,7 +3,7 @@
 //! progress heartbeat.
 //!
 //! A session is a [`SessionTask`] — a poll-able state machine scheduled
-//! onto the supervisor's bounded work-stealing pool
+//! onto the supervisor's bounded run-queue pool
 //! ([`greenhetero_sim::sched::TaskPool`]), one epoch step (or one
 //! waiting quantum) per poll, so thousands of sessions share ~cores
 //! worker threads instead of owning one OS thread each. Everything the
@@ -504,7 +504,7 @@ impl PollTask for SessionTask {
         // Injected stall: block the worker without heartbeating, exactly
         // once, so the watchdog's eviction path can be tested end to
         // end (a genuinely wedged step blocks a pool worker the same
-        // way; the other workers keep stealing).
+        // way; the other workers keep taking tasks from the run queue).
         if self.rt.spec.stall_epoch == Some(cursor) && !self.stalled {
             self.stalled = true;
             std::thread::sleep(Duration::from_millis(self.rt.spec.stall_ms));

@@ -8,7 +8,7 @@
 //! ├── accept thread        (TCP; never blocks on sessions)
 //! ├── watchdog thread      (evicts heartbeat-stale sessions)
 //! └── session pool         (~cores workers hosting every session as
-//!                           a poll task; work-stealing, bounded)
+//!                           a poll task; one run queue, bounded)
 //! ```
 //!
 //! Sessions are not threads: each one is a

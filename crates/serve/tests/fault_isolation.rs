@@ -311,3 +311,29 @@ fn capacity_duplicates_and_backpressure_reject_with_reasons() {
     let reply = client.tick("nope").expect("tick round trip");
     assert_eq!(reply.text("reason"), Some("unknown_session"), "{reply:?}");
 }
+
+#[test]
+fn an_unbounded_horizon_is_refused_and_the_daemon_keeps_serving() {
+    let daemon = test_daemon();
+    let mut client = client(&daemon);
+
+    // A billion days would reserve terabytes of epoch records at the
+    // session's first poll; validation refuses the horizon instead.
+    let mut huge = SessionSpec::named("huge");
+    huge.days = 1_000_000_000;
+    let reply = client.submit(&huge).expect("submit round trip");
+    assert_eq!(reply.flag("ok"), Some(false), "{reply:?}");
+    assert_eq!(reply.text("reason"), Some("invalid_spec"), "{reply:?}");
+
+    let spec = SessionSpec::named("after-huge");
+    let reply = client.submit(&spec).expect("submit round trip");
+    assert_eq!(reply.flag("ok"), Some(true), "{reply:?}");
+    wait_for_state(
+        &mut client,
+        "after-huge",
+        "finished",
+        Duration::from_secs(30),
+    );
+    let lines = client.decisions("after-huge", 0, u64::MAX).expect("stream");
+    assert_eq!(lines, oracle(&spec));
+}

@@ -13,7 +13,7 @@
 //! * [`runner`] — parallel policy comparisons and parameter sweeps;
 //! * [`fleet`] — N racks in lock-step epochs on a shared substrate,
 //!   reduced in rack order;
-//! * [`sched`] — the two executors: a work-stealing pool for the
+//! * [`sched`] — the two executors: a run-queue pool for the
 //!   daemon's long-lived sessions, and a scoped lock-step executor for
 //!   fleet epochs and sweeps;
 //! * [`report`] — per-epoch records, run summaries and CSV export.

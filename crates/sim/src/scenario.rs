@@ -18,6 +18,12 @@ use greenhetero_server::workload::WorkloadKind;
 use crate::faults::FaultSchedule;
 use crate::intensity::IntensityProfile;
 
+/// The longest horizon a scenario may span, in epochs: ten years of the
+/// paper's 15-minute epochs. A run reserves its epoch records when it
+/// starts, so a horizon far past any real use would abort the process on
+/// that allocation instead of failing validation.
+const MAX_EPOCHS: u64 = 3_650 * 96;
+
 /// How (and whether) a run exports telemetry.
 ///
 /// The default is [`TelemetrySpec::Off`]: counters still accumulate (they
@@ -203,7 +209,8 @@ impl Scenario {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] for zero days/servers, a
-    /// non-positive solar ratio, or invalid nested configs.
+    /// horizon of more than 350,400 epochs (ten years of 15-minute
+    /// epochs), a non-positive solar ratio, or invalid nested configs.
     pub fn validate(&self) -> Result<(), CoreError> {
         if self.days == 0 {
             return Err(CoreError::InvalidConfig {
@@ -229,6 +236,19 @@ impl Scenario {
             });
         }
         self.controller.validate()?;
+        // Checked: past about 2.1 × 10^14 days the seconds overflow.
+        let epochs = self
+            .days
+            .checked_mul(86_400)
+            .map(|secs| secs / self.controller.epoch_len.as_secs());
+        if epochs.is_none_or(|n| n > MAX_EPOCHS) {
+            return Err(CoreError::InvalidConfig {
+                reason: format!(
+                    "a {}-day horizon exceeds the bound of {MAX_EPOCHS} epochs",
+                    self.days
+                ),
+            });
+        }
         self.battery.validate()?;
         let rack = self.build_rack()?;
         self.faults.validate(rack.groups().len())?;
@@ -266,6 +286,25 @@ mod tests {
         let mut s = Scenario::paper_runtime(PolicyKind::Uniform);
         s.combination = Combination::Comb6;
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn horizons_past_ten_years_of_epochs_are_rejected() {
+        let mut s = Scenario::paper_runtime(PolicyKind::GreenHetero);
+        s.days = 3_650;
+        assert!(s.validate().is_ok(), "ten years of 15-minute epochs");
+        s.days = 3_651;
+        assert!(s.validate().is_err());
+        // The 2^53-day wire maximum, and a horizon whose seconds overflow.
+        for days in [1_000_000_000, 1 << 53, u64::MAX] {
+            s.days = days;
+            let err = s.validate().expect_err("bounded");
+            assert!(err.to_string().contains("epochs"), "{err}");
+        }
+        // The bound counts epochs: hourly epochs admit a longer horizon.
+        s.days = 3_651;
+        s.controller.epoch_len = greenhetero_core::types::SimDuration::from_hours(1);
+        assert!(s.validate().is_ok());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Epoch schedulers: a work-stealing pool for long-lived sessions and a
+//! Epoch schedulers: a run-queue pool for long-lived sessions and a
 //! scoped lock-step executor for fleets and sweeps.
 //!
 //! * [`TaskPool`] — a long-lived pool for the serving daemon. Each rack
@@ -6,8 +6,9 @@
 //!   quantum) per [`PollTask::poll`] call and yields the thread between
 //!   steps, so a 1,000-session daemon runs on `workers` threads instead
 //!   of 1,000. Tasks that need to wait (pacing, crash backoff, manual
-//!   ticks) return [`TaskPoll::After`] and are parked on a timer wheel
-//!   rather than blocking a worker.
+//!   ticks) return [`TaskPoll::After`] and are parked on a deadline
+//!   rather than blocking a worker. A worker keeps polling its task
+//!   while it has work, and yields it only to parked tasks that come due.
 //! * [`run_epoch_batches`] — a scoped, lock-step executor for fleet
 //!   epochs and sweeps. The calling thread works beside `workers − 1`
 //!   scoped helpers that start once per run. Within an epoch every
@@ -35,7 +36,8 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::sync_channel;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use greenhetero_core::error::CoreError;
@@ -43,8 +45,9 @@ use greenhetero_core::error::CoreError;
 /// What a task wants the pool to do after one `poll`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskPoll {
-    /// Re-run the task as soon as a worker is free (it has more work
-    /// ready right now).
+    /// Poll the task again: it has more work ready right now. Its
+    /// worker keeps it until it parks or finishes, or until a parked
+    /// task comes due and runs ahead of it.
     Again,
     /// Park the task and re-poll it no sooner than this many
     /// milliseconds from now (pacing, crash backoff, waiting for a
@@ -61,9 +64,10 @@ pub trait PollTask: Send {
     ///
     /// A poll should stay short — one epoch step, one queue check — so
     /// thousands of tasks share a handful of workers fairly. Blocking
-    /// inside `poll` stalls one worker (the pool tolerates it, the
-    /// other workers keep stealing) but is reserved for genuinely
-    /// stuck tasks, not for pacing.
+    /// inside `poll` stalls one worker (the pool tolerates it: the
+    /// other workers keep taking tasks from the run queue, and an idle
+    /// one wakes for the earliest parked deadline) but is reserved for
+    /// genuinely stuck tasks, not for pacing.
     fn poll(&mut self) -> TaskPoll;
 }
 
@@ -78,34 +82,41 @@ pub struct TaskPoolStats {
     pub completed: u64,
     /// Total `poll` invocations across all tasks.
     pub polls: u64,
-    /// Polls that ran on a task stolen from another worker's deque or
-    /// taken from the shared injector.
+    /// Always 0: every worker takes its tasks from the one run queue,
+    /// so none is stolen. Kept only because `perfbench`'s serve
+    /// workload reads it.
     pub steals: u64,
 }
 
-/// How long an idle worker sleeps when no parked task has a nearer
-/// deadline — bounds wake-up latency for `kick` racing a sleep.
-const IDLE_WAIT_MS: u64 = 50;
-
-struct PoolInner {
-    /// Per-worker runnable deques; owners pop the front, thieves steal
-    /// the back.
-    queues: Vec<Mutex<VecDeque<Box<dyn PollTask>>>>,
-    /// Overflow/injection queue: `spawn` and timer promotion land here.
-    injector: Mutex<VecDeque<Box<dyn PollTask>>>,
+/// What the pool's one lock guards.
+struct RunQueue {
+    /// Runnable tasks, taken from the front. `spawn` joins the back;
+    /// parked tasks that come due, and the busy task they preempt,
+    /// rejoin the front.
+    runnable: VecDeque<Box<dyn PollTask>>,
     /// Parked tasks keyed by `(wake_deadline_ms, sequence)` so the
     /// earliest deadline is always the first key.
-    parked: Mutex<BTreeMap<(u64, u64), Box<dyn PollTask>>>,
-    /// Condvar pair for idle workers.
-    idle: Mutex<()>,
+    parked: BTreeMap<(u64, u64), Box<dyn PollTask>>,
+    seq: u64,
+    live: bool,
+    /// The worker threads, taken once by [`TaskPool::shutdown`].
+    handles: Vec<JoinHandle<()>>,
+}
+
+struct PoolInner {
+    queue: Mutex<RunQueue>,
+    /// Idle workers wait here, on `queue`'s lock.
     wake: Condvar,
-    live: AtomicBool,
-    seq: AtomicU64,
+    /// The first parked deadline, `u64::MAX` when nothing is parked.
+    /// It is written under the lock and read without it, so a busy
+    /// worker sees a due task at its next poll without taking the lock.
+    /// A stale read costs one poll's delay or one needless trip to the
+    /// lock, so `Relaxed` suffices.
+    next_due: AtomicU64,
     epoch: Instant,
     spawned: AtomicU64,
     completed: AtomicU64,
     polls: AtomicU64,
-    steals: AtomicU64,
 }
 
 impl PoolInner {
@@ -113,123 +124,109 @@ impl PoolInner {
         u64::try_from(self.epoch.elapsed().as_millis()).unwrap_or(u64::MAX)
     }
 
-    /// Moves every parked task whose deadline has passed into the
-    /// injector; returns the next pending deadline, if any.
-    fn promote_due(&self) -> (usize, Option<u64>) {
-        let now = self.now_ms();
-        let mut parked = self.parked.lock().unwrap_or_else(PoisonError::into_inner);
-        let later = parked.split_off(&(now.saturating_add(1), 0));
-        let due = std::mem::replace(&mut *parked, later);
-        let next = parked.keys().next().map(|(deadline, _)| *deadline);
-        drop(parked);
-        let promoted = due.len();
-        if promoted > 0 {
-            let mut injector = self.injector.lock().unwrap_or_else(PoisonError::into_inner);
-            injector.extend(due.into_values());
-        }
-        (promoted, next)
+    fn lock(&self) -> MutexGuard<'_, RunQueue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Pops the next runnable task for worker `me`: own deque first,
-    /// then the injector, then the back of every other deque.
-    fn next_task(&self, me: usize) -> Option<(Box<dyn PollTask>, bool)> {
-        if let Some(task) = self.queues[me]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop_front()
-        {
-            return Some((task, false));
-        }
-        if let Some(task) = self
-            .injector
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop_front()
-        {
-            return Some((task, true));
-        }
-        for offset in 1..self.queues.len() {
-            let victim = (me + offset) % self.queues.len();
-            if let Some(task) = self.queues[victim]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .pop_back()
-            {
-                return Some((task, true));
+    /// Moves every parked task whose deadline has passed to the front
+    /// of the run queue, earliest first, and publishes the next
+    /// deadline.
+    fn promote_due(&self, queue: &mut RunQueue) {
+        let now = self.now_ms();
+        let mut at = 0;
+        while let Some(entry) = queue.parked.first_entry() {
+            if entry.key().0 > now {
+                break;
             }
+            queue.runnable.insert(at, entry.remove());
+            at += 1;
+        }
+        let next = queue.parked.keys().next().map_or(u64::MAX, |key| key.0);
+        self.next_due.store(next, Ordering::Relaxed);
+    }
+
+    /// The task this worker polls next. It keeps `held` while no parked
+    /// task is due; otherwise `held` rejoins the front of the queue
+    /// behind the due tasks, and the front is taken. Waits while nothing
+    /// is runnable, and returns `None` once the pool stops.
+    fn next(&self, held: Option<Box<dyn PollTask>>) -> Option<Box<dyn PollTask>> {
+        if held.is_some() && self.next_due.load(Ordering::Relaxed) > self.now_ms() {
+            return held;
+        }
+        let mut queue = self.lock();
+        if let Some(task) = held {
+            queue.runnable.push_front(task);
+        }
+        while queue.live {
+            self.promote_due(&mut queue);
+            if let Some(task) = queue.runnable.pop_front() {
+                if !queue.runnable.is_empty() {
+                    // A preempted task or a second due one is left over:
+                    // an idle worker, if there is one, takes it.
+                    self.wake.notify_one();
+                }
+                return Some(task);
+            }
+            // Until the first parked deadline; with nothing parked,
+            // `u64::MAX` ms is a wait without end.
+            let wait = self
+                .next_due
+                .load(Ordering::Relaxed)
+                .saturating_sub(self.now_ms());
+            (queue, _) = self
+                .wake
+                .wait_timeout(queue, Duration::from_millis(wait))
+                .unwrap_or_else(PoisonError::into_inner);
         }
         None
     }
 
-    fn worker_loop(&self, me: usize) {
-        while self.live.load(Ordering::Acquire) {
-            if let Some((mut task, stolen)) = self.next_task(me) {
-                self.polls.fetch_add(1, Ordering::Relaxed);
-                if stolen {
-                    self.steals.fetch_add(1, Ordering::Relaxed);
+    fn park(&self, task: Box<dyn PollTask>, ms: u64) {
+        let deadline = self.now_ms().saturating_add(ms);
+        let mut queue = self.lock();
+        let key = (deadline, queue.seq);
+        queue.seq += 1;
+        queue.parked.insert(key, task);
+        if deadline < self.next_due.load(Ordering::Relaxed) {
+            // A new earliest deadline: an idle worker waiting for a later
+            // one, or for none, re-arms, so a worker stuck inside a poll
+            // cannot hold this task up.
+            self.next_due.store(deadline, Ordering::Relaxed);
+            self.wake.notify_one();
+        }
+    }
+
+    fn worker_loop(&self) {
+        let mut held = None;
+        while let Some(mut task) = self.next(held.take()) {
+            self.polls.fetch_add(1, Ordering::Relaxed);
+            match task.poll() {
+                TaskPoll::Again => held = Some(task),
+                TaskPoll::After(ms) => self.park(task, ms),
+                TaskPoll::Done => {
+                    self.completed.fetch_add(1, Ordering::Relaxed);
                 }
-                match task.poll() {
-                    TaskPoll::Again => self.queues[me]
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .push_back(task),
-                    TaskPoll::After(ms) => {
-                        let key = (
-                            self.now_ms().saturating_add(ms),
-                            self.seq.fetch_add(1, Ordering::Relaxed),
-                        );
-                        self.parked
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .insert(key, task);
-                    }
-                    TaskPoll::Done => {
-                        self.completed.fetch_add(1, Ordering::Relaxed);
-                        drop(task);
-                    }
-                }
-                continue;
-            }
-            let (promoted, next_deadline) = self.promote_due();
-            if promoted > 0 {
-                continue;
-            }
-            let wait = next_deadline
-                .map(|deadline| {
-                    deadline
-                        .saturating_sub(self.now_ms())
-                        .clamp(1, IDLE_WAIT_MS)
-                })
-                .unwrap_or(IDLE_WAIT_MS);
-            let guard = self.idle.lock().unwrap_or_else(PoisonError::into_inner);
-            // Re-check under the idle lock so a notify between our last
-            // queue scan and this wait is not lost entirely; the bounded
-            // timeout caps the cost of the residual race.
-            if self.live.load(Ordering::Acquire) {
-                let _unused = self
-                    .wake
-                    .wait_timeout(guard, Duration::from_millis(wait))
-                    .unwrap_or_else(PoisonError::into_inner);
             }
         }
     }
 }
 
-/// A bounded work-stealing pool hosting [`PollTask`]s on `workers` OS
-/// threads. Dropping the pool stops the workers; tasks still resident
-/// (runnable or parked) are dropped without further polls — callers
-/// that need orderly shutdown should stop their tasks first (the serve
-/// supervisor's drain raises every session's stop flag, then
-/// [`kick`](TaskPool::kick)s the pool so parked sessions observe it).
+/// A bounded pool hosting [`PollTask`]s on `workers` OS threads, all
+/// fed from one run queue. Dropping the pool stops the workers; tasks
+/// still resident (runnable or parked) are dropped without further
+/// polls — callers that need orderly shutdown should stop their tasks
+/// first (the serve supervisor's drain raises every session's stop
+/// flag, then [`kick`](TaskPool::kick)s the pool so parked sessions
+/// observe it).
 pub struct TaskPool {
     inner: Arc<PoolInner>,
-    handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    workers: usize,
 }
 
 impl std::fmt::Debug for TaskPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TaskPool")
-            .field("workers", &self.inner.queues.len())
+            .field("workers", &self.workers)
             .field("stats", &self.stats())
             .finish()
     }
@@ -243,73 +240,67 @@ impl TaskPool {
         } else {
             workers
         };
-        let inner = Arc::new(PoolInner {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            injector: Mutex::new(VecDeque::new()),
-            parked: Mutex::new(BTreeMap::new()),
-            idle: Mutex::new(()),
-            wake: Condvar::new(),
-            live: AtomicBool::new(true),
-            seq: AtomicU64::new(0),
-            epoch: Instant::now(),
-            spawned: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            polls: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-        });
-        let mut handles = Vec::with_capacity(workers);
+        let pool = TaskPool {
+            inner: Arc::new(PoolInner {
+                queue: Mutex::new(RunQueue {
+                    runnable: VecDeque::new(),
+                    parked: BTreeMap::new(),
+                    seq: 0,
+                    live: true,
+                    handles: Vec::with_capacity(workers),
+                }),
+                wake: Condvar::new(),
+                next_due: AtomicU64::new(u64::MAX),
+                epoch: Instant::now(),
+                spawned: AtomicU64::new(0),
+                completed: AtomicU64::new(0),
+                polls: AtomicU64::new(0),
+            }),
+            workers,
+        };
         for i in 0..workers {
-            let inner = Arc::clone(&inner);
+            let inner = Arc::clone(&pool.inner);
+            // On a failed spawn, dropping `pool` stops and joins the
+            // workers already started.
             let handle = std::thread::Builder::new()
                 .name(format!("gh-pool-{i}"))
-                .spawn(move || inner.worker_loop(i))
+                .spawn(move || inner.worker_loop())
                 .map_err(|e| CoreError::InvalidConfig {
                     reason: format!("pool worker spawn failed: {e}"),
                 })?;
-            handles.push(handle);
+            pool.inner.lock().handles.push(handle);
         }
-        Ok(TaskPool {
-            inner,
-            handles: Mutex::new(handles),
-        })
+        Ok(pool)
     }
 
     /// Number of worker threads in the pool.
     pub fn workers(&self) -> usize {
-        self.inner.queues.len()
+        self.workers
     }
 
-    /// Submits a task; it will be polled by the next free worker.
+    /// Submits a task at the back of the run queue: an idle worker takes
+    /// it at once, a busy one once its own task parks or finishes.
     pub fn spawn(&self, task: Box<dyn PollTask>) {
         self.inner.spawned.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .injector
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push_back(task);
+        let mut queue = self.inner.lock();
+        queue.runnable.push_back(task);
         self.inner.wake.notify_one();
     }
 
-    /// Wakes every parked task immediately (their `After` deadlines are
-    /// forfeited) and nudges all workers. Used by drain so sessions
-    /// sitting out a backoff or pacing interval observe their stop
-    /// flags now rather than at the next deadline.
+    /// Makes every parked task due now (their `After` deadlines are
+    /// forfeited): idle workers wake to run them, and busy workers yield
+    /// to them at their next poll. Used by drain so sessions sitting out
+    /// a backoff or pacing interval observe their stop flags now rather
+    /// than at the next deadline.
     pub fn kick(&self) {
-        let due = {
-            let mut parked = self
-                .inner
-                .parked
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            std::mem::take(&mut *parked)
-        };
-        if !due.is_empty() {
-            let mut injector = self
-                .inner
-                .injector
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            injector.extend(due.into_values());
+        let mut queue = self.inner.lock();
+        let parked = std::mem::take(&mut queue.parked);
+        queue.parked = parked
+            .into_iter()
+            .map(|((_, seq), task)| ((0, seq), task))
+            .collect();
+        if !queue.parked.is_empty() {
+            self.inner.next_due.store(0, Ordering::Relaxed);
         }
         self.inner.wake.notify_all();
     }
@@ -317,21 +308,23 @@ impl TaskPool {
     /// Activity counters for telemetry export.
     pub fn stats(&self) -> TaskPoolStats {
         TaskPoolStats {
-            workers: self.inner.queues.len(),
+            workers: self.workers,
             spawned: self.inner.spawned.load(Ordering::Relaxed),
             completed: self.inner.completed.load(Ordering::Relaxed),
             polls: self.inner.polls.load(Ordering::Relaxed),
-            steals: self.inner.steals.load(Ordering::Relaxed),
+            steals: 0,
         }
     }
 
     /// Stops the workers and joins them. Idempotent; also runs on drop.
     pub fn shutdown(&self) {
-        self.inner.live.store(false, Ordering::Release);
-        self.inner.wake.notify_all();
         let handles = {
-            let mut guard = self.handles.lock().unwrap_or_else(PoisonError::into_inner);
-            std::mem::take(&mut *guard)
+            let mut queue = self.inner.lock();
+            queue.live = false;
+            // Busy workers come to the lock at their next poll and stop.
+            self.inner.next_due.store(0, Ordering::Relaxed);
+            self.inner.wake.notify_all();
+            std::mem::take(&mut queue.handles)
         };
         for handle in handles {
             if handle.join().is_err() {
@@ -546,11 +539,132 @@ mod tests {
         pool.shutdown();
     }
 
+    /// Returns `Again` until `stop` is raised, or for at most 20 s, so a
+    /// pool that never preempts it fails a test instead of hanging it.
+    struct Busy {
+        stop: Arc<AtomicBool>,
+        polls: Arc<AtomicU64>,
+        started: Instant,
+    }
+
+    impl PollTask for Busy {
+        fn poll(&mut self) -> TaskPoll {
+            self.polls.fetch_add(1, Ordering::Relaxed);
+            if self.stop.load(Ordering::Relaxed) || self.started.elapsed() > Duration::from_secs(20)
+            {
+                TaskPoll::Done
+            } else {
+                TaskPoll::Again
+            }
+        }
+    }
+
+    /// Parks for `park_ms` on its first poll and finishes on its second.
+    struct Parker {
+        park_ms: u64,
+        polls: Arc<AtomicU64>,
+    }
+
+    impl PollTask for Parker {
+        fn poll(&mut self) -> TaskPoll {
+            if self.polls.fetch_add(1, Ordering::Relaxed) == 0 {
+                TaskPoll::After(self.park_ms)
+            } else {
+                TaskPoll::Done
+            }
+        }
+    }
+
+    /// On a one-worker pool, parks a task for `park_ms`, keeps the worker
+    /// busy with a task that always has work, calls `nudge`, and reports
+    /// whether the parked task was polled again within 2 s.
+    fn parked_task_runs_beside_a_busy_task(park_ms: u64, nudge: fn(&TaskPool)) -> bool {
+        let pool = TaskPool::start(1).expect("pool");
+        let parked = Arc::new(AtomicU64::new(0));
+        let busy = Arc::new(AtomicU64::new(0));
+        let stop = Arc::new(AtomicBool::new(false));
+        pool.spawn(Box::new(Parker {
+            park_ms,
+            polls: Arc::clone(&parked),
+        }));
+        pool.spawn(Box::new(Busy {
+            stop: Arc::clone(&stop),
+            polls: Arc::clone(&busy),
+            started: Instant::now(),
+        }));
+        wait_for(
+            || busy.load(Ordering::Relaxed) > 0,
+            "the busy task's first poll",
+        );
+        nudge(&pool);
+        let nudged = Instant::now();
+        while parked.load(Ordering::Relaxed) < 2 && nudged.elapsed() < Duration::from_secs(2) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let ran = parked.load(Ordering::Relaxed) == 2;
+        stop.store(true, Ordering::Relaxed);
+        wait_for(|| pool.stats().completed == 2, "both tasks to finish");
+        pool.shutdown();
+        ran
+    }
+
+    #[test]
+    fn a_due_parked_task_runs_beside_a_busy_task() {
+        assert!(
+            parked_task_runs_beside_a_busy_task(5, |_| {}),
+            "a parked task that came due waited out a busy task"
+        );
+    }
+
+    #[test]
+    fn kick_runs_parked_tasks_beside_a_busy_task() {
+        assert!(
+            parked_task_runs_beside_a_busy_task(3_600_000, TaskPool::kick),
+            "a kicked task waited out a busy task"
+        );
+    }
+
+    #[test]
+    fn a_task_keeps_its_worker_while_it_has_work() {
+        struct Tagged {
+            tag: u8,
+            left: u32,
+            log: Arc<Mutex<Vec<u8>>>,
+        }
+        impl PollTask for Tagged {
+            fn poll(&mut self) -> TaskPoll {
+                self.log
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push(self.tag);
+                if self.left == 0 {
+                    return TaskPoll::Done;
+                }
+                self.left -= 1;
+                TaskPoll::Again
+            }
+        }
+        let pool = TaskPool::start(1).expect("pool");
+        let log = Arc::new(Mutex::new(Vec::new()));
+        for tag in [0, 1] {
+            pool.spawn(Box::new(Tagged {
+                tag,
+                left: 200,
+                log: Arc::clone(&log),
+            }));
+        }
+        wait_for(|| pool.stats().completed == 2, "both tasks to finish");
+        pool.shutdown();
+        let log = log.lock().unwrap_or_else(PoisonError::into_inner);
+        let switches = log.windows(2).filter(|pair| pair[0] != pair[1]).count();
+        assert_eq!(switches, 1, "each task runs its 201 polls in one stretch");
+    }
+
     #[test]
     fn epoch_batches_fold_in_order_at_every_worker_count() {
         // Each batch appends (epoch, batch_id) at fold time; the fold
         // log must be identical — ascending batch order within each
-        // ascending epoch — no matter how many workers steal the steps.
+        // ascending epoch — no matter how many workers claim the steps.
         let epochs = 7u64;
         let batches = 13usize;
         let reference: Vec<(u64, usize)> = (0..epochs)
